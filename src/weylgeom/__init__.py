@@ -8,7 +8,6 @@ from .rootsystem import (
     IncidenceRuleMissing,
     RefusedError,
     RootSystem,
-    WeylElement,
 )
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "IncidenceRuleMissing",
     "RefusedError",
     "RootSystem",
-    "WeylElement",
     "decompose",
     "dimension_diagram",
     "hasse_diagram",

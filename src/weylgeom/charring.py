@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 
-from .rootsystem import ConsistencyError, RefusedError, RootSystem
+from .rootsystem import ConsistencyError, RefusedError, RootSystem, closure
 
 DEFAULT_MAX_POWER = 5
 
@@ -30,7 +30,8 @@ def set_cache_dir(path):
     CACHE_DIR = path
 
 
-def _effective_cache_dir():
+def cache_dir():
+    """The directory of the on-disk cache in effect, or None."""
     return CACHE_DIR or os.environ.get("WEYLGEOM_CACHE")
 
 
@@ -115,20 +116,6 @@ class FormalCharacter:
             out[w] = q
         return FormalCharacter(out)
 
-    def to_json(self):
-        rows = sorted(self.weights.items())
-        return json.dumps({
-            "format_version": 1,
-            "weights": [[list(w), str(m)] for w, m in rows],
-        }, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        if data.get("format_version") != 1:
-            raise ConsistencyError("unsupported character format")
-        return cls({tuple(w): int(m) for w, m in data["weights"]})
-
     def __repr__(self):
         return "FormalCharacter(%d weights, dim %d)" % (len(self.weights),
                                                         self.dimension())
@@ -160,22 +147,18 @@ def dominant_weights_below(rs, lam):
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError("need a dominant weight")
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        new = []
-        for w in frontier:
-            for alpha in rs.positive_roots_fw:
-                v = tuple(a - b for a, b in zip(w, alpha))
-                if v not in seen and all(x >= 0 for x in v):
-                    seen.add(v)
-                    new.append(v)
-        frontier = new
-    return seen
+
+    def step(w):
+        for k, alpha in enumerate(rs.positive_roots_fw):
+            v = tuple(a - b for a, b in zip(w, alpha))
+            if all(x >= 0 for x in v):
+                yield k, v
+
+    return set(closure([lam], step))
 
 
 def _cache_path(rs, lam):
-    base = _effective_cache_dir()
+    base = cache_dir()
     if not base:
         return None
     digest = hashlib.sha256((rs.key + repr(lam)).encode()).hexdigest()[:24]
@@ -240,7 +223,7 @@ def dominant_character(rs, lam):
     rho = rs.rho
 
     def shifted_norm(mu):
-        return rs.norm2(tuple(a + b for a, b in zip(mu, rho)))
+        return rs.scaled_norm2(tuple(a + b for a, b in zip(mu, rho)))
 
     order = sorted(doms, key=lambda mu: (-shifted_norm(mu), tuple(-x for x in mu)))
     if order[0] != lam:
@@ -289,15 +272,7 @@ def irrep_character(rs, lam):
     return FormalCharacter(out)
 
 
-def dual_highest_weight(rs, lam):
-    return rs.dual_weight(lam)
-
-
 # -- tensor and plethysm ------------------------------------------------------
-
-
-def tensor_product(a, b):
-    return a * b
 
 
 def adams(char, k):
@@ -317,33 +292,33 @@ def _power_check(char, k, max_degree):
                            % (k, max_degree))
 
 
-def symmetric_power(char, k, max_degree=DEFAULT_MAX_POWER):
-    """Character of the k-th symmetric power, by the Newton recursion
-    k*h_k = sum_{j=1}^{k} p_j h_{k-j}."""
+def power_series(char, k, alternating=False, max_degree=DEFAULT_MAX_POWER):
+    """Characters of the symmetric powers of degrees 0..k, or of the
+    exterior powers when alternating, by the Newton recursion
+    d*c_d = sum_{j=1}^{d} s^(j-1) p_j c_{d-j} with s = -1 if alternating
+    else 1."""
     _power_check(char, k, max_degree)
     rank = len(next(iter(char.weights)))
-    h = [FormalCharacter.unit(rank)]
+    p = [None] + [adams(char, j) for j in range(1, k + 1)]
+    c = [FormalCharacter.unit(rank)]
     for d in range(1, k + 1):
         acc = FormalCharacter()
         for j in range(1, d + 1):
-            acc = acc + adams(char, j) * h[d - j]
-        h.append(acc.divided(d))
-    return h[k]
+            term = p[j] * c[d - j]
+            acc = acc + (term.scaled(-1) if alternating and j % 2 == 0
+                         else term)
+        c.append(acc.divided(d))
+    return c
+
+
+def symmetric_power(char, k, max_degree=DEFAULT_MAX_POWER):
+    """Character of the k-th symmetric power."""
+    return power_series(char, k, max_degree=max_degree)[k]
 
 
 def exterior_power(char, k, max_degree=DEFAULT_MAX_POWER):
-    """Character of the k-th exterior power, by the Newton recursion
-    k*e_k = sum_{j=1}^{k} (-1)^(j-1) p_j e_{k-j}."""
-    _power_check(char, k, max_degree)
-    rank = len(next(iter(char.weights)))
-    e = [FormalCharacter.unit(rank)]
-    for d in range(1, k + 1):
-        acc = FormalCharacter()
-        for j in range(1, d + 1):
-            term = adams(char, j) * e[d - j]
-            acc = acc + (term if j % 2 else term.scaled(-1))
-        e.append(acc.divided(d))
-    return e[k]
+    """Character of the k-th exterior power."""
+    return power_series(char, k, True, max_degree)[k]
 
 
 # -- decomposition ------------------------------------------------------------
@@ -364,7 +339,7 @@ def decompose(rs, char):
     def norm(mu):
         val = norm_cache.get(mu)
         if val is None:
-            val = rs.norm2(tuple(a + b for a, b in zip(mu, rho)))
+            val = rs.scaled_norm2(tuple(a + b for a, b in zip(mu, rho)))
             norm_cache[mu] = val
         return val
 

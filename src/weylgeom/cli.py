@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import charring
 from .charring import (
     NAMED_BRANCHINGS,
-    dual_highest_weight,
     exterior_power,
     irrep_character,
     minuscule_check,
     invariant_bilinear_type,
+    power_series,
     symmetric_power,
     trivial_multiplicity,
     weyl_dimension,
@@ -208,7 +209,7 @@ def check_branchings():
                     (0, 0, 0, 0, 0, 0): 2}, "56 under the E6 Levi: %r"
             % (dec,))
     halves = [w for w in dec if any(w)]
-    _expect(dual_highest_weight(rule.target, halves[0]) == halves[1],
+    _expect(rule.target.dual_weight(halves[0]) == halves[1],
             "the two 27s are dual")
     out["e7-levi-e6"] = sorted(weyl_dimension(rule.target, w)
                                for w, m in dec.items() for _ in range(m))
@@ -417,7 +418,7 @@ def check_properties():
                       ("D5", (0, 0, 0, 0, 1)), ("E7", (0, 0, 0, 0, 0, 0, 1)),
                       ("B3", (0, 0, 1))):
         rs = RootSystem.named(name)
-        _expect(dual_highest_weight(rs, dual_highest_weight(rs, lam)) == lam,
+        _expect(rs.dual_weight(rs.dual_weight(lam)) == lam,
                 "dual of dual for %s" % name)
 
     for name, lam in (("E6", (1, 0, 0, 0, 0, 0)), ("A3", (0, 1, 0)),
@@ -542,12 +543,20 @@ def _system(name):
         raise UsageError(str(e))
 
 
-def cmd_dims(args):
+def _geometry(args):
+    """The geometry named by args.system and args.beta, or its default."""
     rs = _system(args.system)
     beta = args.beta if args.beta is not None else default_beta(rs)
     if beta is None:
         raise UsageError("no default node for %s; pass --beta" % args.system)
-    g = Geometry(rs, beta)
+    if not 1 <= beta <= rs.rank:
+        raise UsageError("--beta must lie between 1 and %d" % rs.rank)
+    return Geometry(rs, beta)
+
+
+def cmd_dims(args):
+    g = _geometry(args)
+    rs, beta = g.rs, g.beta
     payload = {
         "system": args.system,
         "beta": beta,
@@ -602,22 +611,24 @@ def cmd_invariants(args):
     w = parse_weight(args.weight, rs.rank)
     if not rs.is_dominant(w):
         raise UsageError("weight must be dominant")
+    if args.max_degree < 1:
+        raise UsageError("--max-degree must be at least 1")
     ch = irrep_character(rs, w)
-    sym = {}
-    ext = {}
-    for k in range(1, args.max_degree + 1):
-        sym[str(k)] = trivial_multiplicity(
-            rs, symmetric_power(ch, k, max_degree=args.max_degree))
-        ext[str(k)] = trivial_multiplicity(
-            rs, exterior_power(ch, k, max_degree=args.max_degree))
+
+    def trivial(alternating):
+        series = power_series(ch, args.max_degree, alternating,
+                              args.max_degree)
+        return {str(k): trivial_multiplicity(rs, c)
+                for k, c in enumerate(series) if k}
+
     payload = {
         "system": args.system,
         "weight": list(w),
         "dimension": ch.dimension(),
         "bilinear": invariant_bilinear_type(rs, w),
         "max_degree": args.max_degree,
-        "symmetric_trivial": sym,
-        "exterior_trivial": ext,
+        "symmetric_trivial": trivial(False),
+        "exterior_trivial": trivial(True),
     }
     return payload, None
 
@@ -647,11 +658,8 @@ def cmd_branch(args):
 
 
 def cmd_incidence(args):
-    rs = _system(args.system)
-    beta = args.beta if args.beta is not None else default_beta(rs)
-    if beta is None:
-        raise UsageError("no default node for %s; pass --beta" % args.system)
-    g = Geometry(rs, beta)
+    g = _geometry(args)
+    rs, beta = g.rs, g.beta
     chamber = {o.delta: o for o in standard_chamber(g)}
     pairs = []
     counts = {"incident": 0, "not_incident": 0, "no_rule": 0}
@@ -856,6 +864,13 @@ def main(argv=None):
     if args.cache_dir:
         charring.set_cache_dir(args.cache_dir)
     try:
+        cache = charring.cache_dir()
+        if cache:
+            try:
+                os.makedirs(cache, exist_ok=True)
+            except OSError as e:
+                raise UsageError("cache directory %s is not usable (%s)"
+                                 % (cache, e.strerror))
         if args.command == "verify":
             return cmd_verify(args)
         result = COMMANDS[args.command](args)

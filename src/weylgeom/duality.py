@@ -16,7 +16,14 @@ is re-verified on the spot and a mismatch raises ConsistencyError.
 from __future__ import annotations
 
 from .geometry import Geometry, translate_support
-from .rootsystem import ConsistencyError, RootSystem
+from .rootsystem import ConsistencyError, RootSystem, closure
+
+
+def triple_sums(xs, ys, zs):
+    """Every x + y + z with x in xs, y in ys and z in zs, lazily, so that
+    all() and any() over it stop at the first decisive sum."""
+    return (tuple(a + b + c for a, b, c in zip(x, y, z))
+            for x in xs for y in ys for z in zs)
 
 
 def wprime_orbits(rs, removed, weights):
@@ -29,19 +36,9 @@ def wprime_orbits(rs, removed, weights):
     left = set(weights)
     orbits = []
     while left:
-        seed = next(iter(left))
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            new = []
-            for w in frontier:
-                for i in gens:
-                    v = rs.reflect(i, w)
-                    if v not in orbit:
-                        orbit.add(v)
-                        new.append(v)
-            frontier = new
-        left -= orbit
+        orbit = closure([next(iter(left))],
+                        lambda w: ((i, rs.reflect(i, w)) for i in gens))
+        left -= orbit.keys()
         orbits.append(tuple(sorted(orbit, reverse=True)))
     orbits.sort(key=lambda o: (len(o), o[0]))
     return orbits
@@ -61,22 +58,12 @@ def zero_sum_triple_orbits(rs, s1, s2, s3):
     left = set(triples)
     orbits = []
     while left:
-        seed = next(iter(left))
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            new = []
-            for t in frontier:
-                for i in range(1, rs.rank + 1):
-                    u = tuple(rs.reflect(i, w) for w in t)
-                    if u not in orbit:
-                        if u not in left and u not in {x for o in orbits
-                                                       for x in o}:
-                            raise ConsistencyError("orbit left the triple set")
-                        orbit.add(u)
-                        new.append(u)
-            frontier = new
-        left -= orbit
+        orbit = closure([next(iter(left))], lambda t: (
+            (i, tuple(rs.reflect(i, w) for w in t))
+            for i in range(1, rs.rank + 1)))
+        if not orbit.keys() <= left:
+            raise ConsistencyError("orbit left the triple set")
+        left -= orbit.keys()
         orbits.append(tuple(sorted(orbit)))
     orbits.sort(key=lambda o: (len(o), o[0]))
     return triples, orbits
@@ -166,19 +153,15 @@ class E6Duality:
             self._hyperlines[mu] = h
         return h
 
-    def brace_weight(self, mx, my, mz):
-        p = self.phi_weight(my)
-        return tuple(a + b + c for a, b, c in zip(mx, mz, p))
+    def _closed(self, support, phis):
+        """Does every support weight + weight + phi-image that is a weight
+        stay in the support?"""
+        return all(w not in self.weights or w in support
+                   for w in triple_sums(support, self.weights, phis))
 
     def brace_closed(self, support):
         """No brace built from two support weights escapes the support."""
-        for mx in support:
-            for my in support:
-                for mz in self.weights:
-                    w = self.brace_weight(mx, my, mz)
-                    if w in self.weights and w not in support:
-                        return False
-        return True
+        return self._closed(support, [self.phi_weight(my) for my in support])
 
     def psi_support(self, support):
         """The dual support.
@@ -196,21 +179,8 @@ class E6Duality:
                 h = self.hyperline(mu)
                 out = h if out is None else out & h
             return frozenset(out)
-        out = set()
-        for nu in self.weights:
-            p = self.phi_weight(nu)
-            good = True
-            for mx in support:
-                for mz in self.weights:
-                    w = tuple(a + b + c for a, b, c in zip(mx, mz, p))
-                    if w in self.weights and w not in support:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                out.add(nu)
-        return frozenset(out)
+        return frozenset(nu for nu in self.weights
+                         if self._closed(support, (self.phi_weight(nu),)))
 
     def psi_standard(self, delta):
         s = self.standard_support(delta)
@@ -264,9 +234,7 @@ class E6Duality:
         if hw in orbit:
             return 0, frozenset()
         pm = self.phi_weight(my)
-        upper = frozenset(w for w in
-                          (tuple(a + b + c for a, b, c in zip(hw, mz, pm))
-                           for mz in self.weights)
+        upper = frozenset(w for w in triple_sums((hw,), self.weights, (pm,))
                           if w in self.weights)
         if len(upper) != 6:
             raise ConsistencyError("expected a 6-element brace support")
@@ -296,14 +264,8 @@ class E6Duality:
                 if tuple(x + y for x, y in
                          zip(mu, self.phi_weight(nu))) == zero:
                     a_ok = False
-        b_ok = True
-        for m1 in t:
-            for m2 in s:
-                p = self.phi_weight(m2)
-                for m3 in t:
-                    w = tuple(a + b + c for a, b, c in zip(m1, m3, p))
-                    if w in self.weights:
-                        b_ok = False
+        b_ok = not any(w in self.weights for w in
+                       triple_sums(t, t, [self.phi_weight(m2) for m2 in s]))
         return a_ok, b_ok
 
     def verify_ln(self, delta):
@@ -434,10 +396,5 @@ def e7_inner_ideal_check(geometry, delta):
     """Sums of two support weights and any weight land back in the support
     whenever they land in the weight set at all."""
     s = geometry.delta_space(delta).support
-    for m1 in s:
-        for m2 in s:
-            for m3 in geometry.weights:
-                w = tuple(a + b + c for a, b, c in zip(m1, m2, m3))
-                if w in geometry.weights and w not in s:
-                    return False
-    return True
+    return all(w not in geometry.weights or w in s
+               for w in triple_sums(s, s, geometry.weights))

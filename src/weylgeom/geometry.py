@@ -12,7 +12,12 @@ general containment criterion applies, plus the documented special pairs.
 from __future__ import annotations
 
 from .charring import irrep_character, minuscule_check, weyl_dimension
-from .rootsystem import ConsistencyError, IncidenceRuleMissing, RefusedError
+from .rootsystem import (
+    ConsistencyError,
+    IncidenceRuleMissing,
+    RefusedError,
+    closure,
+)
 
 
 class Geometry:
@@ -165,18 +170,8 @@ def apartment_objects(geometry, delta):
     """All Weyl translates of the standard delta-space, with words."""
     _require_minuscule(geometry)
     rs = geometry.rs
-    start = geometry.delta_space(delta).support
-    words = {start: ()}
-    frontier = [start]
-    while frontier:
-        new = []
-        for s in frontier:
-            for i in range(1, rs.rank + 1):
-                t = translate_support(rs, i, s)
-                if t not in words:
-                    words[t] = (i,) + words[s]
-                    new.append(t)
-        frontier = new
+    words = closure([geometry.delta_space(delta).support], lambda s: (
+        (i, translate_support(rs, i, s)) for i in range(1, rs.rank + 1)))
     objs = [ApartmentObject(delta, s, w) for s, w in words.items()]
     objs.sort(key=lambda o: (len(o.word), sorted(o.support, reverse=True)))
     return objs

@@ -19,6 +19,7 @@ Simple root indices are 1-based in the public interface.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -35,8 +36,6 @@ class RefusedError(Exception):
 class IncidenceRuleMissing(RefusedError):
     """No incidence rule is known for this pair of object types."""
 
-
-FORMAT_VERSION = 1
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -126,6 +125,27 @@ def symmetrizer(cartan):
             if cartan[i][j] * out[j] != cartan[j][i] * out[i]:
                 raise ConsistencyError("symmetrizer identity failed")
     return tuple(out)
+
+
+def closure(seeds, step):
+    """Breadth-first closure of seeds under step.
+
+    step(item) yields (label, next_item) pairs.  Returns {item: word} where
+    word is the tuple of labels along a shortest path from a seed to item,
+    last step first; seeds map to ().
+    """
+    words = dict.fromkeys(seeds, ())
+    frontier = list(words)
+    while frontier:
+        new = []
+        for item in frontier:
+            word = words[item]
+            for label, nxt in step(item):
+                if nxt not in words:
+                    words[nxt] = (label,) + word
+                    new.append(nxt)
+        frontier = new
+    return words
 
 
 def cartan_isomorphisms(c1, c2):
@@ -226,8 +246,7 @@ class RootSystem:
         c = w[i - 1]
         if c == 0:
             return tuple(w)
-        row = self.cartan[i - 1]
-        return tuple(w[j] - c * row[j] for j in range(self.rank))
+        return tuple([x - c * r for x, r in zip(w, self.cartan[i - 1])])
 
     def is_dominant(self, w):
         return all(x >= 0 for x in w)
@@ -278,52 +297,10 @@ class RootSystem:
 
     def weyl_orbit(self, w):
         """Weyl orbit of w as a lex-descending sorted list of weights."""
-        seen = {tuple(w)}
-        frontier = [tuple(w)]
-        while frontier:
-            new = []
-            for v in frontier:
-                for i in range(1, self.rank + 1):
-                    u = self.reflect(i, v)
-                    if u not in seen:
-                        seen.add(u)
-                        new.append(u)
-            frontier = new
-        return sorted(seen, reverse=True)
-
-    def orbit_with_words(self, w):
-        """Map orbit weight -> reduced word (tuple of indices, leftmost applied
-        last) moving w to it.  BFS, so words are shortest."""
-        w = tuple(w)
-        words = {w: ()}
-        frontier = [w]
-        while frontier:
-            new = []
-            for v in frontier:
-                for i in range(1, self.rank + 1):
-                    u = self.reflect(i, v)
-                    if u not in words:
-                        words[u] = (i,) + words[v]
-                        new.append(u)
-            frontier = new
-        return words
-
-    def weyl_order(self, limit=3_000_000):
-        """|W|, computed as the orbit size of rho.  Guarded by limit."""
-        seen = {self.rho}
-        frontier = [self.rho]
-        while frontier:
-            new = []
-            for v in frontier:
-                for i in range(1, self.rank + 1):
-                    u = self.reflect(i, v)
-                    if u not in seen:
-                        seen.add(u)
-                        new.append(u)
-            if len(seen) > limit:
-                raise RefusedError("Weyl group too large to enumerate")
-            frontier = new
-        return len(seen)
+        # s_i fixes v when v[i-1] == 0, so those steps are skipped
+        return sorted(closure([tuple(w)], lambda v: (
+            (i, self.reflect(i, v)) for i in range(1, self.rank + 1)
+            if v[i - 1])), reverse=True)
 
     # -- roots -------------------------------------------------------------
 
@@ -331,21 +308,17 @@ class RootSystem:
     def positive_roots(self):
         """Positive roots in simple-root coordinates, sorted by (height, lex)."""
         n = self.rank
+
+        def step(q):
+            for i in range(n):
+                # <beta, alpha_i^vee> = (q . C)_i
+                p = sum(q[k] * self.cartan[k][i] for k in range(n))
+                r = tuple(q[j] - (p if j == i else 0) for j in range(n))
+                if all(x >= 0 for x in r):
+                    yield i + 1, r
+
         seeds = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        seen = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            new = []
-            for q in frontier:
-                for i in range(n):
-                    # <beta, alpha_i^vee> = (q . C)_i
-                    p = sum(q[k] * self.cartan[k][i] for k in range(n))
-                    r = tuple(q[j] - (p if j == i else 0) for j in range(n))
-                    if all(x >= 0 for x in r) and r not in seen:
-                        seen.add(r)
-                        new.append(r)
-            frontier = new
-        return sorted(seen, key=lambda q: (sum(q), q))
+        return sorted(closure(seeds, step), key=lambda q: (sum(q), q))
 
     @cached_property
     def positive_roots_fw(self):
@@ -371,37 +344,43 @@ class RootSystem:
 
     @cached_property
     def cartan_inverse(self):
-        """C^-1 as a tuple of tuples of Fractions."""
-        n = self.rank
-        a = [[Fraction(self.cartan[i][j]) for j in range(n)] +
-             [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if a[r][col] != 0)
+        """C^-1 as an integer pair (n, m): n is the least positive int that
+        makes n*C^-1 integral, and m[j] is column j of n*C^-1, so the j-th
+        simple coordinate of a fw vector x is (x . m[j]) / n."""
+        k = self.rank
+        a = [[Fraction(self.cartan[i][j]) for j in range(k)] +
+             [Fraction(1 if j == i else 0) for j in range(k)] for i in range(k)]
+        for col in range(k):
+            piv = next(r for r in range(col, k) if a[r][col] != 0)
             a[col], a[piv] = a[piv], a[col]
             inv = 1 / a[col][col]
             a[col] = [x * inv for x in a[col]]
-            for r in range(n):
+            for r in range(k):
                 if r != col and a[r][col] != 0:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return tuple(tuple(row[n:]) for row in a)
-
-    def simple_coords(self, fw):
-        """Simple-root coordinates of a fw-coordinate vector, as Fractions."""
-        inv = self.cartan_inverse
-        return tuple(sum(Fraction(fw[k]) * inv[k][j] for k in range(self.rank))
-                     for j in range(self.rank))
+        n = math.lcm(*(x.denominator for row in a for x in row[k:]))
+        return n, tuple(tuple(int(a[i][k + j] * n) for i in range(k))
+                        for j in range(k))
 
     def simple_coords_int(self, fw):
-        q = self.simple_coords(fw)
-        if any(x.denominator != 1 for x in q):
-            raise ConsistencyError("%r is not in the root lattice" % (tuple(fw),))
-        return tuple(int(x) for x in q)
+        """Simple-root coordinates of a fw vector in the root lattice."""
+        n, m = self.cartan_inverse
+        out = []
+        for col in m:
+            q, r = divmod(sum(x * y for x, y in zip(fw, col)), n)
+            if r:
+                raise ConsistencyError("%r is not in the root lattice"
+                                       % (tuple(fw),))
+            out.append(q)
+        return tuple(out)
 
-    def norm2(self, fw):
-        """(x, x) as a Fraction, for x in fw coordinates."""
-        q = self.simple_coords(fw)
-        return sum(self.d[j] * q[j] * fw[j] for j in range(self.rank))
+    def scaled_norm2(self, fw):
+        """n*(x, x) as an int, for x in fw coordinates and n the first entry
+        of cartan_inverse; it orders weights as (x, x) does."""
+        _, m = self.cartan_inverse
+        return sum(d * x * sum(a * b for a, b in zip(fw, col))
+                   for d, x, col in zip(self.d, fw, m))
 
     def norm2_shift_diff(self, lam, mu):
         """|lam+rho|^2 - |mu+rho|^2 as an exact int; needs lam-mu in the
@@ -422,30 +401,16 @@ class RootSystem:
         if not nodes:
             return True
         start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in self.neighbors(i):
-                if j in nodes and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen == nodes
+        return closure([start], lambda i: (
+            (j, j) for j in self.neighbors(i) if j in nodes)).keys() == nodes
 
     def component_of(self, node, removed):
         """Connected component of `node` in the diagram minus `removed`."""
         removed = set(removed)
         if node in removed:
             raise ValueError("node %d was removed" % node)
-        seen = {node}
-        stack = [node]
-        while stack:
-            i = stack.pop()
-            for j in self.neighbors(i):
-                if j not in removed and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return frozenset(seen)
+        return frozenset(closure([node], lambda i: (
+            (j, j) for j in self.neighbors(i) if j not in removed)))
 
     def delta_component(self, beta, delta):
         """Component of beta after deleting delta; empty when delta == beta."""
@@ -523,62 +488,3 @@ class RootSystem:
         perms = [tuple(x + 1 for x in p)
                  for p in cartan_isomorphisms(self.cartan, self.cartan)]
         return sorted(perms)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        return json.dumps({
-            "format_version": FORMAT_VERSION,
-            "label": self.label,
-            "cartan": [list(r) for r in self.cartan],
-            "d": list(self.d),
-            "positive_roots": [list(q) for q in self.positive_roots],
-            "highest_root": list(self.highest_root) if self.is_connected() else None,
-        }, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ConsistencyError("unsupported format version")
-        rs = cls(data["cartan"], d=data["d"], label=data.get("label"))
-        if data.get("positive_roots") is not None:
-            stored = [tuple(q) for q in data["positive_roots"]]
-            if stored != rs.positive_roots:
-                raise ConsistencyError("stored positive roots disagree")
-        return rs
-
-
-class WeylElement:
-    """A Weyl group element as a word in simple reflections.
-
-    The word acts right to left: WeylElement((1, 2)) is s_1 after s_2.
-    Equality and hashing go through the action on rho, which is faithful.
-    """
-
-    def __init__(self, rs, word=()):
-        self.rs = rs
-        self.word = tuple(word)
-
-    def act(self, w):
-        for i in reversed(self.word):
-            w = self.rs.reflect(i, w)
-        return tuple(w)
-
-    def __mul__(self, other):
-        if self.rs is not other.rs:
-            raise ValueError("mixed root systems")
-        return WeylElement(self.rs, self.word + other.word)
-
-    def inverse(self):
-        return WeylElement(self.rs, tuple(reversed(self.word)))
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylElement) and self.rs.key == other.rs.key
-                and self.act(self.rs.rho) == other.act(other.rs.rho))
-
-    def __hash__(self):
-        return hash((self.rs.key, self.act(self.rs.rho)))
-
-    def __repr__(self):
-        return "WeylElement(%s)" % (".".join("s%d" % i for i in self.word) or "e")

@@ -112,3 +112,44 @@ def test_verify_lists_every_check(capsys):
     names = [name for name, _ in cli.ACCEPTANCE_CHECKS]
     assert len(names) == 10
     assert len(set(names)) == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "E6", "--beta", "0"],
+    ["dims", "E6", "--beta", "-1"],
+    ["dims", "E6", "--beta", "9"],
+    ["incidence", "A3", "--beta", "0"],
+    ["incidence", "A3", "--beta", "-2"],
+    ["incidence", "A3", "--beta", "7"],
+])
+def test_usage_error_beta_out_of_range(capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sub,via_env", [("", False), ("below", False),
+                                         ("", True)])
+def test_usage_error_cache_dir_is_a_file(tmp_path, capsys, monkeypatch, sub,
+                                         via_env):
+    path = tmp_path / "plain"
+    path.write_text("not a directory\n")
+    argv = ["dims", "A2"]
+    if via_env:
+        monkeypatch.setenv("WEYLGEOM_CACHE", str(path / sub))
+    else:
+        argv = ["--cache-dir", str(path / sub)] + argv
+    try:
+        assert cli.main(argv) == 2
+    finally:
+        charring.set_cache_dir(None)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert path.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_usage_error_max_degree_below_one(capsys, degree):
+    assert cli.main(["invariants", "A2", "1,1", "--max-degree", degree]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

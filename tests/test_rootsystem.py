@@ -1,14 +1,18 @@
-from fractions import Fraction
-
 import pytest
 
+from weylgeom.charring import dominant_weights_below
 from weylgeom.rootsystem import (
     ConsistencyError,
     RootSystem,
-    WeylElement,
+    closure,
     family_cartan,
     symmetrizer,
 )
+
+# every named system of rank at most 8
+SYSTEMS = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+           + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
+           + ["E6", "E7", "E8", "F4", "G2"])
 
 
 def test_family_cartan_fixtures():
@@ -121,23 +125,49 @@ def test_dual_weight():
     ("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24), ("B3", 48), ("D4", 192),
 ])
 def test_weyl_order(name, order):
-    assert RootSystem.named(name).weyl_order() == order
+    # rho is regular, so its orbit is a regular orbit of W
+    rs = RootSystem.named(name)
+    assert len(rs.weyl_orbit(rs.rho)) == order
 
 
-def test_weyl_element_braid():
-    a2 = RootSystem.named("A2")
-    assert WeylElement(a2, (1, 2, 1)) == WeylElement(a2, (2, 1, 2))
-    assert WeylElement(a2, (1, 1)) == WeylElement(a2, ())
-    w = WeylElement(a2, (1, 2))
-    assert (w * w.inverse()) == WeylElement(a2, ())
+def _reflection_words(rs, w):
+    return closure([w], lambda v: ((i, rs.reflect(i, v))
+                                   for i in range(1, rs.rank + 1)))
+
+
+def _act(rs, word, w):
+    for i in reversed(word):
+        w = rs.reflect(i, w)
+    return w
 
 
 def test_orbit_with_words():
     d4 = RootSystem.named("D4")
-    words = d4.orbit_with_words((1, 0, 0, 0))
+    words = _reflection_words(d4, (1, 0, 0, 0))
     assert len(words) == 8
     for weight, word in words.items():
-        assert WeylElement(d4, word).act((1, 0, 0, 0)) == weight
+        assert _act(d4, word, (1, 0, 0, 0)) == weight
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "G2", "D4"])
+def test_closure_words_are_reduced(name):
+    # on the regular orbit of rho a shortest word is a reduced word of the
+    # element x with x(rho) = w, so its length is the number of positive
+    # roots alpha with (w, alpha) < 0, and the longest has |positive roots|
+    rs = RootSystem.named(name)
+    words = _reflection_words(rs, rs.rho)
+    for w, word in words.items():
+        assert _act(rs, word, rs.rho) == w
+        assert len(word) == sum(1 for q in rs.positive_roots
+                                if rs.pair_root(w, q) < 0)
+    assert max(len(word) for word in words.values()) == len(rs.positive_roots)
+
+
+def test_closure_on_a_path():
+    # 0 - 1 - 2 - 3 - 4 from two seeds; labels name the direction
+    words = closure([0, 4], lambda i: [(d, i + d) for d in (1, -1)
+                                       if 0 <= i + d <= 4])
+    assert words == {0: (), 4: (), 1: (1,), 3: (-1,), 2: (1, 1)}
 
 
 def test_delta_component_e6():
@@ -189,11 +219,50 @@ def test_simple_coords():
     e6 = RootSystem.named("E6")
     theta = e6.root_fw(e6.highest_root)
     assert e6.simple_coords_int(theta) == (1, 2, 2, 3, 2, 1)
-    # omega_1 is not in the E6 root lattice
-    q = e6.simple_coords((1, 0, 0, 0, 0, 0))
-    assert any(x.denominator == 3 for x in q)
+    # omega_1 is not in the E6 root lattice, but 3*omega_1 is
+    n, _ = e6.cartan_inverse
+    assert n == 3
     with pytest.raises(ConsistencyError):
         e6.simple_coords_int((1, 0, 0, 0, 0, 0))
+    assert e6.simple_coords_int((3, 0, 0, 0, 0, 0)) == (4, 3, 5, 6, 4, 2)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_simple_coords_invert_root_fw(name):
+    rs = RootSystem.named(name)
+    for q in rs.positive_roots:
+        assert rs.simple_coords_int(rs.root_fw(q)) == q
+        assert rs.simple_coords_int(rs.root_fw([-x for x in q])) == \
+            tuple(-x for x in q)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_scaled_norm_of_roots(name):
+    rs = RootSystem.named(name)
+    n, _ = rs.cartan_inverse
+    for q in rs.positive_roots:
+        assert rs.scaled_norm2(rs.root_fw(q)) == n * rs.root_norm2(q)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_off_lattice_weights_raise(name):
+    # a dominant weight lies in the root lattice exactly when 0 is one of
+    # the dominant weights below it, which needs no inverse matrix
+    rs = RootSystem.named(name)
+    n, _ = rs.cartan_inverse
+    outside = 0
+    for i in range(1, rs.rank + 1):
+        w = rs.fundamental_weight(i)
+        if rs.zero() in dominant_weights_below(rs, w):
+            rs.simple_coords_int(w)
+            continue
+        outside += 1
+        for v in (w, tuple(a + b for a, b in zip(w, rs.alpha_fw(i)))):
+            with pytest.raises(ConsistencyError):
+                rs.simple_coords_int(v)
+        rs.simple_coords_int(tuple(n * x for x in w))
+    # only E8, F4 and G2 have root lattice = weight lattice
+    assert (outside == 0) == (name in ("E8", "F4", "G2")) == (n == 1)
 
 
 def test_norms_and_pairings():
@@ -205,31 +274,23 @@ def test_norms_and_pairings():
     b2 = RootSystem.named("B2")
     assert b2.root_norm2((0, 1)) == 2
     assert b2.root_norm2((1, 0)) == 4
+    # (rho, rho) = 2 for A2, and n = 3
     a2 = RootSystem.named("A2")
-    assert a2.norm2((1, 1)) == Fraction(2)
+    assert a2.cartan_inverse == (3, ((2, 1), (1, 2)))
+    assert a2.scaled_norm2((1, 1)) == 6
 
 
-def test_norm2_shift_diff_matches_fractions():
+def test_norm2_shift_diff_matches_scaled_norms():
     e6 = RootSystem.named("E6")
+    n, _ = e6.cartan_inverse
     lam = (1, 0, 0, 0, 0, 0)
     theta = e6.root_fw(e6.highest_root)
     mu = tuple(a - b for a, b in zip(lam, theta))
-    mu_dom = e6.dominant_rep(mu)
     direct = e6.norm2_shift_diff(lam, mu)
     rho = e6.rho
-    frac = (e6.norm2(tuple(a + b for a, b in zip(lam, rho)))
-            - e6.norm2(tuple(a + b for a, b in zip(mu, rho))))
-    assert direct == frac
-    assert mu_dom is not None
-
-
-def test_json_round_trip():
-    for name in ("A2", "B3", "E6"):
-        rs = RootSystem.named(name)
-        again = RootSystem.from_json(rs.to_json())
-        assert again.cartan == rs.cartan
-        assert again.d == rs.d
-        assert again.positive_roots == rs.positive_roots
+    scaled = (e6.scaled_norm2(tuple(a + b for a, b in zip(lam, rho)))
+              - e6.scaled_norm2(tuple(a + b for a, b in zip(mu, rho))))
+    assert n * direct == scaled
 
 
 def test_restricted_levi_dimension_data():

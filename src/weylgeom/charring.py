@@ -17,23 +17,6 @@ from .rootsystem import ConsistencyError, RefusedError, RootSystem, closure
 
 DEFAULT_MAX_POWER = 5
 
-# in-process memo for dominant character tables, keyed by (system, weight)
-_MEMO = {}
-
-# optional on-disk cache; None means disabled unless WEYLGEOM_CACHE is set
-CACHE_DIR = None
-
-
-def set_cache_dir(path):
-    """Enable (or disable, with None) the on-disk character cache."""
-    global CACHE_DIR
-    CACHE_DIR = path
-
-
-def cache_dir():
-    """The directory of the on-disk cache in effect, or None."""
-    return CACHE_DIR or os.environ.get("WEYLGEOM_CACHE")
-
 
 class FormalCharacter:
     """A finite integer combination of weights.
@@ -157,51 +140,75 @@ def dominant_weights_below(rs, lam):
     return set(closure([lam], step))
 
 
-def _cache_path(rs, lam):
-    base = cache_dir()
-    if not base:
-        return None
-    digest = hashlib.sha256((rs.key + repr(lam)).encode()).hexdigest()[:24]
-    return os.path.join(base, "domchar-%s.json" % digest)
+class TableStore:
+    """Dominant character tables, memoized by (system key, weight) and, when
+    a directory is given, kept there as one json file per table.  A file
+    whose header, checksum or table does not hold up is a miss."""
 
+    def __init__(self, directory=None):
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        self.directory = directory
+        self.memo = {}
 
-def _cache_load(rs, lam):
-    path = _cache_path(rs, lam)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("format_version") != 1:
+    def _path(self, rs, lam):
+        digest = hashlib.sha256((rs.key + repr(lam)).encode()).hexdigest()[:24]
+        return os.path.join(self.directory, "domchar-%s.json" % digest)
+
+    def get(self, rs, lam):
+        """The stored table of V(lam), or None; do not mutate it."""
+        key = (rs.key, lam)
+        if key not in self.memo and self.directory:
+            table = self._load(rs, lam)
+            if table is not None:
+                self.memo[key] = table
+        return self.memo.get(key)
+
+    def put(self, rs, lam, table):
+        self.memo[(rs.key, lam)] = table
+        if self.directory:
+            rows = [[list(w), int(m)] for w, m in sorted(table.items())]
+            path = self._path(rs, lam)
+            # one temp file per process, so concurrent writers never share one
+            tmp = "%s.%d.tmp" % (path, os.getpid())
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(_payload(rs, lam, rows), fh, sort_keys=True)
+            os.replace(tmp, path)
+
+    def _load(self, rs, lam):
+        try:
+            with open(self._path(rs, lam), "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            if data != _payload(rs, lam, data["table"]):
+                return None
+            table = {tuple(w): int(m) for w, m in data["table"]}
+            return table if _valid(rs, lam, table) else None
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        if data.get("system") != rs.key or tuple(data.get("weight")) != lam:
-            return None
-        body = json.dumps(data["table"], sort_keys=True)
-        if hashlib.sha256(body.encode()).hexdigest() != data.get("checksum"):
-            return None
-        return {tuple(w): int(m) for w, m in data["table"]}
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
 
 
-def _cache_store(rs, lam, table):
-    path = _cache_path(rs, lam)
-    if not path:
-        return
-    rows = [[list(w), int(m)] for w, m in sorted(table.items())]
+def _payload(rs, lam, rows):
+    """The json file of a table, given as sorted [weight, multiplicity]
+    rows."""
     body = json.dumps(rows, sort_keys=True)
-    payload = {
-        "format_version": 1,
-        "system": rs.key,
-        "weight": list(lam),
-        "table": rows,
-        "checksum": hashlib.sha256(body.encode()).hexdigest(),
-    }
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    return {"format_version": 1, "system": rs.key, "weight": list(lam),
+            "table": rows, "checksum": hashlib.sha256(body.encode()).hexdigest()}
+
+
+def _valid(rs, lam, table):
+    """A table can be V(lam)'s only if its weights are dominant, m(lam) = 1,
+    every m > 0 and the orbits add up to the Weyl dimension."""
+    if table.get(lam) != 1:
+        return False
+    if not all(len(mu) == rs.rank and rs.is_dominant(mu) and m > 0
+               for mu, m in table.items()):
+        return False
+    return (sum(m * rs.orbit_size(mu) for mu, m in table.items())
+            == weyl_dimension(rs, lam))
+
+
+# the store dominant_character reads; the CLI swaps in a directory-backed one
+STORE = TableStore()
 
 
 def dominant_character(rs, lam):
@@ -211,13 +218,9 @@ def dominant_character(rs, lam):
     every division is checked to be exact and every multiplicity positive.
     """
     lam = tuple(lam)
-    key = (rs.key, lam)
-    if key in _MEMO:
-        return dict(_MEMO[key])
-    cached = _cache_load(rs, lam)
-    if cached is not None:
-        _MEMO[key] = cached
-        return dict(cached)
+    table = STORE.get(rs, lam)
+    if table is not None:
+        return dict(table)
 
     doms = dominant_weights_below(rs, lam)
     rho = rs.rho
@@ -258,8 +261,7 @@ def dominant_character(rs, lam):
             raise ConsistencyError("nonpositive multiplicity")
         table[mu] = mult
 
-    _MEMO[key] = table
-    _cache_store(rs, lam, table)
+    STORE.put(rs, lam, table)
     return dict(table)
 
 

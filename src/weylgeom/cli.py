@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import charring
@@ -795,14 +796,25 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads comma-separated integer lists such as -1,0 as values, not as
+    flags.  This sets a private attribute of argparse; subparsers inherit
+    the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="weylgeom",
         description="incidence geometry of standard representations")
     p.add_argument("--format", choices=("json", "ascii", "dot"),
                    default="json")
-    p.add_argument("--cache-dir", default=None,
-                   help="directory for the character disk cache")
+    p.add_argument("--cache-dir", default=os.environ.get("WEYLGEOM_CACHE"),
+                   help="directory for the character disk cache "
+                        "(default: $WEYLGEOM_CACHE)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("dims", help="dimension diagram of a geometry")
@@ -861,16 +873,13 @@ COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cache_dir:
-        charring.set_cache_dir(args.cache_dir)
     try:
-        cache = charring.cache_dir()
-        if cache:
+        if args.cache_dir:
             try:
-                os.makedirs(cache, exist_ok=True)
+                charring.STORE = charring.TableStore(args.cache_dir)
             except OSError as e:
                 raise UsageError("cache directory %s is not usable (%s)"
-                                 % (cache, e.strerror))
+                                 % (args.cache_dir, e.strerror))
         if args.command == "verify":
             return cmd_verify(args)
         result = COMMANDS[args.command](args)

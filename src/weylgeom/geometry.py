@@ -11,11 +11,15 @@ general containment criterion applies, plus the documented special pairs.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .charring import irrep_character, minuscule_check, weyl_dimension
 from .rootsystem import (
     ConsistencyError,
     IncidenceRuleMissing,
     RefusedError,
+    RootSystem,
+    cartan_isomorphisms,
     closure,
 )
 
@@ -41,6 +45,16 @@ class Geometry:
         if delta not in self._spaces:
             self._spaces[delta] = DeltaSpace(self, delta)
         return self._spaces[delta]
+
+    @cached_property
+    def _named(self):
+        """(named system, node map, beta there): the isomorphism onto the
+        family's own numbering that sends beta to the smallest node."""
+        named = RootSystem.named(self.rs.label or self.rs.classify())
+        iso = min(cartan_isomorphisms(self.rs.cartan, named.cartan),
+                  key=lambda p: p[self.beta - 1])
+        return (named, {i + 1: j + 1 for i, j in enumerate(iso)},
+                iso[self.beta - 1] + 1)
 
     def depth(self, w):
         """Coordinates of hw - w on the simple roots (nonnegative ints)."""
@@ -183,16 +197,16 @@ def standard_chamber(geometry):
             for d in range(1, geometry.rs.rank + 1)]
 
 
-def _a_type_terminal(geometry, delta):
+def _a_type_terminal(rs, beta, delta):
     """Does the containment criterion apply on the delta side: component of
     type A with beta at an end."""
-    comp = geometry.rs.delta_component(geometry.beta, delta)
+    comp = rs.delta_component(beta, delta)
     if not comp:
         return False
-    sub, _ = geometry.rs.restricted(comp)
+    sub, _ = rs.restricted(comp)
     if sub.classify()[0] != "A":
         return False
-    inside = [j for j in geometry.rs.neighbors(geometry.beta) if j in comp]
+    inside = [j for j in rs.neighbors(beta) if j in comp]
     return len(inside) <= 1
 
 
@@ -201,42 +215,44 @@ def incidence(geometry, a, b):
 
     Same type: equality of supports.  Different types: containment where the
     general criterion applies, plus the special intersection-size rules of
-    the simply-laced vector geometries.  Raises IncidenceRuleMissing where no
-    rule is stated.
+    the simply-laced vector geometries.  The rules read node numbers in the
+    family's own numbering, so types are translated there first; supports
+    are compared as they are.  Raises IncidenceRuleMissing where no rule is
+    stated.
     """
     _require_minuscule(geometry)
     if a.delta == b.delta:
         return a.support == b.support
-    rs = geometry.rs
-    label = rs.label or rs.classify()
-    pair = {a.delta, b.delta}
+    rs, node, beta = geometry._named
+    da, db = node[a.delta], node[b.delta]
+    label = rs.label
+    pair = {da, db}
 
-    if label == "E6" and geometry.beta == 1:
+    if label == "E6" and beta == 1:
         if pair == {2, 5}:
             return len(a.support & b.support) == 4
         if pair == {2, 6}:
             return len(a.support & b.support) == 5
-        ca = rs.delta_component(1, a.delta)
-        cb = rs.delta_component(1, b.delta)
+        ca = rs.delta_component(1, da)
+        cb = rs.delta_component(1, db)
         if ca >= cb:
             return a.support >= b.support
         if cb >= ca:
             return b.support >= a.support
         raise ConsistencyError("unexpected component pair")
 
-    if label == "E7" and geometry.beta == 7:
+    if label == "E7" and beta == 7:
         raise IncidenceRuleMissing("no incidence rule for types %d, %d in %r"
                                    % (a.delta, b.delta, geometry))
 
-    if label and label[0] == "D" and geometry.beta == 1 \
-            and pair == {rs.rank - 1, rs.rank}:
+    if label[0] == "D" and beta == 1 and pair == {rs.rank - 1, rs.rank}:
         return len(a.support & b.support) == rs.rank - 1
 
-    ca = rs.delta_component(geometry.beta, a.delta)
-    cb = rs.delta_component(geometry.beta, b.delta)
-    if ca >= cb and _a_type_terminal(geometry, a.delta):
+    ca = rs.delta_component(beta, da)
+    cb = rs.delta_component(beta, db)
+    if ca >= cb and _a_type_terminal(rs, beta, da):
         return a.support >= b.support
-    if cb >= ca and _a_type_terminal(geometry, b.delta):
+    if cb >= ca and _a_type_terminal(rs, beta, db):
         return b.support >= a.support
     raise IncidenceRuleMissing("no incidence rule for types %d, %d in %r"
                                % (a.delta, b.delta, geometry))

@@ -148,6 +148,20 @@ def closure(seeds, step):
     return words
 
 
+def _weyl_order(roots):
+    """Order of the Weyl group whose positive roots (simple coordinates)
+    are given: the product of e+1 over the exponents e, which form the
+    dual partition of the root counts by height (Kostant)."""
+    count = {}
+    for q in roots:
+        count[sum(q)] = count.get(sum(q), 0) + 1
+    order = 1
+    for h, n in count.items():
+        # n - count[h+1] exponents equal h
+        order *= (h + 1) ** (n - count.get(h + 1, 0))
+    return order
+
+
 def cartan_isomorphisms(c1, c2):
     """All index bijections (0-based tuples) carrying c1 onto c2."""
     n = len(c1)
@@ -207,7 +221,6 @@ class RootSystem:
                     raise ConsistencyError("symmetrizer identity failed")
         self.label = label
         self.key = json.dumps({"cartan": cartan, "d": self.d}, sort_keys=True)
-        self._dom_cache = {}
 
     @classmethod
     def named(cls, name):
@@ -253,11 +266,7 @@ class RootSystem:
 
     def dominant_rep(self, w):
         """The dominant weight in the Weyl orbit of w."""
-        w = tuple(w)
-        cached = self._dom_cache.get(w)
-        if cached is not None:
-            return cached
-        cur = w
+        cur = tuple(w)
         while True:
             for i, x in enumerate(cur):
                 if x < 0:
@@ -265,9 +274,7 @@ class RootSystem:
                     cur = tuple(cur[j] - x * row[j] for j in range(self.rank))
                     break
             else:
-                break
-        self._dom_cache[w] = cur
-        return cur
+                return cur
 
     def antidominant_rep(self, w):
         cur = tuple(w)
@@ -301,6 +308,14 @@ class RootSystem:
         return sorted(closure([tuple(w)], lambda v: (
             (i, self.reflect(i, v)) for i in range(1, self.rank + 1)
             if v[i - 1])), reverse=True)
+
+    def orbit_size(self, w):
+        """|W.w| = |W|/|W_J|, J the nodes where the dominant form of w
+        vanishes; the positive roots of W_J are those supported on J."""
+        mu = self.dominant_rep(w)
+        return _weyl_order(self.positive_roots) // _weyl_order(
+            [q for q in self.positive_roots
+             if all(mu[i] == 0 for i, x in enumerate(q) if x)])
 
     # -- roots -------------------------------------------------------------
 

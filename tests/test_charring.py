@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from weylgeom import charring
 from weylgeom.charring import (
     FormalCharacter,
     adams,
@@ -17,7 +19,6 @@ from weylgeom.charring import (
     levi_restriction,
     minuscule_check,
     power_series,
-    set_cache_dir,
     symmetric_power,
     trivial_multiplicity,
     weyl_dimension,
@@ -279,38 +280,117 @@ def test_generic_levi_e6_drop_node6():
     assert dims == [1, 10, 16]
 
 
-def test_disk_cache_round_trip(tmp_path):
-    cache = tmp_path / "cache"
-    set_cache_dir(str(cache))
-    try:
-        e6 = rs("E6")
-        lam = (0, 1, 0, 0, 0, 0)
-        first = dominant_character(e6, lam)
-        files = list(cache.glob("domchar-*.json"))
-        assert files
-        # corrupt the payload; the loader must fall back to recomputing
-        files[0].write_text(files[0].read_text().replace('"1"', '"2"', 1)[:-2] + "}")
-        from weylgeom import charring
-        charring._MEMO.clear()
-        second = dominant_character(e6, lam)
-        assert first == second
-    finally:
-        set_cache_dir(None)
+def _use_store(monkeypatch, directory):
+    """Swap in a fresh store on directory, with an empty memo."""
+    store = charring.TableStore(str(directory))
+    monkeypatch.setattr(charring, "STORE", store)
+    return store
 
 
-def test_cache_validates_checksum(tmp_path):
+def _rewrite(path, rows):
+    """Replace the table of a cache file, with a matching checksum."""
+    data = json.loads(path.read_text())
+    data["table"] = rows
+    body = json.dumps(rows, sort_keys=True)
+    data["checksum"] = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(json.dumps(data))
+
+
+def _no_computing(monkeypatch):
+    def refuse(rs, lam):
+        raise AssertionError("table recomputed")
+    monkeypatch.setattr(charring, "dominant_weights_below", refuse)
+
+
+def test_disk_cache_round_trip(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
-    set_cache_dir(str(cache))
-    try:
-        a2 = rs("A2")
-        lam = (1, 1)
-        dominant_character(a2, lam)
-        path = next(cache.glob("domchar-*.json"))
-        data = json.loads(path.read_text())
-        data["table"][0][1] = 999
-        path.write_text(json.dumps(data))
-        from weylgeom import charring
-        charring._MEMO.clear()
-        assert dominant_character(a2, lam) == {(1, 1): 1, (0, 0): 2}
-    finally:
-        set_cache_dir(None)
+    e6 = rs("E6")
+    lam = (0, 1, 0, 0, 0, 0)
+    _use_store(monkeypatch, cache)
+    first = dominant_character(e6, lam)
+    files = list(cache.glob("domchar-*.json"))
+    assert len(files) == 1
+    # a fresh store reads the file back without recomputing
+    with monkeypatch.context() as m:
+        _no_computing(m)
+        _use_store(m, cache)
+        assert dominant_character(e6, lam) == first
+    # corrupt the payload; the loader must fall back to recomputing
+    files[0].write_text(files[0].read_text().replace('"1"', '"2"', 1)[:-2] + "}")
+    _use_store(monkeypatch, cache)
+    second = dominant_character(e6, lam)
+    assert first == second
+
+
+def test_cache_validates_checksum(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    a2 = rs("A2")
+    lam = (1, 1)
+    _use_store(monkeypatch, cache)
+    dominant_character(a2, lam)
+    path = next(cache.glob("domchar-*.json"))
+    data = json.loads(path.read_text())
+    data["table"][0][1] = 999
+    path.write_text(json.dumps(data))
+    _use_store(monkeypatch, cache)
+    assert dominant_character(a2, lam) == {(1, 1): 1, (0, 0): 2}
+
+
+def test_cache_rejects_a_table_with_a_valid_checksum(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    a2 = rs("A2")
+    _use_store(monkeypatch, cache)
+    dominant_character(a2, (1, 0))
+    path = next(cache.glob("domchar-*.json"))
+    _rewrite(path, [[[1, 0], 5]])
+    _use_store(monkeypatch, cache)
+    assert irrep_character(a2, (1, 0)).dimension() == 3
+    # the file was overwritten with the recomputed table
+    assert json.loads(path.read_text())["table"] == [[[1, 0], 1]]
+
+
+@pytest.mark.parametrize("rows", [
+    [[[0, 0], 3], [[1, 1], 1]],                  # orbits add up to 9, not 8
+    [[[0, 0], -4], [[1, 1], 2]],                 # adds up to 8: m(lam) != 1
+    [[[0, 0], 2], [[1, -2], 1], [[1, 1], 1]],    # a weight that is not dominant
+    [[[0, 0], 2]],                               # lam missing
+    [[[0, 0, 0], 2], [[1, 1], 1]],               # a weight of the wrong rank
+], ids=["dimension", "highest-weight", "dominance", "no-lam", "rank"])
+def test_cache_rejects_impossible_tables(tmp_path, monkeypatch, rows):
+    cache = tmp_path / "cache"
+    a2 = rs("A2")
+    _use_store(monkeypatch, cache)
+    dominant_character(a2, (1, 1))
+    path = next(cache.glob("domchar-*.json"))
+    _rewrite(path, rows)
+    _use_store(monkeypatch, cache)
+    assert dominant_character(a2, (1, 1)) == {(1, 1): 1, (0, 0): 2}
+
+
+def test_cache_write_survives_a_stale_temp_path(tmp_path, monkeypatch):
+    # another writer's leftover at <file>.tmp must not block this one
+    cache = tmp_path / "cache"
+    e6 = rs("E6")
+    lam = (1, 0, 0, 0, 0, 0)
+    _use_store(monkeypatch, cache)
+    want = dominant_character(e6, lam)
+    path = next(cache.glob("domchar-*.json"))
+    path.unlink()
+    (cache / (path.name + ".tmp")).mkdir()
+    _use_store(monkeypatch, cache)
+    assert dominant_character(e6, lam) == want
+    assert path.exists()
+    with monkeypatch.context() as m:
+        _no_computing(m)
+        _use_store(m, cache)
+        assert dominant_character(e6, lam) == want
+
+
+def test_memo_is_keyed_by_cartan_matrix(monkeypatch):
+    # a second RootSystem of the same matrix hits the memo
+    store = charring.TableStore()
+    monkeypatch.setattr(charring, "STORE", store)
+    dominant_character(rs("B3"), (0, 0, 1))
+    _no_computing(monkeypatch)
+    assert dominant_character(rs("B3"), (0, 0, 1)) == {(0, 0, 1): 1}
+    assert len(store.memo) == 1

@@ -82,18 +82,21 @@ def test_module_entrypoint():
     assert json.loads(proc.stdout)["system"] == "A3"
 
 
-def test_cache_dir_plumbing(tmp_path, capsys):
-    # the in-process memo would short-circuit the disk cache, so drop it first
-    saved = dict(charring._MEMO)
-    charring._MEMO.clear()
-    try:
-        assert cli.main(["--cache-dir", str(tmp_path), "dims", "E6"]) == 0
-    finally:
-        charring._MEMO.clear()
-        charring._MEMO.update(saved)
-        charring.set_cache_dir(None)
+def test_cache_dir_plumbing(tmp_path, capsys, monkeypatch):
+    # main swaps in a store on the directory; put the current one back after
+    monkeypatch.setattr(charring, "STORE", charring.STORE)
+    assert cli.main(["--cache-dir", str(tmp_path), "dims", "E6"]) == 0
     capsys.readouterr()
+    assert charring.STORE.directory == str(tmp_path)
     assert any(tmp_path.iterdir()), "cache directory stayed empty"
+
+
+def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(charring, "STORE", charring.STORE)
+    monkeypatch.setenv("WEYLGEOM_CACHE", str(tmp_path))
+    assert cli.main(["dims", "A3"]) == 0
+    capsys.readouterr()
+    assert list(tmp_path.glob("domchar-*.json"))
 
 
 def test_verify_single_check(capsys):
@@ -139,10 +142,8 @@ def test_usage_error_cache_dir_is_a_file(tmp_path, capsys, monkeypatch, sub,
         monkeypatch.setenv("WEYLGEOM_CACHE", str(path / sub))
     else:
         argv = ["--cache-dir", str(path / sub)] + argv
-    try:
-        assert cli.main(argv) == 2
-    finally:
-        charring.set_cache_dir(None)
+    monkeypatch.setattr(charring, "STORE", charring.STORE)
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert path.read_text() == "not a directory\n"
@@ -153,3 +154,26 @@ def test_usage_error_max_degree_below_one(capsys, degree):
     assert cli.main(["invariants", "A2", "1,1", "--max-degree", degree]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "A2", "-1,0"],
+    ["branch", "e6-levi-d5", "--weight", "-1,0,0,0,0,0"],
+])
+def test_negative_weight_is_a_value(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: weight must be dominant\n"
+
+
+def test_orbit_of_a_negative_weight(capsys):
+    assert cli.main(["orbit", "A2", "-1,0"]) == 0
+    negative = json.loads(capsys.readouterr().out)
+    assert cli.main(["orbit", "A2", "0,1"]) == 0
+    assert negative["orbit"] == json.loads(capsys.readouterr().out)["orbit"]
+
+
+def test_incidence_does_not_depend_on_numbering(capsys):
+    # E6 with beta 6 is E6 with beta 1 under the diagram flip
+    assert cli.main(["incidence", "E6", "--beta", "6"]) == 0
+    counts = json.loads(capsys.readouterr().out)["counts"]
+    assert counts == {"incident": 15, "not_incident": 0, "no_rule": 0}

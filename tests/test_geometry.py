@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from weylgeom import IncidenceRuleMissing, RefusedError, RootSystem
@@ -332,3 +335,49 @@ def test_e6_point_objects_are_singletons():
     pts = apartment_objects(g, 1)
     assert len(pts) == 27
     assert {next(iter(o.support)) for o in pts} == g.weights
+
+
+def _relabelled(name, perm):
+    """The named system renumbered so that new node i is old node
+    perm[i-1]."""
+    c = RootSystem.named(name).cartan
+    n = len(c)
+    return RootSystem([[c[perm[i] - 1][perm[j] - 1] for j in range(n)]
+                       for i in range(n)])
+
+
+def test_relabelled_e6_chambers_are_incident():
+    # every renumbering that keeps node 1 keeps the standard chamber incident
+    for rest in itertools.permutations(range(2, 7)):
+        g = Geometry(_relabelled("E6", (1,) + rest), 1)
+        assert chamber_pairwise_incident(g), rest
+
+
+def _answers(g, nodes):
+    """Incidence of the standard chamber over all pairs of nodes, in the
+    given node order; None where no rule applies."""
+    ch = {o.delta: o for o in standard_chamber(g)}
+    out = []
+    for a, b in itertools.combinations(nodes, 2):
+        try:
+            out.append(incidence(g, ch[a], ch[b]))
+        except IncidenceRuleMissing:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("name", ["A%d" % n for n in range(1, 9)]
+                         + ["D%d" % n for n in range(4, 9)])
+def test_relabelled_chambers_match_named(name):
+    rng = random.Random(name)
+    n = int(name[1:])
+    betas = range(1, n + 1) if name[0] == "A" else (1, n - 1, n)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    relabelled = _relabelled(name, perm)
+    inverse = {old: new + 1 for new, old in enumerate(perm)}
+    for beta in betas:
+        named = _answers(geom(name, beta), range(1, n + 1))
+        moved = _answers(Geometry(relabelled, inverse[beta]),
+                         [inverse[d] for d in range(1, n + 1)])
+        assert moved == named, beta

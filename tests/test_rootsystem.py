@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from weylgeom.charring import dominant_weights_below
@@ -128,6 +130,26 @@ def test_weyl_order(name, order):
     # rho is regular, so its orbit is a regular orbit of W
     rs = RootSystem.named(name)
     assert len(rs.weyl_orbit(rs.rho)) == order
+
+
+@pytest.mark.parametrize("name", [n for n in SYSTEMS if int(n[1:]) <= 4])
+def test_orbit_size_matches_orbit(name):
+    rs = RootSystem.named(name)
+    for w in itertools.product((0, 1), repeat=rs.rank):
+        assert rs.orbit_size(w) == len(rs.weyl_orbit(w)), w
+    # a weight off the dominant chamber has the size of its dominant form
+    w = rs.reflect(1, rs.rho)
+    assert rs.orbit_size(w) == rs.orbit_size(rs.rho)
+
+
+@pytest.mark.parametrize("name,order", [
+    ("E6", 51840), ("E7", 2903040), ("E8", 696729600), ("F4", 1152),
+    ("G2", 12),
+])
+def test_exceptional_weyl_group_orders(name, order):
+    rs = RootSystem.named(name)
+    assert rs.orbit_size(rs.rho) == order
+    assert rs.orbit_size(rs.zero()) == 1
 
 
 def _reflection_words(rs, w):

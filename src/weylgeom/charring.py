@@ -13,7 +13,13 @@ import hashlib
 import json
 import os
 
-from .rootsystem import ConsistencyError, RefusedError, RootSystem, closure
+from .rootsystem import (
+    MAX_WEIGHTS,
+    ConsistencyError,
+    RefusedError,
+    RootSystem,
+    closure,
+)
 
 DEFAULT_MAX_POWER = 5
 
@@ -34,10 +40,6 @@ class FormalCharacter:
                 if m:
                     data[tuple(w)] = data.get(tuple(w), 0) + m
         self.weights = {w: m for w, m in data.items() if m}
-
-    @classmethod
-    def unit(cls, rank):
-        return cls({(0,) * rank: 1})
 
     def items(self):
         return self.weights.items()
@@ -72,36 +74,78 @@ class FormalCharacter:
             out[w] = out.get(w, 0) - m
         return FormalCharacter(out)
 
-    def scaled(self, k):
-        return FormalCharacter({w: k * m for w, m in self.weights.items()})
-
     def __mul__(self, other):
-        """Tensor product of characters."""
+        """Tensor product of characters, convolved on packed weights."""
         a, b = self.weights, other.weights
-        if a and b and len(next(iter(a))) != len(next(iter(b))):
+        if not (a and b):
+            return FormalCharacter()
+        rank = len(next(iter(a)))
+        if rank != len(next(iter(b))):
             raise ValueError("characters of different ranks")
+        width = _width(_bound(a) + _bound(b))
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        for w1, m1 in a.items():
-            for w2, m2 in b.items():
-                key = tuple(x + y for x, y in zip(w1, w2))
-                out[key] = out.get(key, 0) + m1 * m2
-        return FormalCharacter(out)
-
-    def divided(self, k):
-        out = {}
-        for w, m in self.weights.items():
-            q, r = divmod(m, k)
-            if r:
-                raise ConsistencyError("multiplicity %d at %r not divisible by %d"
-                                       % (m, w, k))
-            out[w] = q
-        return FormalCharacter(out)
+        out = _convolve(_pack(a, width), _pack(b, width), {})
+        return FormalCharacter(_unpack(out, rank, width))
 
     def __repr__(self):
         return "FormalCharacter(%d weights, dim %d)" % (len(self.weights),
                                                         self.dimension())
+
+
+# -- packed weights -----------------------------------------------------------
+#
+# Products and power series run on weights packed into single ints: w becomes
+# sum_i w_i * 2**(width*i).  The map is linear, so adding keys adds weights
+# and j*key is the key of j*w.  A field of width bits holds the balanced
+# digits -2**(width-1) .. 2**(width-1)-1, so a width taken from an exact bound
+# on every coordinate a computation reaches decodes without loss.
+
+
+def _bound(weights):
+    """The largest |coordinate| of any weight."""
+    return max((max(max(w), -min(w)) for w in weights), default=0)
+
+
+def _width(bound):
+    """Bits per field for coordinates in [-bound, bound]."""
+    return (2 * bound + 1).bit_length()
+
+
+def _pack(weights, width):
+    """{weight tuple: m} as {int key: m}, in the same order."""
+    out = {}
+    for w, m in weights.items():
+        key = 0
+        for x in reversed(w):
+            key = (key << width) + x
+        out[key] = m
+    return out
+
+
+def _unpack(packed, rank, width):
+    """{int key: m} as {weight tuple: m}, in the same order."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    out = {}
+    for key, m in packed.items():
+        w = []
+        for _ in range(rank):
+            x = ((key + half) & mask) - half
+            w.append(x)
+            key = (key - x) >> width
+        out[tuple(w)] = m
+    return out
+
+
+def _convolve(a, b, out):
+    """Add the product of the packed characters a and b into out."""
+    get = out.get
+    for k1, m1 in a.items():
+        for k2, m2 in b.items():
+            key = k1 + k2
+            out[key] = get(key, 0) + m1 * m2
+    return out
 
 
 # -- irreducible characters --------------------------------------------------
@@ -266,7 +310,12 @@ def dominant_character(rs, lam):
 
 
 def irrep_character(rs, lam):
-    """Full character of V(lam): every Weyl orbit of every dominant weight."""
+    """Full character of V(lam): every Weyl orbit of every dominant weight;
+    refused above MAX_WEIGHTS weights before anything is expanded."""
+    dim = weyl_dimension(rs, lam)
+    if dim > MAX_WEIGHTS:
+        raise RefusedError("character of dimension %d, above the limit of %d"
+                           % (dim, MAX_WEIGHTS))
     out = {}
     for mu, m in dominant_character(rs, lam).items():
         for w in rs.weyl_orbit(mu):
@@ -275,13 +324,6 @@ def irrep_character(rs, lam):
 
 
 # -- tensor and plethysm ------------------------------------------------------
-
-
-def adams(char, k):
-    """Power-sum operation: each weight is scaled by k."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    return FormalCharacter({tuple(k * x for x in w): m for w, m in char.items()})
 
 
 def _power_check(char, k, max_degree):
@@ -298,19 +340,34 @@ def power_series(char, k, alternating=False, max_degree=DEFAULT_MAX_POWER):
     """Characters of the symmetric powers of degrees 0..k, or of the
     exterior powers when alternating, by the Newton recursion
     d*c_d = sum_{j=1}^{d} s^(j-1) p_j c_{d-j} with s = -1 if alternating
-    else 1."""
+    else 1.
+
+    Runs on packed weights: every weight of c_d, and of p_j c_{d-j}, is a
+    sum of d <= k weights of char, so k times the bound of char bounds
+    them all."""
     _power_check(char, k, max_degree)
     rank = len(next(iter(char.weights)))
-    p = [None] + [adams(char, j) for j in range(1, k + 1)]
-    c = [FormalCharacter.unit(rank)]
+    width = _width(k * _bound(char.weights))
+    base = _pack(char.weights, width)
+    s = -1 if alternating else 1
+    p = [None] + [{j * key: s ** (j - 1) * m for key, m in base.items()}
+                  for j in range(1, k + 1)]
+    c = [{0: 1}]
     for d in range(1, k + 1):
-        acc = FormalCharacter()
+        acc = {}
         for j in range(1, d + 1):
-            term = p[j] * c[d - j]
-            acc = acc + (term.scaled(-1) if alternating and j % 2 == 0
-                         else term)
-        c.append(acc.divided(d))
-    return c
+            _convolve(p[j], c[d - j], acc)
+        cd = {}
+        for key, m in acc.items():
+            if m:
+                q, r = divmod(m, d)
+                if r:
+                    (w,) = _unpack({key: m}, rank, width)
+                    raise ConsistencyError("multiplicity %d at %r not "
+                                           "divisible by %d" % (m, w, d))
+                cd[key] = q
+        c.append(cd)
+    return [FormalCharacter(_unpack(cd, rank, width)) for cd in c]
 
 
 def symmetric_power(char, k, max_degree=DEFAULT_MAX_POWER):

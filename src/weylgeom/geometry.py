@@ -49,8 +49,12 @@ class Geometry:
     @cached_property
     def _named(self):
         """(named system, node map, beta there): the isomorphism onto the
-        family's own numbering that sends beta to the smallest node."""
-        named = RootSystem.named(self.rs.label or self.rs.classify())
+        family's own numbering that sends beta to the smallest node.  A3
+        with beta in the middle is D3 with beta = 1, whose rule applies."""
+        label = self.rs.label or self.rs.classify()
+        if label == "A3" and len(self.rs.neighbors(self.beta)) == 2:
+            label = "D3"
+        named = RootSystem.named(label)
         iso = min(cartan_isomorphisms(self.rs.cartan, named.cartan),
                   key=lambda p: p[self.beta - 1])
         return (named, {i + 1: j + 1 for i, j in enumerate(iso)},

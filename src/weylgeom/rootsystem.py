@@ -25,6 +25,11 @@ from fractions import Fraction
 from functools import cached_property
 
 
+# the most weights one orbit or one irreducible character may hold; larger
+# ones are refused up front from their exact size
+MAX_WEIGHTS = 1_000_000
+
+
 class ConsistencyError(Exception):
     """An exact invariant that should always hold failed."""
 
@@ -303,7 +308,12 @@ class RootSystem:
         return tuple(-x for x in self.antidominant_rep(w))
 
     def weyl_orbit(self, w):
-        """Weyl orbit of w as a lex-descending sorted list of weights."""
+        """Weyl orbit of w as a lex-descending sorted list of weights;
+        refused above MAX_WEIGHTS."""
+        size = self.orbit_size(w)
+        if size > MAX_WEIGHTS:
+            raise RefusedError("orbit of %d weights, above the limit of %d"
+                               % (size, MAX_WEIGHTS))
         # s_i fixes v when v[i-1] == 0, so those steps are skipped
         return sorted(closure([tuple(w)], lambda v: (
             (i, self.reflect(i, v)) for i in range(1, self.rank + 1)

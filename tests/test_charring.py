@@ -1,12 +1,12 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from weylgeom import charring
 from weylgeom.charring import (
     FormalCharacter,
-    adams,
     decompose,
     dominant_character,
     dominant_weights_below,
@@ -143,7 +143,6 @@ def test_decompose_rejects_non_character():
 def test_adams_and_powers():
     a2 = rs("A2")
     v = irrep_character(a2, (1, 0))
-    assert adams(v, 2).dimension() == 3
     assert symmetric_power(v, 3).dimension() == 10
     assert exterior_power(v, 3).dimension() == 1
     assert decompose(a2, exterior_power(v, 2)) == {(0, 1): 1}
@@ -165,12 +164,90 @@ def test_power_series_holds_every_degree():
                                (True, exterior_power)):
         series = power_series(w, 4, alternating)
         assert len(series) == 5
-        assert series[0] == FormalCharacter.unit(3)
+        assert series[0] == FormalCharacter({(0, 0, 0): 1})
         for k in range(1, 5):
             assert series[k] == power(w, k)
     assert [c.dimension() for c in power_series(w, 4, True)] == [1, 4, 6, 4, 1]
     with pytest.raises(RefusedError):
         power_series(w, 6)
+
+
+# -- the packed kernel against plain tuple arithmetic --------------------------
+
+
+def _tuple_product(a, b):
+    """The tensor product as a plain double loop over weight tuples."""
+    out = {}
+    for w1, m1 in a.items():
+        for w2, m2 in b.items():
+            key = tuple(x + y for x, y in zip(w1, w2))
+            out[key] = out.get(key, 0) + m1 * m2
+    return {w: m for w, m in out.items() if m}
+
+
+def _tuple_power_series(char, k, alternating):
+    """Degrees 0..k of the Newton recursion, with _tuple_product."""
+    rank = len(next(iter(char)))
+    s = -1 if alternating else 1
+    c = [{(0,) * rank: 1}]
+    for d in range(1, k + 1):
+        acc = {}
+        for j in range(1, d + 1):
+            pj = {tuple(j * x for x in w): s ** (j - 1) * m
+                  for w, m in char.items()}
+            for w, m in _tuple_product(pj, c[d - j]).items():
+                acc[w] = acc.get(w, 0) + m
+        assert all(m % d == 0 for m in acc.values())
+        c.append({w: m // d for w, m in acc.items() if m})
+    return c
+
+
+def _random_character(rng, rank, bound, size):
+    """A virtual character with negative multiplicities whose coordinates
+    reach +bound and -bound in one position."""
+    weights = {tuple(rng.randint(-bound, bound) for _ in range(rank)):
+               rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(size)}
+    i = rng.randrange(rank)
+    for sign in (1, -1):
+        w = [rng.randint(-bound, bound) for _ in range(rank)]
+        w[i] = sign * bound
+        weights[tuple(w)] = rng.choice((-1, 1, 3))
+    return weights
+
+
+# 2**41 makes every field wider than 40 bits
+BOUNDS = (1, 7, 1000, 10 ** 6, 2 ** 41)
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_packed_product_matches_tuples(rank):
+    rng = random.Random(rank)
+    for bound in BOUNDS:
+        a = _random_character(rng, rank, bound, 25)
+        b = _random_character(rng, rank, rng.choice(BOUNDS), 12)
+        for x, y in ((a, b), (b, a), (a, a)):
+            got = FormalCharacter(x) * FormalCharacter(y)
+            assert got.weights == _tuple_product(x, y)
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_packed_power_series_matches_tuples(rank):
+    rng = random.Random(100 + rank)
+    for bound in BOUNDS:
+        char = _random_character(rng, rank, bound, 5)
+        for alternating in (False, True):
+            series = power_series(FormalCharacter(char), 4, alternating)
+            want = _tuple_power_series(char, 4, alternating)
+            assert [c.weights for c in series] == want
+
+
+def test_product_rank_mismatch_and_empty():
+    a = FormalCharacter({(1, 0): 1, (0, -1): 2})
+    with pytest.raises(ValueError):
+        a * FormalCharacter({(1, 0, 0): 1})
+    assert not a * FormalCharacter()
+    assert not FormalCharacter() * a
+    assert (a * FormalCharacter()).weights == {}
 
 
 def test_sym_plus_alt_equals_square():

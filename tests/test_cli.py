@@ -7,6 +7,7 @@ Golden transcripts live in tests/golden/ and are regenerated with
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -19,6 +20,8 @@ GOLDEN_CASES = [
     ("hasse-d4-1.dot", ["--format", "dot", "hasse", "D4", "1"]),
     ("orbit-b3.json", ["orbit", "B3", "1,0,0"]),
     ("invariants-a2.json", ["invariants", "A2", "1,0"]),
+    ("invariants-e7-56.json",
+     ["invariants", "E7", "0,0,0,0,0,0,1", "--max-degree", "4"]),
     ("branch-e6-levi-d5.json", ["branch", "e6-levi-d5"]),
     ("triality-table.json", ["triality", "table"]),
     ("triality-table.txt", ["--format", "ascii", "triality", "table"]),
@@ -177,3 +180,13 @@ def test_incidence_does_not_depend_on_numbering(capsys):
     assert cli.main(["incidence", "E6", "--beta", "6"]) == 0
     counts = json.loads(capsys.readouterr().out)["counts"]
     assert counts == {"incident": 15, "not_incident": 0, "no_rule": 0}
+
+
+def test_regular_e8_orbit_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert cli.main(["orbit", "E8", "1,1,1,1,1,1,1,1"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:")
+    assert captured.err.count("\n") == 1

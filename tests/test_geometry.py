@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from weylgeom import IncidenceRuleMissing, RefusedError, RootSystem
+from weylgeom import IncidenceRuleMissing, RefusedError, RootSystem, charring
 from weylgeom.geometry import (
     ApartmentObject,
     Geometry,
@@ -208,6 +208,29 @@ def test_apartment_refuses_non_minuscule():
             apartment_objects(g, 1)
         with pytest.raises(RefusedError):
             standard_chamber(g)
+
+
+def test_e8_node4_geometry_is_refused_before_any_work(monkeypatch):
+    # V(omega_4) of E8 has 6,899,079,264 weights
+    e8 = RootSystem.named("E8")
+
+    def refuse(seeds, step):
+        raise AssertionError("closure called")
+    monkeypatch.setattr(charring, "closure", refuse)
+    with pytest.raises(RefusedError):
+        Geometry(e8, 4)
+
+
+def test_d3_geometry_answers_alike_under_every_name():
+    # D3 with beta = 1 is A3 with beta = 2, and an unlabelled D3 Cartan
+    # matrix classifies as A3; D3 node 1 is A3 node 2
+    d3 = RootSystem.named("D3")
+    unlabelled = RootSystem([list(row) for row in d3.cartan])
+    assert unlabelled.label is None
+    answers = [_answers(Geometry(d3, 1), (1, 2, 3)),
+               _answers(geom("A3", 2), (2, 1, 3)),
+               _answers(Geometry(unlabelled, 1), (1, 2, 3))]
+    assert answers == [[True] * 3] * 3
 
 
 def test_a3_apartment_counts():

@@ -2,9 +2,16 @@ import itertools
 
 import pytest
 
-from weylgeom.charring import dominant_weights_below
+from weylgeom import charring, rootsystem
+from weylgeom.charring import (
+    dominant_weights_below,
+    irrep_character,
+    weyl_dimension,
+)
 from weylgeom.rootsystem import (
+    MAX_WEIGHTS,
     ConsistencyError,
+    RefusedError,
     RootSystem,
     closure,
     family_cartan,
@@ -322,3 +329,41 @@ def test_restricted_levi_dimension_data():
     assert nodes == (1, 2)
     assert sub.d == (2, 2)
     assert sub.classify() == "A2"
+
+
+def _refuse_closure(seeds, step):
+    raise AssertionError("closure called")
+
+
+def test_regular_e8_orbit_is_refused_before_any_work(monkeypatch):
+    e8 = RootSystem.named("E8")
+    assert e8.orbit_size(e8.rho) == 696_729_600
+    monkeypatch.setattr(rootsystem, "closure", _refuse_closure)
+    with pytest.raises(RefusedError):
+        e8.weyl_orbit(e8.rho)
+
+
+def test_orbit_at_the_limit_is_built(monkeypatch):
+    a2 = RootSystem.named("A2")
+    monkeypatch.setattr(rootsystem, "MAX_WEIGHTS", 6)
+    assert len(a2.weyl_orbit((1, 1))) == 6
+    monkeypatch.setattr(rootsystem, "MAX_WEIGHTS", 5)
+    with pytest.raises(RefusedError):
+        a2.weyl_orbit((1, 1))
+
+
+@pytest.mark.parametrize("name,node,dim,refused", [
+    ("E7", 4, 365_750, False), ("E8", 2, 147_250, False),
+    ("E8", 3, 6_696_000, True), ("E8", 4, 6_899_079_264, True),
+    ("E8", 5, 146_325_270, True), ("E8", 6, 2_450_240, True),
+])
+def test_weight_limit_sits_between_the_largest_built_and_refused(
+        monkeypatch, name, node, dim, refused):
+    system = RootSystem.named(name)
+    lam = system.fundamental_weight(node)
+    assert weyl_dimension(system, lam) == dim
+    assert (dim > MAX_WEIGHTS) == refused
+    if refused:
+        monkeypatch.setattr(charring, "closure", _refuse_closure)
+        with pytest.raises(RefusedError):
+            irrep_character(system, lam)

@@ -3,18 +3,12 @@ representations, and the incidence geometries of standard representations."""
 
 from .charring import FormalCharacter, decompose, irrep_character, weyl_dimension
 from .geometry import Geometry, dimension_diagram, hasse_diagram, incidence
-from .rootsystem import (
-    ConsistencyError,
-    IncidenceRuleMissing,
-    RefusedError,
-    RootSystem,
-)
+from .rootsystem import ConsistencyError, RefusedError, RootSystem
 
 __all__ = [
     "ConsistencyError",
     "FormalCharacter",
     "Geometry",
-    "IncidenceRuleMissing",
     "RefusedError",
     "RootSystem",
     "decompose",

@@ -51,7 +51,7 @@ from .geometry import (
     standard_chamber,
     translate_support,
 )
-from .rootsystem import ConsistencyError, IncidenceRuleMissing, RefusedError, RootSystem
+from .rootsystem import ConsistencyError, RefusedError, RootSystem
 
 
 class UsageError(Exception):
@@ -389,12 +389,13 @@ def check_incidence():
 
     g7 = Geometry(RootSystem.named("E7"), 7)
     ch7 = {o.delta: o for o in standard_chamber(g7)}
-    try:
-        incidence(g7, ch7[1], ch7[2])
-    except IncidenceRuleMissing:
-        pass
-    else:
-        raise CheckFailure("E7 cross-type incidence must be missing")
+    _expect(chamber_pairwise_incident(g7), "E7 standard chamber")
+    # objects of one type on the standard object of the other:
+    # |W(E6)|/|W(D5)| = 27 and |W(D6)|/|W(D5)| = 12
+    for da, db, want in ((7, 1, 27), (1, 7, 12)):
+        _expect(sum(incidence(g7, ch7[da], o)
+                    for o in apartment_objects(g7, db)) == want,
+                "E7 type-%d objects on the standard %d-object" % (db, da))
     _expect(e7_rank_one_check(g7), "E7 extreme weight pairing")
     for delta in range(1, 8):
         _expect(e7_inner_ideal_check(g7, delta),
@@ -666,14 +667,9 @@ def cmd_incidence(args):
     counts = {"incident": 0, "not_incident": 0, "no_rule": 0}
     for a in range(1, rs.rank + 1):
         for b in range(a + 1, rs.rank + 1):
-            try:
-                ok = incidence(g, chamber[a], chamber[b])
-            except IncidenceRuleMissing:
-                pairs.append({"a": a, "b": b, "incident": None})
-                counts["no_rule"] += 1
-            else:
-                pairs.append({"a": a, "b": b, "incident": ok})
-                counts["incident" if ok else "not_incident"] += 1
+            ok = incidence(g, chamber[a], chamber[b])
+            pairs.append({"a": a, "b": b, "incident": ok})
+            counts["incident" if ok else "not_incident"] += 1
     payload = {
         "system": args.system,
         "beta": beta,

@@ -5,23 +5,14 @@ omega_beta.  Each node delta of the diagram yields a delta-space: the span of
 the weights omega_beta - alpha where alpha runs over nonnegative combinations
 of simple roots from the connected component of beta in the diagram with
 delta deleted.  Apartment objects are Weyl translates of the standard spaces;
-incidence between objects of different types follows containment where the
-general containment criterion applies, plus the documented special pairs.
+two objects are incident when some chamber holds both (Tits), which is
+decided from the barycenters of their supports.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .charring import irrep_character, minuscule_check, weyl_dimension
-from .rootsystem import (
-    ConsistencyError,
-    IncidenceRuleMissing,
-    RefusedError,
-    RootSystem,
-    cartan_isomorphisms,
-    closure,
-)
+from .rootsystem import ConsistencyError, RefusedError, closure
 
 
 class Geometry:
@@ -45,20 +36,6 @@ class Geometry:
         if delta not in self._spaces:
             self._spaces[delta] = DeltaSpace(self, delta)
         return self._spaces[delta]
-
-    @cached_property
-    def _named(self):
-        """(named system, node map, beta there): the isomorphism onto the
-        family's own numbering that sends beta to the smallest node.  A3
-        with beta in the middle is D3 with beta = 1, whose rule applies."""
-        label = self.rs.label or self.rs.classify()
-        if label == "A3" and len(self.rs.neighbors(self.beta)) == 2:
-            label = "D3"
-        named = RootSystem.named(label)
-        iso = min(cartan_isomorphisms(self.rs.cartan, named.cartan),
-                  key=lambda p: p[self.beta - 1])
-        return (named, {i + 1: j + 1 for i, j in enumerate(iso)},
-                iso[self.beta - 1] + 1)
 
     def depth(self, w):
         """Coordinates of hw - w on the simple roots (nonnegative ints)."""
@@ -94,8 +71,14 @@ class DeltaSpace:
         else:
             self.levi_type = None
             self.dimension = 1
-        if geometry.minuscule and self.dimension != len(self.support):
-            raise ConsistencyError("dimension and support size disagree")
+        if geometry.minuscule:
+            if self.dimension != len(self.support):
+                raise ConsistencyError("dimension and support size disagree")
+            # incidence rests on this: the support sums to c*omega_delta
+            x = barycenter(self.support)
+            if x[delta - 1] <= 0 or any(x[:delta - 1] + x[delta:]):
+                raise ConsistencyError("barycenter of the standard support "
+                                       "is not on the omega_delta ray")
         self.lowest_weight = self._lowest()
 
     def _lowest(self):
@@ -201,65 +184,37 @@ def standard_chamber(geometry):
             for d in range(1, geometry.rs.rank + 1)]
 
 
-def _a_type_terminal(rs, beta, delta):
-    """Does the containment criterion apply on the delta side: component of
-    type A with beta at an end."""
-    comp = rs.delta_component(beta, delta)
-    if not comp:
-        return False
-    sub, _ = rs.restricted(comp)
-    if sub.classify()[0] != "A":
-        return False
-    inside = [j for j in rs.neighbors(beta) if j in comp]
-    return len(inside) <= 1
+def barycenter(support):
+    """Sum of the weights of a support, in fw coordinates."""
+    return tuple(map(sum, zip(*support)))
 
 
 def incidence(geometry, a, b):
-    """Incidence of two apartment objects.
+    """Incidence of two apartment objects: equal supports for one type, and
+    for two types, that some chamber holds both (Tits).  Why the norm test
+    below decides that, for x and y the barycenters of the supports and x+,
+    y+ their dominant forms:
 
-    Same type: equality of supports.  Different types: containment where the
-    general criterion applies, plus the special intersection-size rules of
-    the simply-laced vector geometries.  The rules read node numbers in the
-    family's own numbering, so types are translated there first; supports
-    are compared as they are.  Raises IncidenceRuleMissing where no rule is
-    stated.
+    1. An object is fixed by its barycenter, which lies in W.c*omega_delta
+       with c > 0 (DeltaSpace checks this on the standard support), so the
+       objects of type delta are the cosets of the stabilizer of omega_delta.
+    2. So two objects share a chamber iff x and y lie in one closed Weyl
+       chamber.
+    3. That holds iff (x, y) = (x+, y+).  Write x = w x+; (x, y) <= (x+, y+)
+       always, and if the pairings are equal, y+ - w^-1 y is a sum of simple
+       roots orthogonal to x+.  Some element of their Weyl group, which
+       fixes x+, makes w^-1 y dominant, that is equal to y+.
+
+    |x + y|^2 = |x|^2 + |y|^2 + 2(x, y), so step 3 compares two norms.
     """
     _require_minuscule(geometry)
     if a.delta == b.delta:
         return a.support == b.support
-    rs, node, beta = geometry._named
-    da, db = node[a.delta], node[b.delta]
-    label = rs.label
-    pair = {da, db}
-
-    if label == "E6" and beta == 1:
-        if pair == {2, 5}:
-            return len(a.support & b.support) == 4
-        if pair == {2, 6}:
-            return len(a.support & b.support) == 5
-        ca = rs.delta_component(1, da)
-        cb = rs.delta_component(1, db)
-        if ca >= cb:
-            return a.support >= b.support
-        if cb >= ca:
-            return b.support >= a.support
-        raise ConsistencyError("unexpected component pair")
-
-    if label == "E7" and beta == 7:
-        raise IncidenceRuleMissing("no incidence rule for types %d, %d in %r"
-                                   % (a.delta, b.delta, geometry))
-
-    if label[0] == "D" and beta == 1 and pair == {rs.rank - 1, rs.rank}:
-        return len(a.support & b.support) == rs.rank - 1
-
-    ca = rs.delta_component(beta, da)
-    cb = rs.delta_component(beta, db)
-    if ca >= cb and _a_type_terminal(rs, beta, da):
-        return a.support >= b.support
-    if cb >= ca and _a_type_terminal(rs, beta, db):
-        return b.support >= a.support
-    raise IncidenceRuleMissing("no incidence rule for types %d, %d in %r"
-                               % (a.delta, b.delta, geometry))
+    rs = geometry.rs
+    x, y = barycenter(a.support), barycenter(b.support)
+    xd, yd = rs.dominant_rep(x), rs.dominant_rep(y)
+    return (rs.scaled_norm2(tuple(p + q for p, q in zip(x, y)))
+            == rs.scaled_norm2(tuple(p + q for p, q in zip(xd, yd))))
 
 
 def chamber_pairwise_incident(geometry):

@@ -39,7 +39,8 @@ class RefusedError(Exception):
 
 
 class IncidenceRuleMissing(RefusedError):
-    """No incidence rule is known for this pair of object types."""
+    """No incidence rule is known for this pair of object types.  The
+    library no longer raises it: incidence is decided for every pair."""
 
 
 _RANK_RANGE = {
@@ -323,9 +324,14 @@ class RootSystem:
         """|W.w| = |W|/|W_J|, J the nodes where the dominant form of w
         vanishes; the positive roots of W_J are those supported on J."""
         mu = self.dominant_rep(w)
-        return _weyl_order(self.positive_roots) // _weyl_order(
+        return self._order // _weyl_order(
             [q for q in self.positive_roots
              if all(mu[i] == 0 for i, x in enumerate(q) if x)])
+
+    @cached_property
+    def _order(self):
+        """|W|, computed once."""
+        return _weyl_order(self.positive_roots)
 
     # -- roots -------------------------------------------------------------
 

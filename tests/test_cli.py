@@ -27,6 +27,7 @@ GOLDEN_CASES = [
     ("triality-table.txt", ["--format", "ascii", "triality", "table"]),
     ("duality-e6-ln.json", ["duality", "e6-ln"]),
     ("incidence-e6.json", ["incidence", "E6"]),
+    ("incidence-e7.json", ["incidence", "E7"]),
 ]
 
 

@@ -388,13 +388,17 @@ def check_incidence():
             raise CheckFailure("%s must refuse apartment objects" % name)
 
     g7 = Geometry(RootSystem.named("E7"), 7)
+    rs7 = g7.rs
+    objs7 = {d: apartment_objects(g7, d) for d in range(1, 8)}
+    for d, objs in objs7.items():
+        _expect(len(objs) == rs7.orbit_size(rs7.fundamental_weight(d)),
+                "E7 type-%d object count" % d)
     ch7 = {o.delta: o for o in standard_chamber(g7)}
     _expect(chamber_pairwise_incident(g7), "E7 standard chamber")
     # objects of one type on the standard object of the other:
     # |W(E6)|/|W(D5)| = 27 and |W(D6)|/|W(D5)| = 12
     for da, db, want in ((7, 1, 27), (1, 7, 12)):
-        _expect(sum(incidence(g7, ch7[da], o)
-                    for o in apartment_objects(g7, db)) == want,
+        _expect(sum(incidence(g7, ch7[da], o) for o in objs7[db]) == want,
                 "E7 type-%d objects on the standard %d-object" % (db, da))
     _expect(e7_rank_one_check(g7), "E7 extreme weight pairing")
     for delta in range(1, 8):

@@ -28,6 +28,7 @@ class Geometry:
         self.weights = frozenset(self.char.weights)
         self.minuscule = minuscule_check(rs, self.hw)
         self._spaces = {}
+        self._depths = {}
 
     def __repr__(self):
         return "Geometry(%s, beta=%d)" % (self.rs.label or "custom", self.beta)
@@ -38,11 +39,15 @@ class Geometry:
         return self._spaces[delta]
 
     def depth(self, w):
-        """Coordinates of hw - w on the simple roots (nonnegative ints)."""
-        diff = tuple(a - b for a, b in zip(self.hw, w))
-        q = self.rs.simple_coords_int(diff)
-        if any(x < 0 for x in q):
-            raise ConsistencyError("weight above the highest weight")
+        """Coordinates of hw - w on the simple roots (nonnegative ints),
+        computed once per weight."""
+        q = self._depths.get(w)
+        if q is None:
+            diff = tuple(a - b for a, b in zip(self.hw, w))
+            q = self.rs.simple_coords_int(diff)
+            if any(x < 0 for x in q):
+                raise ConsistencyError("weight above the highest weight")
+            self._depths[w] = q
         return q
 
 
@@ -168,12 +173,34 @@ def translate_support(rs, i, support):
 
 
 def apartment_objects(geometry, delta):
-    """All Weyl translates of the standard delta-space, with words."""
+    """All Weyl translates of the standard delta-space, with words.
+
+    The walk runs on barycenters.  An object is fixed by its barycenter (see
+    incidence), so objects and barycenters correspond one to one, the
+    correspondence commutes with each s_i, and s_i fixes both when the
+    barycenter's i-th coordinate is 0; skipping those self-loops leaves the
+    words and their order those of a walk on the supports.  Each support is
+    translated once, when its barycenter is first reached, through s_i
+    tabulated on the weights of V.
+    """
     _require_minuscule(geometry)
     rs = geometry.rs
-    words = closure([geometry.delta_space(delta).support], lambda s: (
-        (i, translate_support(rs, i, s)) for i in range(1, rs.rank + 1)))
-    objs = [ApartmentObject(delta, s, w) for s, w in words.items()]
+    tables = {i: {w: rs.reflect(i, w) for w in geometry.weights}
+              for i in range(1, rs.rank + 1)}
+    std = geometry.delta_space(delta).support
+    supports = {barycenter(std): std}
+
+    def step(x):
+        for i, c in enumerate(x, 1):
+            if c:
+                y = rs.reflect(i, x)
+                if y not in supports:
+                    t = tables[i]
+                    supports[y] = frozenset([t[w] for w in supports[x]])
+                yield i, y
+
+    words = closure(list(supports), step)
+    objs = [ApartmentObject(delta, supports[x], w) for x, w in words.items()]
     objs.sort(key=lambda o: (len(o.word), sorted(o.support, reverse=True)))
     return objs
 

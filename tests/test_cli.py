@@ -4,6 +4,7 @@ Golden transcripts live in tests/golden/ and are regenerated with
 ``pytest --update-golden``.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -167,6 +168,14 @@ def test_usage_error_max_degree_below_one(capsys, degree):
 def test_negative_weight_is_a_value(capsys, argv):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: weight must be dominant\n"
+
+
+def test_argparse_still_has_the_negative_number_matcher():
+    # cli._Parser overrides this private attribute; if a Python upgrade
+    # renames it, "invariants A2 -1,0" goes back to "expected one argument"
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher"), (
+        "this Python's argparse has no _negative_number_matcher: the Python "
+        "upgrade broke cli._Parser, so -1,0 would be read as a flag")
 
 
 def test_orbit_of_a_negative_weight(capsys):

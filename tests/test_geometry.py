@@ -4,6 +4,7 @@ import random
 import pytest
 
 from weylgeom import ConsistencyError, RefusedError, RootSystem, charring, geometry
+from weylgeom.rootsystem import closure
 from weylgeom.geometry import (
     ApartmentObject,
     Geometry,
@@ -525,3 +526,45 @@ def test_barycenter_off_the_ray_is_refused(monkeypatch):
     monkeypatch.setattr(geometry, "barycenter", lambda support: (1, 1, 0))
     with pytest.raises(ConsistencyError):
         g.delta_space(2)
+
+
+# the barycenter walk against the support walk it replaced
+
+
+def _support_walk(g, delta):
+    """(delta, support, word) of every apartment object, walked as before:
+    breadth-first on the supports themselves, each weight of each support
+    reflected by every s_i."""
+    rs = g.rs
+    words = closure([g.delta_space(delta).support], lambda s: (
+        (i, translate_support(rs, i, s)) for i in range(1, rs.rank + 1)))
+    objs = [(delta, s, w) for s, w in words.items()]
+    objs.sort(key=lambda o: (len(o[2]), sorted(o[1], reverse=True)))
+    return objs
+
+
+WALK_CASES = ([(name, beta, range(1, int(name[1:]) + 1))
+               for name, beta in MINUSCULE if int(name[1:]) <= 6]
+              + [("E7", 7, (1, 2, 6, 7))])
+
+
+@pytest.mark.parametrize("name,beta,deltas", WALK_CASES,
+                         ids=["%s-%d" % c[:2] for c in WALK_CASES])
+def test_barycenter_walk_matches_the_support_walk(name, beta, deltas):
+    g = geom(name, beta)
+    for delta in deltas:
+        got = [(o.delta, o.support, o.word) for o in apartment_objects(g, delta)]
+        assert got == _support_walk(g, delta), delta
+
+
+@pytest.mark.parametrize("name,beta,deltas", WALK_CASES,
+                         ids=["%s-%d" % c[:2] for c in WALK_CASES])
+def test_apartment_barycenters_are_distinct_and_fill_the_orbit(name, beta,
+                                                              deltas):
+    g = geom(name, beta)
+    rs = g.rs
+    for delta in deltas:
+        objs = apartment_objects(g, delta)
+        centers = {barycenter(o.support) for o in objs}
+        assert (len(centers) == len(objs)
+                == rs.orbit_size(rs.fundamental_weight(delta))), delta

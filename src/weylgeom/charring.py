@@ -176,10 +176,10 @@ def dominant_weights_below(rs, lam):
         raise ValueError("need a dominant weight")
 
     def step(w):
-        for k, alpha in enumerate(rs.positive_roots_fw):
+        for alpha in rs.positive_roots_fw:
             v = tuple(a - b for a, b in zip(w, alpha))
             if all(x >= 0 for x in v):
-                yield k, v
+                yield v
 
     return set(closure([lam], step))
 
@@ -215,9 +215,16 @@ class TableStore:
             path = self._path(rs, lam)
             # one temp file per process, so concurrent writers never share one
             tmp = "%s.%d.tmp" % (path, os.getpid())
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(_payload(rs, lam, rows), fh, sort_keys=True)
-            os.replace(tmp, path)
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    json.dump(_payload(rs, lam, rows), fh, sort_keys=True)
+                os.replace(tmp, path)
+            except OSError:
+                # best-effort, as _load makes an unusable file a miss
+                try:
+                    os.remove(tmp)
+                except OSError:
+                    pass
 
     def _load(self, rs, lam):
         try:

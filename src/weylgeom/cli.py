@@ -148,7 +148,7 @@ def check_e6_hasse():
     for u, v, i in edges:
         nu = tuple(-x for x in dual.phi_weight(u))
         nv = tuple(-x for x in dual.phi_weight(v))
-        _expect((nv, nu, dual.phi_index(i)) in edge_set,
+        _expect((nv, nu, dual.PHI[i]) in edge_set,
                 "negated flip reverses edges")
     return {"nodes": len(nodes), "edges": len(edges)}
 
@@ -576,7 +576,7 @@ def cmd_dims(args):
         "lowest_weights": {str(d): list(g.delta_space(d).lowest_weight)
                            for d in range(1, rs.rank + 1)},
     }
-    return payload, None
+    return payload, {}
 
 
 def cmd_hasse(args):
@@ -596,7 +596,7 @@ def cmd_hasse(args):
         dot.append('  "%s" -> "%s" [label=%d];'
                    % (render_weight(u), render_weight(v), i))
     dot.append("}")
-    return payload, "\n".join(dot) + "\n"
+    return payload, {"dot": "\n".join(dot) + "\n"}
 
 
 def cmd_orbit(args):
@@ -609,7 +609,7 @@ def cmd_orbit(args):
         "size": len(orbit),
         "orbit": [list(v) for v in orbit],
     }
-    return payload, None
+    return payload, {}
 
 
 def cmd_invariants(args):
@@ -636,7 +636,7 @@ def cmd_invariants(args):
         "symmetric_trivial": trivial(False),
         "exterior_trivial": trivial(True),
     }
-    return payload, None
+    return payload, {}
 
 
 def cmd_branch(args):
@@ -660,7 +660,7 @@ def cmd_branch(args):
         "dimension_check": sum(p["multiplicity"] * p["dimension"]
                                for p in pieces),
     }
-    return payload, None
+    return payload, {}
 
 
 def cmd_incidence(args):
@@ -680,7 +680,7 @@ def cmd_incidence(args):
         "pairs": pairs,
         "counts": counts,
     }
-    return payload, None
+    return payload, {}
 
 
 def cmd_triality(args):
@@ -697,7 +697,7 @@ def cmd_triality(args):
         for a, row in zip(tri.LABELS, rows):
             lines.append(a.ljust(width + 1)
                          + " ".join((c or ".").rjust(2) for c in row))
-        return payload, None, "\n".join(lines) + "\n"
+        return payload, {"ascii": "\n".join(lines) + "\n"}
     if args.what == "psi":
         g = tri.geometry
         spaces = []
@@ -713,7 +713,7 @@ def cmd_triality(args):
             })
         payload = {"cycle": {str(k): v for k, v in tri.PHI.items()},
                    "spaces": spaces}
-        return payload, None, None
+        return payload, {}
     triples = []
     for a in tri.LABELS:
         for b in tri.LABELS:
@@ -721,7 +721,7 @@ def cmd_triality(args):
                 if tri.t_nonzero(a, b, c):
                     triples.append([a, b, c])
     payload = {"count": len(triples), "triples": triples}
-    return payload, None, None
+    return payload, {}
 
 
 def cmd_duality(args):
@@ -733,7 +733,7 @@ def cmd_duality(args):
             img = dual.psi_standard(d)
             spaces.append({
                 "delta": d,
-                "psi_delta": dual.phi_index(d),
+                "psi_delta": dual.PHI[d],
                 "size": len(s),
                 "psi_size": len(img),
             })
@@ -776,7 +776,7 @@ def cmd_duality(args):
             "d4-triality": chamber_automorphism_check(tri.geometry, im4, op4),
             "d5-chirality-swap": chamber_automorphism_check(g5, im5, op5),
         }
-    return payload, None
+    return payload, {}
 
 
 def cmd_verify(args):
@@ -858,6 +858,8 @@ def build_parser():
     return p
 
 
+# each returns (payload, renderings); renderings maps a --format name to the
+# text printed instead of the generic rendering of payload
 COMMANDS = {
     "dims": cmd_dims,
     "hasse": cmd_hasse,
@@ -882,18 +884,16 @@ def main(argv=None):
                                  % (args.cache_dir, e.strerror))
         if args.command == "verify":
             return cmd_verify(args)
-        result = COMMANDS[args.command](args)
-        payload, dot = result[0], result[1]
-        ascii_override = result[2] if len(result) > 2 else None
-        if args.format == "json":
-            sys.stdout.write(emit_json(payload))
+        payload, renderings = COMMANDS[args.command](args)
+        if args.format in renderings:
+            text = renderings[args.format]
+        elif args.format == "json":
+            text = emit_json(payload)
         elif args.format == "ascii":
-            text = ascii_override or "\n".join(emit_ascii(payload)) + "\n"
-            sys.stdout.write(text)
+            text = "\n".join(emit_ascii(payload)) + "\n"
         else:
-            if dot is None:
-                raise UsageError("no dot rendering for this command")
-            sys.stdout.write(dot)
+            raise UsageError("no %s rendering for this command" % args.format)
+        sys.stdout.write(text)
         return 0
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)

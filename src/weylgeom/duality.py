@@ -37,7 +37,7 @@ def wprime_orbits(rs, removed, weights):
     orbits = []
     while left:
         orbit = closure([next(iter(left))],
-                        lambda w: ((i, rs.reflect(i, w)) for i in gens))
+                        lambda w: (rs.reflect(i, w) for i in gens))
         left -= orbit.keys()
         orbits.append(tuple(sorted(orbit, reverse=True)))
     orbits.sort(key=lambda o: (len(o), o[0]))
@@ -59,8 +59,7 @@ def zero_sum_triple_orbits(rs, s1, s2, s3):
     orbits = []
     while left:
         orbit = closure([next(iter(left))], lambda t: (
-            (i, tuple(rs.reflect(i, w) for w in t))
-            for i in range(1, rs.rank + 1)))
+            tuple(rs.reflect(i, w) for w in t) for i in range(1, rs.rank + 1)))
         if not orbit.keys() <= left:
             raise ConsistencyError("orbit left the triple set")
         left -= orbit.keys()
@@ -122,10 +121,6 @@ class E6Duality:
         self.weights = self.geometry.weights
         self._hyperlines = {}
         self._orbits = None
-
-    @staticmethod
-    def phi_index(i):
-        return E6Duality.PHI[i]
 
     @staticmethod
     def phi_weight(c):

@@ -142,12 +142,11 @@ def hasse_diagram(rs, lam):
 class ApartmentObject:
     """A Weyl translate of a standard delta-space, tracked by support."""
 
-    __slots__ = ("delta", "support", "word")
+    __slots__ = ("delta", "support")
 
-    def __init__(self, delta, support, word=()):
+    def __init__(self, delta, support):
         self.delta = delta
         self.support = frozenset(support)
-        self.word = tuple(word)
 
     def __eq__(self, other):
         return (isinstance(other, ApartmentObject)
@@ -173,15 +172,17 @@ def translate_support(rs, i, support):
 
 
 def apartment_objects(geometry, delta):
-    """All Weyl translates of the standard delta-space, with words.
+    """All Weyl translates of the standard delta-space, sorted by level,
+    then by support descending.
 
     The walk runs on barycenters.  An object is fixed by its barycenter (see
     incidence), so objects and barycenters correspond one to one, the
     correspondence commutes with each s_i, and s_i fixes both when the
-    barycenter's i-th coordinate is 0; skipping those self-loops leaves the
-    words and their order those of a walk on the supports.  Each support is
-    translated once, when its barycenter is first reached, through s_i
-    tabulated on the weights of V.
+    barycenter's i-th coordinate is 0; skipping those self-loops leaves each
+    level, the length of a shortest word carrying the standard object there,
+    that of a walk on the supports.  Each support is translated once, when
+    its barycenter is first reached, through s_i tabulated on the weights
+    of V.
     """
     _require_minuscule(geometry)
     rs = geometry.rs
@@ -197,12 +198,12 @@ def apartment_objects(geometry, delta):
                 if y not in supports:
                     t = tables[i]
                     supports[y] = frozenset([t[w] for w in supports[x]])
-                yield i, y
+                yield y
 
-    words = closure(list(supports), step)
-    objs = [ApartmentObject(delta, supports[x], w) for x, w in words.items()]
-    objs.sort(key=lambda o: (len(o.word), sorted(o.support, reverse=True)))
-    return objs
+    levels = closure(list(supports), step)
+    order = sorted(levels, key=lambda x: (levels[x],
+                                          sorted(supports[x], reverse=True)))
+    return [ApartmentObject(delta, supports[x]) for x in order]
 
 
 def standard_chamber(geometry):

@@ -136,22 +136,23 @@ def symmetrizer(cartan):
 def closure(seeds, step):
     """Breadth-first closure of seeds under step.
 
-    step(item) yields (label, next_item) pairs.  Returns {item: word} where
-    word is the tuple of labels along a shortest path from a seed to item,
-    last step first; seeds map to ().
+    step(item) yields the next items.  Returns {item: level} in the order
+    the search reaches the items, level being the number of steps from the
+    nearest seed; seeds map to 0.
     """
-    words = dict.fromkeys(seeds, ())
-    frontier = list(words)
+    levels = dict.fromkeys(seeds, 0)
+    frontier = list(levels)
+    level = 0
     while frontier:
+        level += 1
         new = []
         for item in frontier:
-            word = words[item]
-            for label, nxt in step(item):
-                if nxt not in words:
-                    words[nxt] = (label,) + word
+            for nxt in step(item):
+                if nxt not in levels:
+                    levels[nxt] = level
                     new.append(nxt)
         frontier = new
-    return words
+    return levels
 
 
 def _weyl_order(roots):
@@ -282,22 +283,11 @@ class RootSystem:
             else:
                 return cur
 
-    def antidominant_rep(self, w):
-        cur = tuple(w)
-        while True:
-            for i, x in enumerate(cur):
-                if x > 0:
-                    row = self.cartan[i]
-                    cur = tuple(cur[j] - x * row[j] for j in range(self.rank))
-                    break
-            else:
-                return cur
-
     def minus_w0(self):
         """The permutation p (1-based tuple) with -w0(omega_i) = omega_p[i]."""
         perm = []
         for i in range(1, self.rank + 1):
-            img = tuple(-x for x in self.antidominant_rep(self.fundamental_weight(i)))
+            img = self.dual_weight(self.fundamental_weight(i))
             ones = [j for j, x in enumerate(img) if x == 1]
             if sum(img) != 1 or len(ones) != 1:
                 raise ConsistencyError("-w0 does not permute fundamental weights")
@@ -306,7 +296,7 @@ class RootSystem:
 
     def dual_weight(self, w):
         """-w0(w), the highest weight of the dual of V(w)."""
-        return tuple(-x for x in self.antidominant_rep(w))
+        return self.dominant_rep(tuple(-x for x in w))
 
     def weyl_orbit(self, w):
         """Weyl orbit of w as a lex-descending sorted list of weights;
@@ -317,8 +307,8 @@ class RootSystem:
                                % (size, MAX_WEIGHTS))
         # s_i fixes v when v[i-1] == 0, so those steps are skipped
         return sorted(closure([tuple(w)], lambda v: (
-            (i, self.reflect(i, v)) for i in range(1, self.rank + 1)
-            if v[i - 1])), reverse=True)
+            self.reflect(i, v) for i in range(1, self.rank + 1) if v[i - 1])),
+            reverse=True)
 
     def orbit_size(self, w):
         """|W.w| = |W|/|W_J|, J the nodes where the dominant form of w
@@ -346,7 +336,7 @@ class RootSystem:
                 p = sum(q[k] * self.cartan[k][i] for k in range(n))
                 r = tuple(q[j] - (p if j == i else 0) for j in range(n))
                 if all(x >= 0 for x in r):
-                    yield i + 1, r
+                    yield r
 
         seeds = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         return sorted(closure(seeds, step), key=lambda q: (sum(q), q))
@@ -433,7 +423,7 @@ class RootSystem:
             return True
         start = next(iter(nodes))
         return closure([start], lambda i: (
-            (j, j) for j in self.neighbors(i) if j in nodes)).keys() == nodes
+            j for j in self.neighbors(i) if j in nodes)).keys() == nodes
 
     def component_of(self, node, removed):
         """Connected component of `node` in the diagram minus `removed`."""
@@ -441,7 +431,7 @@ class RootSystem:
         if node in removed:
             raise ValueError("node %d was removed" % node)
         return frozenset(closure([node], lambda i: (
-            (j, j) for j in self.neighbors(i) if j not in removed)))
+            j for j in self.neighbors(i) if j not in removed)))
 
     def delta_component(self, beta, delta):
         """Component of beta after deleting delta; empty when delta == beta."""

@@ -104,6 +104,25 @@ def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.glob("domchar-*.json"))
 
 
+def test_failed_cache_write_keeps_the_answer(tmp_path, capsys, monkeypatch):
+    # a directory where a table file belongs makes the write fail; the
+    # command still answers as without a cache and leaves no temp file
+    monkeypatch.delenv("WEYLGEOM_CACHE", raising=False)
+    monkeypatch.setattr(charring, "STORE", charring.TableStore())
+    assert cli.main(["dims", "A2"]) == 0
+    want = capsys.readouterr().out
+    first, blocked = tmp_path / "first", tmp_path / "blocked"
+    assert cli.main(["--cache-dir", str(first), "dims", "A2"]) == 0
+    capsys.readouterr()
+    names = [p.name for p in first.glob("domchar-*.json")]
+    assert names
+    for name in names:
+        (blocked / name).mkdir(parents=True)
+    assert cli.main(["--cache-dir", str(blocked), "dims", "A2"]) == 0
+    assert capsys.readouterr().out == want
+    assert not list(blocked.glob("*.tmp"))
+
+
 def test_verify_single_check(capsys):
     assert cli.main(["verify", "standard-dimensions"]) == 0
     out = capsys.readouterr().out

@@ -38,10 +38,14 @@ def tri():
 # the order-2 duality of the 27-weight geometry
 
 
-def test_phi_index_is_the_diagram_flip(dual):
-    assert [dual.phi_index(i) for i in range(1, 7)] == [6, 2, 5, 4, 3, 1]
+def test_phi_index_is_the_diagram_flip(dual, tri):
+    assert [dual.PHI[i] for i in range(1, 7)] == [6, 2, 5, 4, 3, 1]
     for i in range(1, 7):
-        assert dual.phi_index(dual.phi_index(i)) == i
+        assert dual.PHI[dual.PHI[i]] == i
+    # read as node tuples, both maps are diagram automorphisms
+    for obj in (dual, tri):
+        perm = tuple(obj.PHI[i] for i in range(1, obj.rs.rank + 1))
+        assert perm in obj.rs.diagram_automorphisms()
 
 
 def test_phi_weight_maps_weights_to_dual_weights(dual):
@@ -56,7 +60,7 @@ def test_phi_weight_twists_reflections(dual):
     for w in dual.weights:
         for i in range(1, 7):
             assert (dual.phi_weight(dual.rs.reflect(i, w))
-                    == dual.rs.reflect(dual.phi_index(i), dual.phi_weight(w)))
+                    == dual.rs.reflect(dual.PHI[i], dual.phi_weight(w)))
 
 
 def test_hyperlines_have_ten_weights(dual):
@@ -72,7 +76,7 @@ def test_standard_s2_support_frozen(dual):
 def test_psi_standard_realizes_the_flip(dual):
     for delta in range(1, 7):
         out = dual.psi_standard(delta)
-        assert out == dual.standard_support(dual.phi_index(delta))
+        assert out == dual.standard_support(dual.PHI[delta])
 
 
 def test_psi_is_an_involution_on_standard_supports(dual):

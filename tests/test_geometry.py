@@ -262,14 +262,16 @@ def test_a3_matches_subset_oracle():
                         assert got == want
 
 
-def test_a3_translation_words_act_correctly():
-    g = geom("A3", 2)
-    std = g.delta_space(2).support
-    for o in apartment_objects(g, 2):
-        s = std
-        for i in reversed(o.word):
-            s = translate_support(g.rs, i, s)
-        assert s == o.support
+@pytest.mark.parametrize("name,beta", [("A3", 2), ("D4", 1), ("E6", 1)])
+def test_apartment_is_the_weyl_orbit_of_the_standard_object(name, beta):
+    g = geom(name, beta)
+    rs = g.rs
+    for delta in range(1, rs.rank + 1):
+        supports = {o.support for o in apartment_objects(g, delta)}
+        assert g.delta_space(delta).support in supports
+        for i in range(1, rs.rank + 1):
+            assert {translate_support(rs, i, s) for s in supports} == supports
+        assert len(supports) == rs.orbit_size(rs.fundamental_weight(delta))
 
 
 def test_d4_fork_incidence():
@@ -532,15 +534,22 @@ def test_barycenter_off_the_ray_is_refused(monkeypatch):
 
 
 def _support_walk(g, delta):
-    """(delta, support, word) of every apartment object, walked as before:
+    """(delta, support, level) of every apartment object, walked as before:
     breadth-first on the supports themselves, each weight of each support
     reflected by every s_i."""
     rs = g.rs
-    words = closure([g.delta_space(delta).support], lambda s: (
-        (i, translate_support(rs, i, s)) for i in range(1, rs.rank + 1)))
-    objs = [(delta, s, w) for s, w in words.items()]
-    objs.sort(key=lambda o: (len(o[2]), sorted(o[1], reverse=True)))
+    levels = closure([g.delta_space(delta).support], lambda s: (
+        translate_support(rs, i, s) for i in range(1, rs.rank + 1)))
+    objs = [(delta, s, level) for s, level in levels.items()]
+    objs.sort(key=lambda o: (o[2], sorted(o[1], reverse=True)))
     return objs
+
+
+def _negative_roots(rs, x):
+    """#{alpha > 0 : (x, alpha) < 0}: for the barycenter x of an object, the
+    length of the shortest Weyl element carrying the standard object to it
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7)."""
+    return sum(1 for q in rs.positive_roots if rs.pair_root(x, q) < 0)
 
 
 WALK_CASES = ([(name, beta, range(1, int(name[1:]) + 1))
@@ -553,8 +562,12 @@ WALK_CASES = ([(name, beta, range(1, int(name[1:]) + 1))
 def test_barycenter_walk_matches_the_support_walk(name, beta, deltas):
     g = geom(name, beta)
     for delta in deltas:
-        got = [(o.delta, o.support, o.word) for o in apartment_objects(g, delta)]
-        assert got == _support_walk(g, delta), delta
+        walk = _support_walk(g, delta)
+        got = [(o.delta, o.support) for o in apartment_objects(g, delta)]
+        assert got == [(d, s) for d, s, _ in walk], delta
+        levels = [_negative_roots(g.rs, barycenter(s)) for _, s, _ in walk]
+        assert levels == [level for _, _, level in walk], delta
+        assert levels == sorted(levels), delta
 
 
 @pytest.mark.parametrize("name,beta,deltas", WALK_CASES,

@@ -377,6 +377,21 @@ def power_series(char, k, alternating=False, max_degree=DEFAULT_MAX_POWER):
     return [FormalCharacter(_unpack(cd, rank, width)) for cd in c]
 
 
+def check_power_sizes(rs, lam, k):
+    """Refuse, before any power is built, when a degree d <= k of the power
+    series of V(lam) holds more than MAX_WEIGHTS weights.  S^d V(lam) has
+    exactly the weights of V(d*lam), the W-orbits of the dominant weights
+    below d*lam; Lambda^d V(lam) and each Newton term have some of them.
+    Degree by degree: listing the dominant weights below k*lam is itself
+    unbounded for large k, and the first degree over the limit stops it."""
+    for d in range(1, k + 1):
+        top = tuple(d * x for x in lam)
+        size = sum(map(rs.orbit_size, dominant_weights_below(rs, top)))
+        if size > MAX_WEIGHTS:
+            raise RefusedError("degree %d powers have %d weights, above the "
+                               "limit of %d" % (d, size, MAX_WEIGHTS))
+
+
 def symmetric_power(char, k, max_degree=DEFAULT_MAX_POWER):
     """Character of the k-th symmetric power."""
     return power_series(char, k, max_degree=max_degree)[k]
@@ -475,9 +490,6 @@ class BranchingRule:
         self.source = source
         self.target = target
         self._map = weight_map
-
-    def restrict_weight(self, w):
-        return self._map(tuple(w))
 
     def restrict_character(self, char):
         out = {}

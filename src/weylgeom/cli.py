@@ -20,6 +20,7 @@ import sys
 from . import charring
 from .charring import (
     NAMED_BRANCHINGS,
+    check_power_sizes,
     exterior_power,
     irrep_character,
     minuscule_check,
@@ -45,7 +46,6 @@ from .geometry import (
     apartment_objects,
     chamber_pairwise_incident,
     dimension_diagram,
-    halfspin_dimensions,
     hasse_diagram,
     incidence,
     standard_chamber,
@@ -93,12 +93,6 @@ def check_dimension_diagrams():
                 % (name, beta, got))
         out["%s beta=%d" % (name, beta)] = {str(k): v
                                             for k, v in sorted(got.items())}
-    for n in (4, 5, 6):
-        rs = RootSystem.named("D%d" % n)
-        dd = halfspin_dimensions(rs)
-        for i in range(1, n - 1):
-            _expect(dd[i] == 2 ** (n - i - 1), "halfspin D%d node %d" % (n, i))
-        _expect(dd[n - 1] == n and dd[n] == 1, "halfspin D%d fork" % n)
     return out
 
 
@@ -443,11 +437,6 @@ def check_properties():
                 _expect(all(m == 1 for _, m in ch.items()),
                         "minuscule %s node %d is multiplicity free"
                         % (name, i))
-
-    for n in (4, 5, 6):
-        dd = halfspin_dimensions(RootSystem.named("D%d" % n))
-        for i in range(1, n - 1):
-            _expect(dd[i] == 2 ** (n - i - 1), "halfspin pattern D%d" % n)
     return {"dimension_cases": len(seen)}
 
 
@@ -520,16 +509,9 @@ def _scalar(v):
 
 
 def default_beta(rs):
-    label = rs.label or ""
-    if label in ("E6",):
-        return 1
-    if label == "E7":
-        return 7
-    if label == "F4":
-        return 4
-    if label and label[0] in "ABCDG":
-        return 1
-    return None
+    """The node of the standard representation of a named system; E8 has
+    none."""
+    return {"E7": 7, "E8": None, "F4": 4}.get(rs.label, 1)
 
 
 def parse_weight(text, rank):
@@ -620,6 +602,8 @@ def cmd_invariants(args):
     if args.max_degree < 1:
         raise UsageError("--max-degree must be at least 1")
     ch = irrep_character(rs, w)
+    # invariant_bilinear_type builds degree 2
+    check_power_sizes(rs, w, max(args.max_degree, 2))
 
     def trivial(alternating):
         series = power_series(ch, args.max_degree, alternating,

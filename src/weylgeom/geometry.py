@@ -11,6 +11,8 @@ decided from the barycenters of their supports.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .charring import irrep_character, minuscule_check, weyl_dimension
 from .rootsystem import ConsistencyError, RefusedError, closure
 
@@ -71,10 +73,8 @@ class DeltaSpace:
         if self.component:
             sub, nodes = rs.restricted(self.component)
             pos = nodes.index(geometry.beta) + 1
-            self.levi_type = sub.classify()
             self.dimension = weyl_dimension(sub, sub.fundamental_weight(pos))
         else:
-            self.levi_type = None
             self.dimension = 1
         if geometry.minuscule:
             if self.dimension != len(self.support):
@@ -85,6 +85,14 @@ class DeltaSpace:
                 raise ConsistencyError("barycenter of the standard support "
                                        "is not on the omega_delta ray")
         self.lowest_weight = self._lowest()
+
+    @cached_property
+    def levi_type(self):
+        """Family label of the diagram on the component, None when empty;
+        computed on first read."""
+        if not self.component:
+            return None
+        return self.geometry.rs.restricted(self.component)[0].classify()
 
     def _lowest(self):
         rs = self.geometry.rs
@@ -105,14 +113,6 @@ def dimension_diagram(geometry):
     """delta -> dim of the standard delta-space, for every node."""
     return {delta: geometry.delta_space(delta).dimension
             for delta in range(1, geometry.rs.rank + 1)}
-
-
-def halfspin_dimensions(rs_dn):
-    """Dimension diagram of a D_n system with beta = n (a fork node)."""
-    label = rs_dn.classify()
-    if not label.startswith("D"):
-        raise ValueError("need a D-family system")
-    return dimension_diagram(Geometry(rs_dn, rs_dn.rank))
 
 
 def hasse_diagram(rs, lam):

@@ -327,7 +327,9 @@ class RootSystem:
 
     @cached_property
     def positive_roots(self):
-        """Positive roots in simple-root coordinates, sorted by (height, lex)."""
+        """Positive roots in simple-root coordinates, sorted by (height, lex).
+        No finite system has a coefficient above 6 (E8's highest root is
+        (2,3,4,6,5,4,3,2)), so a larger one refuses an infinite root system."""
         n = self.rank
 
         def step(q):
@@ -336,6 +338,8 @@ class RootSystem:
                 p = sum(q[k] * self.cartan[k][i] for k in range(n))
                 r = tuple(q[j] - (p if j == i else 0) for j in range(n))
                 if all(x >= 0 for x in r):
+                    if r[i] > 6:
+                        raise ValueError("Cartan matrix is not of finite type")
                     yield r
 
         seeds = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -372,7 +376,9 @@ class RootSystem:
         a = [[Fraction(self.cartan[i][j]) for j in range(k)] +
              [Fraction(1 if j == i else 0) for j in range(k)] for i in range(k)]
         for col in range(k):
-            piv = next(r for r in range(col, k) if a[r][col] != 0)
+            piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+            if piv is None:
+                raise ValueError("Cartan matrix is singular")
             a[col], a[piv] = a[piv], a[col]
             inv = 1 / a[col][col]
             a[col] = [x * inv for x in a[col]]
@@ -452,57 +458,16 @@ class RootSystem:
         return RootSystem(cartan, d=d), nodes
 
     def classify(self):
-        """Family label of a connected diagram, e.g. 'D5'."""
+        """Family label of the diagram, e.g. 'D5': the first family, in
+        _RANK_RANGE order, whose Cartan matrix this one renumbers, so A3 = D3
+        reads 'A3' and B2 = C2 reads 'B2'."""
         n = self.rank
-        if not self.is_connected():
-            raise ConsistencyError("classify needs a connected diagram")
-        if n == 1:
-            return "A1"
-        bonds = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                b = self.cartan[i - 1][j - 1] * self.cartan[j - 1][i - 1]
-                if b:
-                    bonds[(i, j)] = b
-        if any(b > 3 for b in bonds.values()):
-            raise ConsistencyError("bond order above 3")
-        if any(b == 3 for b in bonds.values()):
-            if n != 2:
-                raise ConsistencyError("triple bond outside rank 2")
-            return "G2"
-        degree = {i: len(self.neighbors(i)) for i in range(1, n + 1)}
-        doubles = [e for e, b in bonds.items() if b == 2]
-        if doubles:
-            if len(doubles) != 1 or any(deg > 2 for deg in degree.values()):
-                raise ConsistencyError("not a finite diagram")
-            if n == 2:
-                return "B2"
-            (i, j) = doubles[0]
-            # C[i][j] == -2 means alpha_j is short
-            if self.cartan[i - 1][j - 1] == -2:
-                short_end = j
-            else:
-                short_end = i
-            short_side = self.component_of(short_end, set(doubles[0]) - {short_end})
-            if n == 4 and len(short_side) == 2:
-                return "F4"
-            if len(short_side) == 1:
-                return "B%d" % n
-            if len(short_side) == n - 1:
-                return "C%d" % n
-            raise ConsistencyError("double bond not at an end")
-        branch = [i for i, deg in degree.items() if deg > 2]
-        if not branch:
-            return "A%d" % n
-        if len(branch) > 1 or degree[branch[0]] != 3:
-            raise ConsistencyError("not a finite diagram")
-        b = branch[0]
-        arms = sorted(len(self.component_of(k, {b})) for k in self.neighbors(b))
-        if arms[0] == 1 and arms[1] == 1:
-            return "D%d" % n
-        if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-            return "E%d" % n
-        raise ConsistencyError("not a finite diagram")
+        for family, (lo, hi) in _RANK_RANGE.items():
+            if lo <= n and (hi is None or n <= hi) and next(
+                    cartan_isomorphisms(family_cartan(family, n), self.cartan),
+                    None) is not None:
+                return "%s%d" % (family, n)
+        raise ConsistencyError("not the diagram of a finite simple system")
 
     def diagram_automorphisms(self):
         """Cartan-preserving index permutations, sorted, as 1-based tuples."""

@@ -7,6 +7,7 @@ import pytest
 from weylgeom import charring
 from weylgeom.charring import (
     FormalCharacter,
+    check_power_sizes,
     decompose,
     dominant_character,
     dominant_weights_below,
@@ -471,3 +472,35 @@ def test_memo_is_keyed_by_cartan_matrix(monkeypatch):
     _no_computing(monkeypatch)
     assert dominant_character(rs("B3"), (0, 0, 1)) == {(0, 0, 1): 1}
     assert len(store.memo) == 1
+
+
+@pytest.mark.parametrize("name,lam,k", [
+    ("E7", (0, 0, 0, 0, 0, 0, 1), 3), ("G2", (0, 1), 3),
+    ("D4", (1, 0, 0, 0), 3), ("A2", (1, 1), 3),
+    ("E8", (0, 0, 0, 0, 0, 0, 0, 1), 2),
+])
+def test_power_size_count_is_exact(monkeypatch, name, lam, k):
+    # S^k V(lam) has the weights of V(k*lam), so the count the guard
+    # refuses on is exact for it and bounds Lambda^k V(lam)
+    rs = RootSystem.named(name)
+    char = irrep_character(rs, lam)
+    size = len(power_series(char, k)[k])
+    assert len(power_series(char, k, True)[k]) <= size
+    monkeypatch.setattr(charring, "MAX_WEIGHTS", size)
+    check_power_sizes(rs, lam, k)
+    monkeypatch.setattr(charring, "MAX_WEIGHTS", size - 1)
+    with pytest.raises(RefusedError,
+                       match="degree %d powers have %d weights" % (k, size)):
+        check_power_sizes(rs, lam, k)
+
+
+def test_power_size_guard_on_the_e8_adjoint():
+    e8 = RootSystem.named("E8")
+    adjoint = (0, 0, 0, 0, 0, 0, 0, 1)
+    check_power_sizes(e8, adjoint, 4)  # 996,001 weights at degree 4
+    # the count stops at the first degree over the limit, so a huge k is
+    # refused as quickly as k = 5
+    for k in (5, 1000):
+        with pytest.raises(RefusedError,
+                           match="degree 5 powers have 5109841 weights"):
+            check_power_sizes(e8, adjoint, k)

@@ -219,3 +219,31 @@ def test_regular_e8_orbit_is_refused_at_once(capsys):
     assert captured.out == ""
     assert captured.err.startswith("refused:")
     assert captured.err.count("\n") == 1
+
+
+def _no_power_series(*args, **kwargs):
+    raise AssertionError("power_series called")
+
+
+def test_oversized_invariants_are_refused_at_once(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "power_series", _no_power_series)
+    monkeypatch.setattr(charring, "power_series", _no_power_series)
+    start = time.perf_counter()
+    assert cli.main(["invariants", "E8", "0,0,0,0,0,0,0,1",
+                     "--max-degree", "6"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("refused: degree 5 powers have 5109841 weights, "
+                            "above the limit of 1000000\n")
+
+
+def test_invariants_size_guard_covers_the_bilinear_degree(capsys, monkeypatch):
+    # the bilinear type builds degree 2 even under --max-degree 1: V(2,2)
+    # of A2 has 19 weights
+    monkeypatch.setattr(charring, "MAX_WEIGHTS", 18)
+    argv = ["invariants", "A2", "1,1", "--max-degree", "1"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("refused: degree 2 powers")
+    monkeypatch.setattr(charring, "MAX_WEIGHTS", 19)
+    assert cli.main(argv) == 0

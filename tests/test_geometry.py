@@ -12,7 +12,6 @@ from weylgeom.geometry import (
     barycenter,
     chamber_pairwise_incident,
     dimension_diagram,
-    halfspin_dimensions,
     hasse_diagram,
     incidence,
     standard_chamber,
@@ -76,27 +75,20 @@ def test_dimension_diagram_g2():
 
 
 def test_halfspin_dimensions():
-    assert halfspin_dimensions(RootSystem.named("D4")) == {1: 4, 2: 2, 3: 4,
-                                                           4: 1}
-    assert halfspin_dimensions(RootSystem.named("D5")) == {1: 8, 2: 4, 3: 2,
-                                                           4: 5, 5: 1}
-    assert halfspin_dimensions(RootSystem.named("D6")) == {1: 16, 2: 8, 3: 4,
-                                                           4: 2, 5: 6, 6: 1}
+    assert dimension_diagram(geom("D4", 4)) == {1: 4, 2: 2, 3: 4, 4: 1}
+    assert dimension_diagram(geom("D5", 5)) == {1: 8, 2: 4, 3: 2, 4: 5, 5: 1}
+    assert dimension_diagram(geom("D6", 6)) == {1: 16, 2: 8, 3: 4, 4: 2,
+                                                5: 6, 6: 1}
 
 
 def test_halfspin_general_pattern():
     # 2^(n-i-1) away from the fork, n at the other fork node, 1 at beta
-    for n in (4, 5, 6):
-        dd = halfspin_dimensions(RootSystem.named("D%d" % n))
+    for n in range(4, 9):
+        dd = dimension_diagram(geom("D%d" % n, n))
         for i in range(1, n - 1):
             assert dd[i] == 2 ** (n - i - 1)
         assert dd[n - 1] == n
         assert dd[n] == 1
-
-
-def test_halfspin_rejects_non_d():
-    with pytest.raises(ValueError):
-        halfspin_dimensions(RootSystem.named("A4"))
 
 
 # delta-space internals

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -231,6 +233,142 @@ def test_classify_subdiagrams(name, nodes, label):
     sub, order = rs.restricted(nodes)
     assert order == tuple(sorted(nodes))
     assert sub.classify() == label
+
+
+def _bond_classify(rs):
+    """The classifier that classify replaced, kept as an oracle: it reads
+    the label off bond orders, branch nodes and arm lengths.  It calls an
+    n-cycle A_n, so cycles are left out of the comparison."""
+    n = rs.rank
+    if not rs.is_connected():
+        raise ConsistencyError("classify needs a connected diagram")
+    if n == 1:
+        return "A1"
+    bonds = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            b = rs.cartan[i - 1][j - 1] * rs.cartan[j - 1][i - 1]
+            if b:
+                bonds[(i, j)] = b
+    if any(b > 3 for b in bonds.values()):
+        raise ConsistencyError("bond order above 3")
+    if any(b == 3 for b in bonds.values()):
+        if n != 2:
+            raise ConsistencyError("triple bond outside rank 2")
+        return "G2"
+    degree = {i: len(rs.neighbors(i)) for i in range(1, n + 1)}
+    doubles = [e for e, b in bonds.items() if b == 2]
+    if doubles:
+        if len(doubles) != 1 or any(deg > 2 for deg in degree.values()):
+            raise ConsistencyError("not a finite diagram")
+        if n == 2:
+            return "B2"
+        (i, j) = doubles[0]
+        # C[i][j] == -2 means alpha_j is short
+        short_end = j if rs.cartan[i - 1][j - 1] == -2 else i
+        short_side = rs.component_of(short_end, set(doubles[0]) - {short_end})
+        if n == 4 and len(short_side) == 2:
+            return "F4"
+        if len(short_side) == 1:
+            return "B%d" % n
+        if len(short_side) == n - 1:
+            return "C%d" % n
+        raise ConsistencyError("double bond not at an end")
+    branch = [i for i, deg in degree.items() if deg > 2]
+    if not branch:
+        return "A%d" % n
+    if len(branch) > 1 or degree[branch[0]] != 3:
+        raise ConsistencyError("not a finite diagram")
+    b = branch[0]
+    arms = sorted(len(rs.component_of(k, {b})) for k in rs.neighbors(b))
+    if arms[0] == 1 and arms[1] == 1:
+        return "D%d" % n
+    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
+        return "E%d" % n
+    raise ConsistencyError("not a finite diagram")
+
+
+def _renumbered(rs, perm):
+    return RootSystem([[rs.cartan[i][j] for j in perm] for i in perm])
+
+
+def _classify_cases():
+    """Every connected subdiagram of every named system of rank <= 8, and
+    five random renumberings of each system: 770 diagrams."""
+    rng = random.Random(9)
+    for name in SYSTEMS:
+        rs = RootSystem.named(name)
+        nodes = range(1, rs.rank + 1)
+        for k in nodes:
+            for sub in itertools.combinations(nodes, k):
+                if rs.is_connected(sub):
+                    yield rs.restricted(sub)[0]
+        for _ in range(5):
+            yield _renumbered(rs, rng.sample(range(rs.rank), rs.rank))
+
+
+def test_classify_agrees_with_the_bond_classifier():
+    cases = list(_classify_cases())
+    assert len(cases) == 770
+    wrong = [(rs.cartan, rs.classify(), _bond_classify(rs)) for rs in cases
+             if rs.classify() != _bond_classify(rs)]
+    assert not wrong
+    # the family order decides the coinciding pairs A3 = D3 and B2 = C2
+    for name, label in (("D3", "A3"), ("C2", "B2"), ("B2", "B2")):
+        assert RootSystem.named(name).classify() == label
+
+
+def _cycle(n):
+    return [[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_classify_refuses_cycles(n):
+    rs = RootSystem(_cycle(n))
+    assert _bond_classify(rs) == "A%d" % n
+    with pytest.raises(ConsistencyError):
+        rs.classify()
+
+
+def test_classify_refuses_disconnected_diagrams():
+    with pytest.raises(ConsistencyError):
+        RootSystem([[2, 0], [0, 2]]).classify()
+
+
+# affine and hyperbolic Cartan matrices: none has a finite root system
+# (Kac, Infinite-dimensional Lie Algebras, ch. 4)
+NON_FINITE = {
+    "A1~": [[2, -2], [-2, 2]],
+    "A2~": _cycle(3),
+    "C2~": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+    "D4~": [[2, 0, 0, 0, -1], [0, 2, 0, 0, -1], [0, 0, 2, 0, -1],
+            [0, 0, 0, 2, -1], [-1, -1, -1, -1, 2]],
+    "A7~": _cycle(8),
+    "hyperbolic": [[2, -3], [-3, 2]],
+}
+
+
+@pytest.mark.parametrize("cartan", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_non_finite_cartan_matrix_is_refused(cartan):
+    rs = RootSystem(cartan)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not of finite type"):
+        rs.positive_roots
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ConsistencyError):
+        rs.classify()
+    if cartan != NON_FINITE["hyperbolic"]:
+        # an affine Cartan matrix is singular
+        with pytest.raises(ValueError, match="singular"):
+            rs.cartan_inverse
+
+
+def test_root_coefficients_stay_at_most_six():
+    # the finite-type guard in positive_roots sits at E8's largest coefficient
+    top = {name: max(map(max, RootSystem.named(name).positive_roots))
+           for name in SYSTEMS}
+    assert max(top.values()) == top["E8"] == 6
 
 
 @pytest.mark.parametrize("name,count", [

@@ -273,13 +273,10 @@ def dominant_character(rs, lam):
     if table is not None:
         return dict(table)
 
-    doms = dominant_weights_below(rs, lam)
-    rho = rs.rho
-
-    def shifted_norm(mu):
-        return rs.scaled_norm2(tuple(a + b for a, b in zip(mu, rho)))
-
-    order = sorted(doms, key=lambda mu: (-shifted_norm(mu), tuple(-x for x in mu)))
+    # n*|mu+rho|^2 for each dominant mu, n as in cartan_inverse
+    norms = {mu: rs.scaled_norm2(tuple(a + 1 for a in mu))
+             for mu in dominant_weights_below(rs, lam)}
+    order = sorted(norms, key=lambda mu: (-norms[mu], tuple(-x for x in mu)))
     if order[0] != lam:
         raise ConsistencyError("highest weight is not maximal")
 
@@ -288,6 +285,7 @@ def dominant_character(rs, lam):
               rs.root_norm2(alpha))
              for alpha, alpha_fw in zip(rs.positive_roots, rs.positive_roots_fw)]
     table = {lam: 1}
+    n = rs.cartan_inverse[0]
     dominate = rs.dominant_rep
     for mu in order[1:]:
         num = 0
@@ -302,12 +300,13 @@ def dominant_character(rs, lam):
                     break
                 num += m * (base + k * norm2a)
                 k += 1
-        den = rs.norm2_shift_diff(lam, mu)
+        # den = n*(|lam+rho|^2 - |mu+rho|^2), so the numerator takes n too
+        den = norms[lam] - norms[mu]
         if den <= 0:
             raise ConsistencyError("norm ordering violated")
-        if (2 * num) % den:
+        if (2 * n * num) % den:
             raise ConsistencyError("multiplicity recursion not exact")
-        mult = 2 * num // den
+        mult = 2 * n * num // den
         if mult <= 0:
             raise ConsistencyError("nonpositive multiplicity")
         table[mu] = mult

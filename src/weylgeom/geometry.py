@@ -17,6 +17,25 @@ from .charring import irrep_character, minuscule_check, weyl_dimension
 from .rootsystem import ConsistencyError, RefusedError, closure
 
 
+def descent(rs, weights, top, nodes):
+    """{weight: level} for the weights reached from top by subtracting
+    alpha_i, i in nodes, one at a time without leaving weights.  Each step
+    lowers the height by one, so the level of w is the height of top - w.
+    The weights of an irreducible module form a saturated set, and so do
+    those of the Levi module its highest weight generates on a set of
+    nodes: from the highest weight this reaches every one of them.
+    """
+    alphas = [rs.alpha_fw(i) for i in nodes]
+
+    def step(w):
+        for a in alphas:
+            v = tuple([x - y for x, y in zip(w, a)])
+            if v in weights:
+                yield v
+
+    return closure([tuple(top)], step)
+
+
 class Geometry:
     """A root system with a chosen standard representation V(omega_beta)."""
 
@@ -30,7 +49,6 @@ class Geometry:
         self.weights = frozenset(self.char.weights)
         self.minuscule = minuscule_check(rs, self.hw)
         self._spaces = {}
-        self._depths = {}
 
     def __repr__(self):
         return "Geometry(%s, beta=%d)" % (self.rs.label or "custom", self.beta)
@@ -39,18 +57,6 @@ class Geometry:
         if delta not in self._spaces:
             self._spaces[delta] = DeltaSpace(self, delta)
         return self._spaces[delta]
-
-    def depth(self, w):
-        """Coordinates of hw - w on the simple roots (nonnegative ints),
-        computed once per weight."""
-        q = self._depths.get(w)
-        if q is None:
-            diff = tuple(a - b for a, b in zip(self.hw, w))
-            q = self.rs.simple_coords_int(diff)
-            if any(x < 0 for x in q):
-                raise ConsistencyError("weight above the highest weight")
-            self._depths[w] = q
-        return q
 
 
 class DeltaSpace:
@@ -63,13 +69,8 @@ class DeltaSpace:
         self.geometry = geometry
         self.delta = delta
         self.component = rs.delta_component(geometry.beta, delta)
-        support = []
-        for w in geometry.weights:
-            q = geometry.depth(w)
-            if all(q[i - 1] == 0 for i in range(1, rs.rank + 1)
-                   if i not in self.component):
-                support.append(w)
-        self.support = frozenset(support)
+        levels = descent(rs, geometry.weights, geometry.hw, self.component)
+        self.support = frozenset(levels)
         if self.component:
             sub, nodes = rs.restricted(self.component)
             pos = nodes.index(geometry.beta) + 1
@@ -84,7 +85,11 @@ class DeltaSpace:
             if x[delta - 1] <= 0 or any(x[:delta - 1] + x[delta:]):
                 raise ConsistencyError("barycenter of the standard support "
                                        "is not on the omega_delta ray")
-        self.lowest_weight = self._lowest()
+        deepest = max(levels.values())
+        lowest = [w for w, k in levels.items() if k == deepest]
+        if len(lowest) != 1:
+            raise ConsistencyError("lowest weight is not unique")
+        self.lowest_weight = lowest[0]
 
     @cached_property
     def levi_type(self):
@@ -93,17 +98,6 @@ class DeltaSpace:
         if not self.component:
             return None
         return self.geometry.rs.restricted(self.component)[0].classify()
-
-    def _lowest(self):
-        rs = self.geometry.rs
-        depths = {w: self.geometry.depth(w) for w in self.support}
-        minimal = [w for w in self.support
-                   if not any(v != w and all(a >= b for a, b in
-                                             zip(depths[v], depths[w]))
-                              for v in self.support)]
-        if len(minimal) != 1:
-            raise ConsistencyError("lowest weight is not unique")
-        return minimal[0]
 
     def __repr__(self):
         return "DeltaSpace(delta=%d, dim=%d)" % (self.delta, self.dimension)
@@ -118,24 +112,23 @@ def dimension_diagram(geometry):
 def hasse_diagram(rs, lam):
     """Weights of V(lam) ordered by root-lattice descent.
 
-    Returns (nodes, edges): nodes sorted by (depth, weight), edges are
-    (upper, lower, i) with lower = upper - alpha_i, both weights of V(lam).
+    Returns (nodes, edges): nodes sorted by (level, weight), the level of w
+    being the height of lam - w; edges are (upper, lower, i) with lower =
+    upper - alpha_i, both weights of V(lam).
     """
-    char = irrep_character(rs, tuple(lam))
-    weights = set(char.weights)
-    hw = tuple(lam)
-
-    def depth(w):
-        return sum(rs.simple_coords_int(tuple(a - b for a, b in zip(hw, w))))
-
-    nodes = sorted(weights, key=lambda w: (depth(w), tuple(-x for x in w)))
+    weights = set(irrep_character(rs, tuple(lam)).weights)
+    levels = descent(rs, weights, tuple(lam), range(1, rs.rank + 1))
+    if len(levels) != len(weights):
+        raise ConsistencyError("a weight is not reached from the highest "
+                               "weight")
+    nodes = sorted(weights, key=lambda w: (levels[w], tuple(-x for x in w)))
     edges = []
     for u in nodes:
         for i in range(1, rs.rank + 1):
             v = tuple(a - b for a, b in zip(u, rs.alpha_fw(i)))
             if v in weights:
                 edges.append((u, v, i))
-    edges.sort(key=lambda e: (depth(e[0]), tuple(-x for x in e[0]), e[2]))
+    edges.sort(key=lambda e: (levels[e[0]], tuple(-x for x in e[0]), e[2]))
     return nodes, edges
 
 

@@ -96,41 +96,31 @@ def family_cartan(family, rank):
 
 
 def symmetrizer(cartan):
-    """Positive integer d with C[i][j]*d[j] == C[j][i]*d[i], minimal per
-    connected component (short roots get 1)."""
+    """Positive integers d with C[i][j]*d[j] == C[j][i]*d[i], the least on
+    each connected component (in finite type, short roots get 1)."""
     n = len(cartan)
     d = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
         d[start] = Fraction(1)
-        stack = [start]
-        comp = [start]
-        while stack:
-            i = stack.pop()
+
+        def step(i):
             for j in range(n):
-                if j == i or cartan[i][j] == 0:
-                    continue
-                val = d[i] * cartan[j][i] / cartan[i][j]
-                if d[j] is None:
-                    d[j] = val
-                    stack.append(j)
-                    comp.append(j)
-                elif d[j] != val:
-                    raise ConsistencyError("Cartan matrix is not symmetrizable")
-        scale = min(d[i] for i in comp)
+                if j != i and cartan[i][j]:
+                    val = d[i] * cartan[j][i] / cartan[i][j]
+                    if d[j] is None:
+                        d[j] = val
+                    elif d[j] != val:
+                        raise ValueError("Cartan matrix is not symmetrizable")
+                    yield j
+
+        comp = closure([start], step)
+        lcm = math.lcm(*(d[i].denominator for i in comp))
+        gcd = math.gcd(*(int(d[i] * lcm) for i in comp))
         for i in comp:
-            d[i] = d[i] / scale
-    out = []
-    for x in d:
-        if x.denominator != 1:
-            raise ConsistencyError("non-integer symmetrizer")
-        out.append(int(x))
-    for i in range(n):
-        for j in range(n):
-            if cartan[i][j] * out[j] != cartan[j][i] * out[i]:
-                raise ConsistencyError("symmetrizer identity failed")
-    return tuple(out)
+            d[i] = int(d[i] * lcm) // gcd
+    return tuple(d)
 
 
 def closure(seeds, step):
@@ -371,7 +361,8 @@ class RootSystem:
     def cartan_inverse(self):
         """C^-1 as an integer pair (n, m): n is the least positive int that
         makes n*C^-1 integral, and m[j] is column j of n*C^-1, so the j-th
-        simple coordinate of a fw vector x is (x . m[j]) / n."""
+        simple coordinate of a fw vector x is (x . m[j]) / n; scaled_norm2
+        reads it."""
         k = self.rank
         a = [[Fraction(self.cartan[i][j]) for j in range(k)] +
              [Fraction(1 if j == i else 0) for j in range(k)] for i in range(k)]
@@ -390,32 +381,12 @@ class RootSystem:
         return n, tuple(tuple(int(a[i][k + j] * n) for i in range(k))
                         for j in range(k))
 
-    def simple_coords_int(self, fw):
-        """Simple-root coordinates of a fw vector in the root lattice."""
-        n, m = self.cartan_inverse
-        out = []
-        for col in m:
-            q, r = divmod(sum(x * y for x, y in zip(fw, col)), n)
-            if r:
-                raise ConsistencyError("%r is not in the root lattice"
-                                       % (tuple(fw),))
-            out.append(q)
-        return tuple(out)
-
     def scaled_norm2(self, fw):
         """n*(x, x) as an int, for x in fw coordinates and n the first entry
         of cartan_inverse; it orders weights as (x, x) does."""
         _, m = self.cartan_inverse
         return sum(d * x * sum(a * b for a, b in zip(fw, col))
                    for d, x, col in zip(self.d, fw, m))
-
-    def norm2_shift_diff(self, lam, mu):
-        """|lam+rho|^2 - |mu+rho|^2 as an exact int; needs lam-mu in the
-        root lattice."""
-        diff = tuple(a - b for a, b in zip(lam, mu))
-        q = self.simple_coords_int(diff)
-        s = tuple(a + b + 2 for a, b in zip(lam, mu))
-        return self.pair_root(s, q)
 
     # -- diagram combinatorics ----------------------------------------------
 

@@ -573,3 +573,76 @@ def test_apartment_barycenters_are_distinct_and_fill_the_orbit(name, beta,
         centers = {barycenter(o.support) for o in objs}
         assert (len(centers) == len(objs)
                 == rs.orbit_size(rs.fundamental_weight(delta))), delta
+
+
+# the descent walk against the depth filter it replaced
+
+
+def _depths(g):
+    """{w: simple-root coordinates of hw - w} over the weights of V, read
+    off cartan_inverse; each must be a nonnegative integer vector."""
+    n, m = g.rs.cartan_inverse
+    out = {}
+    for w in g.weights:
+        diff = [a - b for a, b in zip(g.hw, w)]
+        q = tuple(sum(x * y for x, y in zip(diff, col)) for col in m)
+        assert all(x >= 0 and x % n == 0 for x in q), w
+        out[w] = tuple(x // n for x in q)
+    return out
+
+
+def _depth_support(g, depths, delta):
+    """The weights w of V with hw - w supported on beta's component once
+    delta is deleted."""
+    comp = g.rs.delta_component(g.beta, delta)
+    return frozenset(w for w, q in depths.items()
+                     if all(x == 0 for i, x in enumerate(q, 1)
+                            if i not in comp))
+
+
+def _w0_image(rs, w, nodes):
+    """w0_J(w) for J = nodes and w dominant on J: apply s_i, i in J, while
+    some coordinate at J is positive."""
+    while True:
+        i = next((i for i in nodes if w[i - 1] > 0), None)
+        if i is None:
+            return w
+        w = rs.reflect(i, w)
+
+
+SMALL = [(name, beta) for name in (
+    ["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+    + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"])
+    for beta in range(1, int(name[1:]) + 1)
+    if charring.weyl_dimension(RootSystem.named(name),
+                               RootSystem.named(name).fundamental_weight(beta))
+    <= 1000]
+
+
+@pytest.mark.parametrize("name,beta", SMALL,
+                         ids=["%s-%d" % c for c in SMALL])
+def test_descent_matches_the_depth_filter(name, beta):
+    g = geom(name, beta)
+    rs = g.rs
+    depths = _depths(g)
+    for delta in range(1, rs.rank + 1):
+        s = g.delta_space(delta)
+        assert s.support == _depth_support(g, depths, delta), delta
+        assert s.lowest_weight == _w0_image(rs, g.hw, s.component), delta
+    # over all nodes the descent reaches every weight, at its height
+    levels = geometry.descent(rs, g.weights, g.hw, range(1, rs.rank + 1))
+    assert levels == {w: sum(q) for w, q in depths.items()}
+
+
+def test_hasse_refuses_a_weight_off_the_descent(monkeypatch):
+    real = geometry.irrep_character
+
+    def padded(rs, lam):
+        # lam + alpha_1 lies above the highest weight
+        top = tuple(a + b for a, b in zip(lam, rs.alpha_fw(1)))
+        return charring.FormalCharacter({**real(rs, lam).weights, top: 1})
+
+    monkeypatch.setattr(geometry, "irrep_character", padded)
+    with pytest.raises(ConsistencyError, match="not reached"):
+        hasse_diagram(RootSystem.named("A2"), (1, 0))

@@ -43,6 +43,25 @@ def test_symmetrizer_tables():
     assert symmetrizer(family_cartan("F", 4)) == (2, 2, 1, 1)
     assert symmetrizer(family_cartan("G", 2)) == (1, 3)
     assert symmetrizer(family_cartan("E", 7)) == (1,) * 7
+    # least integers on each component of C2 + G2
+    c2g2 = [[2, -1, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -1], [0, 0, -3, 2]]
+    assert symmetrizer(c2g2) == (1, 2, 1, 3)
+
+
+def test_symmetrizer_refuses_a_non_symmetrizable_matrix():
+    with pytest.raises(ValueError, match="not symmetrizable"):
+        RootSystem([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+
+
+def test_symmetrizer_takes_the_least_integers():
+    # d_1 = 1 forces (1, 3, 3/2); the least integers are (2, 6, 3).  A
+    # chain with a triple and a double bond is not of finite type
+    rs = RootSystem([[2, -1, 0], [-3, 2, -2], [0, -1, 2]])
+    assert rs.d == (2, 6, 3)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not of finite type"):
+        rs.positive_roots
+    assert time.perf_counter() - start < 1
 
 
 def test_named_parsing_and_ranges():
@@ -379,24 +398,42 @@ def test_diagram_automorphism_counts(name, count):
     assert len(RootSystem.named(name).diagram_automorphisms()) == count
 
 
+def _simple_coords(rs, fw):
+    """Simple-root coordinates of a fw vector, read off cartan_inverse;
+    ValueError off the root lattice."""
+    n, m = rs.cartan_inverse
+    out = []
+    for col in m:
+        q, r = divmod(sum(x * y for x, y in zip(fw, col)), n)
+        if r:
+            raise ValueError("%r is not in the root lattice" % (tuple(fw),))
+        out.append(q)
+    return tuple(out)
+
+
 def test_simple_coords():
     e6 = RootSystem.named("E6")
     theta = e6.root_fw(e6.highest_root)
-    assert e6.simple_coords_int(theta) == (1, 2, 2, 3, 2, 1)
+    assert _simple_coords(e6, theta) == (1, 2, 2, 3, 2, 1)
     # omega_1 is not in the E6 root lattice, but 3*omega_1 is
     n, _ = e6.cartan_inverse
     assert n == 3
-    with pytest.raises(ConsistencyError):
-        e6.simple_coords_int((1, 0, 0, 0, 0, 0))
-    assert e6.simple_coords_int((3, 0, 0, 0, 0, 0)) == (4, 3, 5, 6, 4, 2)
+    with pytest.raises(ValueError):
+        _simple_coords(e6, (1, 0, 0, 0, 0, 0))
+    assert _simple_coords(e6, (3, 0, 0, 0, 0, 0)) == (4, 3, 5, 6, 4, 2)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_simple_coords_invert_root_fw(name):
     rs = RootSystem.named(name)
+    n, m = rs.cartan_inverse
+    # C . (n*C^-1) == n*I, m[j] being column j of n*C^-1
+    assert all(sum(c * x for c, x in zip(rs.cartan[i], m[j]))
+               == (n if i == j else 0)
+               for i in range(rs.rank) for j in range(rs.rank))
     for q in rs.positive_roots:
-        assert rs.simple_coords_int(rs.root_fw(q)) == q
-        assert rs.simple_coords_int(rs.root_fw([-x for x in q])) == \
+        assert _simple_coords(rs, rs.root_fw(q)) == q
+        assert _simple_coords(rs, rs.root_fw([-x for x in q])) == \
             tuple(-x for x in q)
 
 
@@ -410,21 +447,24 @@ def test_scaled_norm_of_roots(name):
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_off_lattice_weights_raise(name):
-    # a dominant weight lies in the root lattice exactly when 0 is one of
-    # the dominant weights below it, which needs no inverse matrix
+    # omega_i is in the root lattice iff n divides omega_i . m[j] for every
+    # j, iff 0 is one of the dominant weights below omega_i, which needs no
+    # inverse matrix
     rs = RootSystem.named(name)
-    n, _ = rs.cartan_inverse
+    n, m = rs.cartan_inverse
     outside = 0
     for i in range(1, rs.rank + 1):
         w = rs.fundamental_weight(i)
-        if rs.zero() in dominant_weights_below(rs, w):
-            rs.simple_coords_int(w)
+        in_lattice = all(col[i - 1] % n == 0 for col in m)
+        assert in_lattice == (rs.zero() in dominant_weights_below(rs, w))
+        if in_lattice:
+            _simple_coords(rs, w)
             continue
         outside += 1
         for v in (w, tuple(a + b for a, b in zip(w, rs.alpha_fw(i)))):
-            with pytest.raises(ConsistencyError):
-                rs.simple_coords_int(v)
-        rs.simple_coords_int(tuple(n * x for x in w))
+            with pytest.raises(ValueError):
+                _simple_coords(rs, v)
+        _simple_coords(rs, tuple(n * x for x in w))
     # only E8, F4 and G2 have root lattice = weight lattice
     assert (outside == 0) == (name in ("E8", "F4", "G2")) == (n == 1)
 
@@ -442,19 +482,6 @@ def test_norms_and_pairings():
     a2 = RootSystem.named("A2")
     assert a2.cartan_inverse == (3, ((2, 1), (1, 2)))
     assert a2.scaled_norm2((1, 1)) == 6
-
-
-def test_norm2_shift_diff_matches_scaled_norms():
-    e6 = RootSystem.named("E6")
-    n, _ = e6.cartan_inverse
-    lam = (1, 0, 0, 0, 0, 0)
-    theta = e6.root_fw(e6.highest_root)
-    mu = tuple(a - b for a, b in zip(lam, theta))
-    direct = e6.norm2_shift_diff(lam, mu)
-    rho = e6.rho
-    scaled = (e6.scaled_norm2(tuple(a + b for a, b in zip(lam, rho)))
-              - e6.scaled_norm2(tuple(a + b for a, b in zip(mu, rho))))
-    assert n * direct == scaled
 
 
 def test_restricted_levi_dimension_data():

@@ -34,7 +34,7 @@ from .duality import (
     E6Duality,
     Triality,
     chamber_automorphism_check,
-    dn_swap_automorphism,
+    diagram_duality,
     e7_inner_ideal_check,
     e7_rank_one_check,
     wprime_orbits,
@@ -324,7 +324,7 @@ def check_e6_duality():
 
 
 def check_incidence():
-    from itertools import combinations
+    from itertools import combinations, product
 
     g = Geometry(RootSystem.named("A3"), 1)
     objs = {d: apartment_objects(g, d) for d in (1, 2, 3)}
@@ -334,14 +334,15 @@ def check_incidence():
         subsets = {frozenset(c) for c in combinations(g.weights, d)}
         _expect({o.support for o in objs[d]} == subsets,
                 "A3 type %d objects are the %d-subsets" % (d, d))
-    for da in (1, 2, 3):
-        for db in (1, 2, 3):
-            for a in objs[da]:
-                for b in objs[db]:
-                    want = (a.support == b.support if da == db
-                            else a.support <= b.support
-                            or b.support <= a.support)
-                    _expect(incidence(g, a, b) == want, "A3 subset oracle")
+    # B4's vector geometry has the zero weight; incidence is containment too
+    for gg in (g, Geometry(RootSystem.named("B4"), 1)):
+        objs = [o for d in range(1, gg.rs.rank + 1)
+                for o in apartment_objects(gg, d)]
+        for a, b in product(objs, repeat=2):
+            want = (a.support == b.support if a.delta == b.delta
+                    else a.support <= b.support or b.support <= a.support)
+            _expect(incidence(gg, a, b) == want,
+                    "%s subset oracle" % gg.rs.label)
 
     g4 = Geometry(RootSystem.named("D4"), 1)
     s3 = g4.delta_space(3).support
@@ -353,7 +354,8 @@ def check_incidence():
         _expect(incidence(g4, a, b) == (k == 3), "D4 fork rule")
     _expect(sizes == {1, 3}, "D4 fork overlaps")
 
-    for name, beta in (("A4", 1), ("C4", 1), ("D5", 1), ("E6", 1)):
+    for name, beta in (("A4", 1), ("C4", 1), ("D5", 1), ("E6", 1), ("E7", 7),
+                       ("B4", 1), ("F4", 4), ("G2", 1), ("E8", 8)):
         gg = Geometry(RootSystem.named(name), beta)
         _expect(chamber_pairwise_incident(gg),
                 "%s standard chamber" % name)
@@ -373,27 +375,22 @@ def check_incidence():
             for b in moved[i + 1:]:
                 _expect(incidence(g6, a, b), "translated chamber %r" % (word,))
 
-    for name, beta in (("B4", 1), ("F4", 4), ("G2", 1), ("E8", 8)):
-        try:
-            standard_chamber(Geometry(RootSystem.named(name), beta))
-        except RefusedError:
-            pass
-        else:
-            raise CheckFailure("%s must refuse apartment objects" % name)
-
     g7 = Geometry(RootSystem.named("E7"), 7)
     rs7 = g7.rs
     objs7 = {d: apartment_objects(g7, d) for d in range(1, 8)}
     for d, objs in objs7.items():
         _expect(len(objs) == rs7.orbit_size(rs7.fundamental_weight(d)),
                 "E7 type-%d object count" % d)
-    ch7 = {o.delta: o for o in standard_chamber(g7)}
-    _expect(chamber_pairwise_incident(g7), "E7 standard chamber")
-    # objects of one type on the standard object of the other:
-    # |W(E6)|/|W(D5)| = 27 and |W(D6)|/|W(D5)| = 12
-    for da, db, want in ((7, 1, 27), (1, 7, 12)):
-        _expect(sum(incidence(g7, ch7[da], o) for o in objs7[db]) == want,
-                "E7 type-%d objects on the standard %d-object" % (db, da))
+    # type-b objects on the standard a-object: |W_{S-a}|/|W_{S-a-b}|, that is
+    # E6/D5 = 27, D6/D5 = 12, C3/B2 = 6, A1 = 2 and D7/D6 = 14
+    for name, beta, da, db, want in (
+            ("E7", 7, 7, 1, 27), ("E7", 7, 1, 7, 12), ("F4", 4, 1, 4, 6),
+            ("G2", 1, 1, 2, 2), ("E8", 8, 1, 8, 14)):
+        gg = Geometry(RootSystem.named(name), beta)
+        a = ApartmentObject(da, gg.delta_space(da).support)
+        _expect(sum(incidence(gg, a, o) for o in apartment_objects(gg, db))
+                == want, "%s type-%d objects on the standard %d-object"
+                % (name, db, da))
     _expect(e7_rank_one_check(g7), "E7 extreme weight pairing")
     for delta in range(1, 8):
         _expect(e7_inner_ideal_check(g7, delta),
@@ -754,7 +751,7 @@ def cmd_duality(args):
         im6, op6 = dual.psi_op()
         im4, op4 = tri.psi_op()
         g5 = Geometry(RootSystem.named("D5"), 1)
-        im5, op5 = dn_swap_automorphism(g5)
+        im5, op5 = diagram_duality(g5, (1, 2, 3, 5, 4))
         payload = {
             "e6-psi": chamber_automorphism_check(dual.geometry, im6, op6),
             "d4-triality": chamber_automorphism_check(tri.geometry, im4, op4),

@@ -1,21 +1,22 @@
-"""Dualities of the minuscule geometries.
+"""Dualities of the geometries.
 
-Three support-level symmetries, each expressed purely in terms of weight
+Support-level symmetries, each expressed purely in terms of weight
 arithmetic on a standard representation:
 
+  * every diagram automorphism, on any geometry's objects (diagram_duality);
   * the order-2 duality of the 27-weight geometry (E6 with beta = 1),
     realized by intersecting hyperlines or by a brace-closure filter;
   * triality on the D4 vector weights, realized by an 8x8 partial product
-    whose nonzero entries follow the two diagram rotations;
-  * the chirality swap of D_n, an honest coordinate involution.
+    whose nonzero entries follow the two diagram rotations.
 
+The last two are explicit constructions of maps the first one also gives.
 All maps act on supports (finite sets of weights); every structural claim
 is re-verified on the spot and a mismatch raises ConsistencyError.
 """
 
 from __future__ import annotations
 
-from .geometry import Geometry, translate_support
+from .geometry import Geometry, apartment_objects, barycenter, translate_support
 from .rootsystem import ConsistencyError, RootSystem, closure
 
 
@@ -79,33 +80,40 @@ def chamber_automorphism_check(geometry, index_map, op):
     rng = range(1, rs.rank + 1)
     supp = {d: geometry.delta_space(d).support for d in rng}
     for d in rng:
-        d2, img = op(d, supp[d])
-        if d2 != index_map[d] or img != supp[index_map[d]]:
+        d2 = index_map[d]
+        if op(d, supp[d]) != (d2, supp[d2]):
             return False
-    for d in rng:
-        _, base = op(d, supp[d])
         for i in rng:
-            d2, img = op(d, translate_support(rs, i, supp[d]))
-            want = translate_support(rs, index_map[i], base)
-            if d2 != index_map[d] or img != want:
+            want = translate_support(rs, index_map[i], supp[d2])
+            if op(d, translate_support(rs, i, supp[d])) != (d2, want):
                 return False
     return True
 
 
-def dn_swap_automorphism(geometry):
-    """Chirality swap of a D_n geometry: exchange the two fork nodes.
-
-    Returns (index_map, op) for chamber_automorphism_check.
+def diagram_duality(geometry, perm):
+    """(index_map, op) for chamber_automorphism_check, induced by the
+    diagram automorphism i -> perm[i - 1].  A type-delta object is fixed by
+    its barycenter c_delta*u, u in W.omega_delta and c_delta the
+    delta-coordinate of the standard barycenter.  perm permutes fw
+    coordinates and intertwines s_i with s_perm(i), so op sends the object
+    to the type-perm(delta) object of barycenter c_perm(delta)*perm(u), or
+    to support None where there is none, as when perm is no automorphism.
     """
-    n = geometry.rs.rank
-    index_map = {d: d for d in range(1, n + 1)}
-    index_map[n - 1], index_map[n] = n, n - 1
+    rng = range(1, geometry.rs.rank + 1)
+    index_map = {d: perm[d - 1] for d in rng}
+    scale = {d: barycenter(geometry.delta_space(d).support)[d - 1]
+             for d in rng}
 
-    def swap(w):
-        return w[:n - 2] + (w[n - 1], w[n - 2])
+    def point(delta, support):
+        return tuple(x // scale[delta] for x in barycenter(support))
+
+    supports = {(d, point(d, o.support)): o.support
+                for d in rng for o in apartment_objects(geometry, d)}
 
     def op(delta, support):
-        return index_map[delta], frozenset(swap(w) for w in support)
+        u = point(delta, support)
+        image = tuple(u[perm.index(i)] for i in rng)
+        return index_map[delta], supports.get((index_map[delta], image))
 
     return index_map, op
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .charring import irrep_character, minuscule_check, weyl_dimension
-from .rootsystem import ConsistencyError, RefusedError, closure
+from .rootsystem import MAX_WEIGHTS, ConsistencyError, RefusedError, closure
 
 
 def descent(rs, weights, top, nodes):
@@ -77,14 +77,16 @@ class DeltaSpace:
             self.dimension = weyl_dimension(sub, sub.fundamental_weight(pos))
         else:
             self.dimension = 1
-        if geometry.minuscule:
-            if self.dimension != len(self.support):
-                raise ConsistencyError("dimension and support size disagree")
-            # incidence rests on this: the support sums to c*omega_delta
-            x = barycenter(self.support)
-            if x[delta - 1] <= 0 or any(x[:delta - 1] + x[delta:]):
-                raise ConsistencyError("barycenter of the standard support "
-                                       "is not on the omega_delta ray")
+        # the distinct weights of a module of this dimension, all of them
+        # when V is minuscule
+        if (self.dimension != len(self.support) if geometry.minuscule
+                else self.dimension < len(self.support)):
+            raise ConsistencyError("dimension and support size disagree")
+        # incidence rests on this: the support sums to c*omega_delta
+        x = barycenter(self.support)
+        if x[delta - 1] <= 0 or any(x[:delta - 1] + x[delta:]):
+            raise ConsistencyError("barycenter of the standard support "
+                                   "is not on the omega_delta ray")
         deepest = max(levels.values())
         lowest = [w for w, k in levels.items() if k == deepest]
         if len(lowest) != 1:
@@ -153,13 +155,6 @@ class ApartmentObject:
                                                             len(self.support))
 
 
-def _require_minuscule(geometry):
-    if not geometry.minuscule:
-        raise RefusedError(
-            "apartment objects are only defined for a multiplicity-free "
-            "orbit representation; %r is not one" % (geometry,))
-
-
 def translate_support(rs, i, support):
     return frozenset(rs.reflect(i, w) for w in support)
 
@@ -175,13 +170,19 @@ def apartment_objects(geometry, delta):
     level, the length of a shortest word carrying the standard object there,
     that of a walk on the supports.  Each support is translated once, when
     its barycenter is first reached, through s_i tabulated on the weights
-    of V.
+    of V.  An apartment of |W.omega_delta| objects of |support| weights
+    each is refused above MAX_WEIGHTS weights, before the walk.
     """
-    _require_minuscule(geometry)
     rs = geometry.rs
+    std = geometry.delta_space(delta).support
+    # |W| is cached, and bounds the orbit at less cost than orbit_size
+    if rs._order * len(std) > MAX_WEIGHTS:
+        size = rs.orbit_size(rs.fundamental_weight(delta)) * len(std)
+        if size > MAX_WEIGHTS:
+            raise RefusedError("apartment of %d weights, above the limit of "
+                               "%d" % (size, MAX_WEIGHTS))
     tables = {i: {w: rs.reflect(i, w) for w in geometry.weights}
               for i in range(1, rs.rank + 1)}
-    std = geometry.delta_space(delta).support
     supports = {barycenter(std): std}
 
     def step(x):
@@ -200,7 +201,6 @@ def apartment_objects(geometry, delta):
 
 
 def standard_chamber(geometry):
-    _require_minuscule(geometry)
     return [ApartmentObject(d, geometry.delta_space(d).support)
             for d in range(1, geometry.rs.rank + 1)]
 
@@ -228,7 +228,6 @@ def incidence(geometry, a, b):
 
     |x + y|^2 = |x|^2 + |y|^2 + 2(x, y), so step 3 compares two norms.
     """
-    _require_minuscule(geometry)
     if a.delta == b.delta:
         return a.support == b.support
     rs = geometry.rs

@@ -215,7 +215,7 @@ class RootSystem:
         for i in range(n):
             for j in range(n):
                 if cartan[i][j] * self.d[j] != cartan[j][i] * self.d[i]:
-                    raise ConsistencyError("symmetrizer identity failed")
+                    raise ValueError("d does not symmetrize the matrix")
         self.label = label
         self.key = json.dumps({"cartan": cartan, "d": self.d}, sort_keys=True)
 

@@ -65,7 +65,7 @@ def test_08_e6_duality():
 
 
 def test_09_incidence():
-    """Incidence rules across types, scoped refusals, E7 ideal conditions."""
+    """Incidence across types, minuscule or not, and E7 ideal conditions."""
     out = cli.check_incidence()
     assert out["a3_counts"] == [4, 6, 4]
     assert out["d4_overlaps"] == [1, 3]

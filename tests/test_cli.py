@@ -29,6 +29,7 @@ GOLDEN_CASES = [
     ("duality-e6-ln.json", ["duality", "e6-ln"]),
     ("incidence-e6.json", ["incidence", "E6"]),
     ("incidence-e7.json", ["incidence", "E7"]),
+    ("incidence-f4.json", ["incidence", "F4"]),
 ]
 
 
@@ -68,8 +69,8 @@ def test_usage_error_unknown_command():
 
 
 def test_refused_exit_code(capsys):
-    # the B4 vector representation has a zero weight, so no apartment
-    assert cli.main(["incidence", "B4"]) == 3
+    # V(omega_4) of E8 has 6,899,079,264 weights
+    assert cli.main(["dims", "E8", "--beta", "4"]) == 3
     assert "refused:" in capsys.readouterr().err
 
 

@@ -1,18 +1,18 @@
 import pytest
 
 from weylgeom import ConsistencyError, RootSystem
-from weylgeom.charring import irrep_character
+from weylgeom.charring import irrep_character, weyl_dimension
 from weylgeom.duality import (
     E6Duality,
     Triality,
     chamber_automorphism_check,
-    dn_swap_automorphism,
+    diagram_duality,
     e7_inner_ideal_check,
     e7_rank_one_check,
     wprime_orbits,
     zero_sum_triple_orbits,
 )
-from weylgeom.geometry import Geometry
+from weylgeom.geometry import Geometry, apartment_objects
 
 W1 = (1, 0, 0, 0, 0, 0)
 L3 = (-1, 0, 1, 0, 0, 0)
@@ -240,12 +240,77 @@ def test_d4_chamber_automorphism(tri):
 
 
 def test_dn_swap_automorphism():
+    # on the D_n vector weights the fork swap is the coordinate swap
     for name in ("D4", "D5"):
         g = Geometry(RootSystem.named(name), 1)
-        index_map, op = dn_swap_automorphism(g)
         n = g.rs.rank
+        perm = tuple(range(1, n - 1)) + (n, n - 1)
+        index_map, op = diagram_duality(g, perm)
         assert index_map[n - 1] == n and index_map[n] == n - 1
         assert chamber_automorphism_check(g, index_map, op)
+
+        def swap(w):
+            return w[:n - 2] + (w[n - 1], w[n - 2])
+
+        for d in range(1, n + 1):
+            for o in apartment_objects(g, d):
+                assert op(d, o.support) == (
+                    index_map[d], frozenset(swap(w) for w in o.support))
+
+
+# diagram dualities from barycenters
+
+
+def _all_objects(g):
+    return [o for d in range(1, g.rs.rank + 1)
+            for o in apartment_objects(g, d)]
+
+
+def test_diagram_duality_is_the_e6_duality(dual):
+    perm = tuple(dual.PHI[i] for i in range(1, 7))
+    _, op = diagram_duality(dual.geometry, perm)
+    objs = _all_objects(dual.geometry)
+    assert len(objs) == 1278
+    for o in objs:
+        assert op(o.delta, o.support) == (dual.PHI[o.delta],
+                                          dual.psi_support(o.support))
+
+
+def test_diagram_duality_is_triality(tri):
+    perm = tuple(tri.PHI[i] for i in range(1, 5))
+    _, op = diagram_duality(tri.geometry, perm)
+    objs = _all_objects(tri.geometry)
+    assert len(objs) == 48
+    for o in objs:
+        assert op(o.delta, o.support) == tri.psi(o.delta, o.support)
+
+
+AUTOMORPHIC = [(name, beta) for name in (
+    ["A%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(4, 9)]
+    + ["E6"])
+    for beta in range(1, int(name[1:]) + 1)
+    if weyl_dimension(RootSystem.named(name),
+                      RootSystem.named(name).fundamental_weight(beta))
+    <= 1000]
+
+
+@pytest.mark.parametrize("name,beta", AUTOMORPHIC,
+                         ids=["%s-%d" % c for c in AUTOMORPHIC])
+def test_every_diagram_automorphism_is_a_chamber_automorphism(name, beta):
+    g = Geometry(RootSystem.named(name), beta)
+    identity = tuple(range(1, g.rs.rank + 1))
+    perms = [p for p in g.rs.diagram_automorphisms() if p != identity]
+    assert perms
+    for perm in perms:
+        assert chamber_automorphism_check(g, *diagram_duality(g, perm)), perm
+
+
+def test_a_node_swap_off_the_diagram_is_no_automorphism(dual):
+    # nodes 1 and 2 of E6 have different neighbours
+    perm = (2, 1, 3, 4, 5, 6)
+    assert perm not in dual.rs.diagram_automorphisms()
+    index_map, op = diagram_duality(dual.geometry, perm)
+    assert not chamber_automorphism_check(dual.geometry, index_map, op)
 
 
 # orbit bookkeeping

@@ -195,13 +195,16 @@ def test_hasse_e6_negated_twist_is_anti_automorphism():
 # apartment objects and incidence
 
 
-def test_apartment_refuses_non_minuscule():
-    for name, beta in (("B3", 1), ("F4", 4), ("G2", 1), ("E8", 8)):
-        g = geom(name, beta)
-        with pytest.raises(RefusedError):
-            apartment_objects(g, 1)
-        with pytest.raises(RefusedError):
-            standard_chamber(g)
+def test_e8_node4_apartment_is_refused_before_the_walk(monkeypatch):
+    # E8 beta = 8, delta = 4: 483,840 objects of 5 weights each
+    g = geom("E8", 8)
+    assert len(g.delta_space(4).support) == 5
+
+    def refuse(seeds, step):
+        raise AssertionError("closure called")
+    monkeypatch.setattr(geometry, "closure", refuse)
+    with pytest.raises(RefusedError, match="2419200 weights"):
+        apartment_objects(g, 4)
 
 
 def test_e8_node4_geometry_is_refused_before_any_work(monkeypatch):
@@ -264,6 +267,21 @@ def test_apartment_is_the_weyl_orbit_of_the_standard_object(name, beta):
         for i in range(1, rs.rank + 1):
             assert {translate_support(rs, i, s) for s in supports} == supports
         assert len(supports) == rs.orbit_size(rs.fundamental_weight(delta))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bn_vector_incidence_is_containment(n):
+    # V(omega_1) of B_n has the zero weight and is not minuscule; its
+    # objects are still the isotropic subsets of the 2n nonzero weights
+    g = geom("B%d" % n, 1)
+    objs = [o for d in range(1, n + 1) for o in apartment_objects(g, d)]
+    pairs = 0
+    for a, b in itertools.combinations(objs, 2):
+        if a.delta != b.delta:
+            pairs += 1
+            assert incidence(g, a, b) == (a.support <= b.support
+                                          or b.support <= a.support)
+    assert pairs == {3: 216, 4: 2240, 5: 21520}[n]
 
 
 def test_d4_fork_incidence():
@@ -437,17 +455,20 @@ CATALOG_CASES = ([("A%d" % n, beta) for n in (3, 4, 5)
                  + [("E6", 1), ("E6", 6)])
 
 
-def _standard_and_all(g, one_way=False):
+def _standard_and_all(g, one_way=False, most=None):
     """(standard delta_a object, delta_b, every delta_b object) for every
     pair of different types; incidence is W-invariant and W is transitive
     on each type, so these pairs meet every orbit of pairs.  With one_way,
-    each pair of types comes once, on the side with fewer objects."""
+    each pair of types comes once, on the side with fewer objects; with
+    most, only types of at most that many objects take part."""
     rs = g.rs
     chamber = {o.delta: o for o in standard_chamber(g)}
     size = {d: rs.orbit_size(rs.fundamental_weight(d)) for d in chamber}
     objects = {}
     for da, db in itertools.permutations(chamber, 2):
         if one_way and (size[db], db) > (size[da], da):
+            continue
+        if most is not None and max(size[da], size[db]) > most:
             continue
         if db not in objects:
             objects[db] = apartment_objects(g, db)
@@ -476,7 +497,13 @@ def test_chamber_test_agrees_with_the_catalog(name, beta):
         assert undecided == 0
 
 
-PARABOLIC_CASES = CATALOG_CASES + [("E7", 7)]
+# V(omega_beta) not minuscule: each has the zero weight, of multiplicity
+# above 1 except in B_n and G2 with beta = 1
+NON_MINUSCULE = [("B3", 1), ("B4", 1), ("B5", 1), ("C3", 2), ("C4", 2),
+                 ("D4", 2), ("E6", 2), ("F4", 1), ("F4", 4), ("G2", 1),
+                 ("G2", 2)]
+PARABOLIC_CASES = (CATALOG_CASES + [("E7", 7)] + NON_MINUSCULE
+                   + [("E7", 1), ("E8", 8)])
 
 
 @pytest.mark.parametrize("name,beta", PARABOLIC_CASES,
@@ -484,10 +511,13 @@ PARABOLIC_CASES = CATALOG_CASES + [("E7", 7)]
 def test_incident_objects_count_parabolic_cosets(name, beta):
     # the type-b objects on the standard type-a object are the cosets of
     # W_{S-{a,b}} in W_{S-{a}}; the index is |W.(w_a+w_b)| / |W.w_a|.  E7
-    # has 17,642 objects, so there each pair of types is counted one way
+    # has 17,642 objects, so there each pair of types is counted one way;
+    # E8 has 881,760, so there only types of at most 2,160 objects count
     g = geom(name, beta)
     rs = g.rs
-    for a, db, objects in _standard_and_all(g, one_way=name == "E7"):
+    for a, db, objects in _standard_and_all(
+            g, one_way=name in ("E7", "E8"),
+            most=2160 if name == "E8" else None):
         wa, wb = rs.fundamental_weight(a.delta), rs.fundamental_weight(db)
         both = tuple(x + y for x, y in zip(wa, wb))
         want = rs.orbit_size(both) // rs.orbit_size(wa)
@@ -503,11 +533,20 @@ MINUSCULE = ([("A%d" % n, beta) for n in range(1, 9)
              + [("E6", 1), ("E6", 6), ("E7", 7)])
 
 
-@pytest.mark.parametrize("name,beta", MINUSCULE,
-                         ids=["%s-%d" % c for c in MINUSCULE])
+SMALL = [(name, beta) for name in (
+    ["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+    + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"])
+    for beta in range(1, int(name[1:]) + 1)
+    if charring.weyl_dimension(RootSystem.named(name),
+                               RootSystem.named(name).fundamental_weight(beta))
+    <= 1000]
+
+
+@pytest.mark.parametrize("name,beta", SMALL,
+                         ids=["%s-%d" % c for c in SMALL])
 def test_standard_barycenter_lies_on_the_omega_delta_ray(name, beta):
     g = geom(name, beta)
-    assert g.minuscule
     for delta in range(1, g.rs.rank + 1):
         x = barycenter(g.delta_space(delta).support)
         c = x[delta - 1]
@@ -516,10 +555,16 @@ def test_standard_barycenter_lies_on_the_omega_delta_ray(name, beta):
 
 
 def test_barycenter_off_the_ray_is_refused(monkeypatch):
-    g = geom("A3", 1)
     monkeypatch.setattr(geometry, "barycenter", lambda support: (1, 1, 0))
-    with pytest.raises(ConsistencyError):
-        g.delta_space(2)
+    for name in ("A3", "B3"):
+        with pytest.raises(ConsistencyError, match="omega_delta ray"):
+            geom(name, 1).delta_space(2)
+
+
+@pytest.mark.parametrize("name,beta", SMALL,
+                         ids=["%s-%d" % c for c in SMALL])
+def test_standard_chamber_is_pairwise_incident(name, beta):
+    assert chamber_pairwise_incident(geom(name, beta))
 
 
 # the barycenter walk against the support walk it replaced
@@ -546,6 +591,8 @@ def _negative_roots(rs, x):
 
 WALK_CASES = ([(name, beta, range(1, int(name[1:]) + 1))
                for name, beta in MINUSCULE if int(name[1:]) <= 6]
+              + [(name, beta, range(1, int(name[1:]) + 1))
+                 for name, beta in NON_MINUSCULE]
               + [("E7", 7, (1, 2, 6, 7))])
 
 
@@ -608,16 +655,6 @@ def _w0_image(rs, w, nodes):
         if i is None:
             return w
         w = rs.reflect(i, w)
-
-
-SMALL = [(name, beta) for name in (
-    ["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
-    + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
-    + ["E6", "E7", "E8", "F4", "G2"])
-    for beta in range(1, int(name[1:]) + 1)
-    if charring.weyl_dimension(RootSystem.named(name),
-                               RootSystem.named(name).fundamental_weight(beta))
-    <= 1000]
 
 
 @pytest.mark.parametrize("name,beta", SMALL,

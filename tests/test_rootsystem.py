@@ -53,6 +53,13 @@ def test_symmetrizer_refuses_a_non_symmetrizable_matrix():
         RootSystem([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
 
 
+def test_a_given_symmetrizer_is_checked():
+    b2 = family_cartan("B", 2)
+    with pytest.raises(ValueError, match="does not symmetrize"):
+        RootSystem(b2, d=(1, 1))
+    assert RootSystem(b2, d=(2, 1)).d == (2, 1)
+
+
 def test_symmetrizer_takes_the_least_integers():
     # d_1 = 1 forces (1, 3, 3/2); the least integers are (2, 6, 3).  A
     # chain with a triple and a double bond is not of finite type

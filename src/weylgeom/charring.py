@@ -168,20 +168,21 @@ def weyl_dimension(rs, lam):
     return num // den
 
 
+def _covers(rs, w):
+    """The dominant weights w - alpha, alpha a positive root."""
+    for alpha in rs.positive_roots_fw:
+        v = tuple(a - b for a, b in zip(w, alpha))
+        if all(x >= 0 for x in v):
+            yield v
+
+
 def dominant_weights_below(rs, lam):
     """All dominant weights mu <= lam (coset of the root lattice), found by
     walking covers: subtract positive roots, keep dominant results."""
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError("need a dominant weight")
-
-    def step(w):
-        for alpha in rs.positive_roots_fw:
-            v = tuple(a - b for a, b in zip(w, alpha))
-            if all(x >= 0 for x in v):
-                yield v
-
-    return set(closure([lam], step))
+    return set(closure([lam], lambda w: _covers(rs, w)))
 
 
 class TableStore:
@@ -381,14 +382,19 @@ def check_power_sizes(rs, lam, k):
     series of V(lam) holds more than MAX_WEIGHTS weights.  S^d V(lam) has
     exactly the weights of V(d*lam), the W-orbits of the dominant weights
     below d*lam; Lambda^d V(lam) and each Newton term have some of them.
-    Degree by degree: listing the dominant weights below k*lam is itself
-    unbounded for large k, and the first degree over the limit stops it."""
-    for d in range(1, k + 1):
-        top = tuple(d * x for x in lam)
-        size = sum(map(rs.orbit_size, dominant_weights_below(rs, top)))
+    mu -> mu + lam embeds those of V(d*lam) in V((d+1)*lam), so degree k
+    holds the most; its count stops once past the limit, however large k."""
+    size = 0
+
+    def step(w):
+        nonlocal size
+        size += rs.orbit_size(w)
         if size > MAX_WEIGHTS:
-            raise RefusedError("degree %d powers have %d weights, above the "
-                               "limit of %d" % (d, size, MAX_WEIGHTS))
+            raise RefusedError("degree %d powers have more than %d weights"
+                               % (k, MAX_WEIGHTS))
+        return _covers(rs, w)
+
+    closure([tuple(k * x for x in lam)], step)
 
 
 def symmetric_power(char, k, max_degree=DEFAULT_MAX_POWER):

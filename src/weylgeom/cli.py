@@ -277,11 +277,10 @@ def check_triality():
         for _ in range(3):
             d, s = tri.psi(d, s)
         _expect((d, s) == (1, frozenset((w,))), "third power is the identity")
-    index_map, op = tri.psi_op()
-    _expect(index_map == {1: 3, 2: 2, 3: 4, 4: 1}, "node rotation")
-    _expect(chamber_automorphism_check(g, index_map, op),
+    _expect(tri.PHI == {1: 3, 2: 2, 3: 4, 4: 1}, "node rotation")
+    _expect(chamber_automorphism_check(g, tri.psi),
             "triality is a chamber automorphism")
-    return {"cells": 64, "cycle": {str(k): v for k, v in index_map.items()}}
+    return {"cells": 64, "cycle": {str(k): v for k, v in tri.PHI.items()}}
 
 
 def check_e6_duality():
@@ -317,8 +316,7 @@ def check_e6_duality():
     a_ok, b_ok = dual.ln_conditions(dual.standard_support(1), dual.weights)
     _expect(not a_ok and not b_ok, "perturbed vanishing must fail")
 
-    index_map, op = dual.psi_op()
-    _expect(chamber_automorphism_check(dual.geometry, index_map, op),
+    _expect(chamber_automorphism_check(dual.geometry, dual.psi),
             "psi is a chamber automorphism")
     return {"brace_dimensions": {str(k): v for k, v in sorted(hist.items())}}
 
@@ -649,7 +647,7 @@ def cmd_incidence(args):
     rs, beta = g.rs, g.beta
     chamber = {o.delta: o for o in standard_chamber(g)}
     pairs = []
-    counts = {"incident": 0, "not_incident": 0, "no_rule": 0}
+    counts = {"incident": 0, "not_incident": 0}
     for a in range(1, rs.rank + 1):
         for b in range(a + 1, rs.rank + 1):
             ok = incidence(g, chamber[a], chamber[b])
@@ -748,14 +746,12 @@ def cmd_duality(args):
         payload = {str(d): dual.verify_ln(d) for d in range(1, 7)}
     else:
         tri = Triality()
-        im6, op6 = dual.psi_op()
-        im4, op4 = tri.psi_op()
         g5 = Geometry(RootSystem.named("D5"), 1)
-        im5, op5 = diagram_duality(g5, (1, 2, 3, 5, 4))
         payload = {
-            "e6-psi": chamber_automorphism_check(dual.geometry, im6, op6),
-            "d4-triality": chamber_automorphism_check(tri.geometry, im4, op4),
-            "d5-chirality-swap": chamber_automorphism_check(g5, im5, op5),
+            "e6-psi": chamber_automorphism_check(dual.geometry, dual.psi),
+            "d4-triality": chamber_automorphism_check(tri.geometry, tri.psi),
+            "d5-chirality-swap": chamber_automorphism_check(
+                g5, diagram_duality(g5, (1, 2, 3, 5, 4))),
         }
     return payload, {}
 

@@ -16,7 +16,7 @@ is re-verified on the spot and a mismatch raises ConsistencyError.
 
 from __future__ import annotations
 
-from .geometry import Geometry, apartment_objects, barycenter, translate_support
+from .geometry import Geometry, barycenter, translate_support
 from .rootsystem import ConsistencyError, RootSystem, closure
 
 
@@ -69,19 +69,23 @@ def zero_sum_triple_orbits(rs, s1, s2, s3):
     return triples, orbits
 
 
-def chamber_automorphism_check(geometry, index_map, op):
-    """Check that op is a chamber automorphism twisted by index_map.
+def chamber_automorphism_check(geometry, op):
+    """Check that op is a chamber automorphism.
 
-    op(delta, support) -> (new_delta, new_support) must send the standard
-    delta-space to the standard index_map[delta]-space, and must intertwine
-    the simple reflections: op(delta, s_i S) = s_{index_map[i]} op(delta, S).
+    op(delta, support) -> (m(delta), support') must permute the types by
+    m, send the standard delta-space to the standard m(delta)-space, and
+    satisfy op(delta, s_i S) = s_{m(i)} op(delta, S).
     """
     rs = geometry.rs
     rng = range(1, rs.rank + 1)
     supp = {d: geometry.delta_space(d).support for d in rng}
+    images = {d: op(d, supp[d]) for d in rng}
+    index_map = {d: images[d][0] for d in rng}
+    if sorted(index_map.values()) != list(rng):
+        return False
     for d in rng:
         d2 = index_map[d]
-        if op(d, supp[d]) != (d2, supp[d2]):
+        if images[d] != (d2, supp[d2]):
             return False
         for i in rng:
             want = translate_support(rs, index_map[i], supp[d2])
@@ -91,31 +95,38 @@ def chamber_automorphism_check(geometry, index_map, op):
 
 
 def diagram_duality(geometry, perm):
-    """(index_map, op) for chamber_automorphism_check, induced by the
-    diagram automorphism i -> perm[i - 1].  A type-delta object is fixed by
-    its barycenter c_delta*u, u in W.omega_delta and c_delta the
+    """The op for chamber_automorphism_check induced by the diagram
+    automorphism i -> perm[i - 1].  A type-delta object is fixed by its
+    barycenter c_delta*u, u in W.omega_delta and c_delta the
     delta-coordinate of the standard barycenter.  perm permutes fw
     coordinates and intertwines s_i with s_perm(i), so op sends the object
-    to the type-perm(delta) object of barycenter c_perm(delta)*perm(u), or
-    to support None where there is none, as when perm is no automorphism.
+    to the type-perm(delta) object of barycenter c_perm(delta)*perm(u): the
+    standard one translated back along the reflections at negative
+    coordinates that make perm(u) dominant, or support None when that
+    dominant weight is not omega_perm(delta), as when perm is no
+    automorphism.
     """
-    rng = range(1, geometry.rs.rank + 1)
-    index_map = {d: perm[d - 1] for d in rng}
+    rs = geometry.rs
+    rng = range(1, rs.rank + 1)
     scale = {d: barycenter(geometry.delta_space(d).support)[d - 1]
              for d in rng}
 
-    def point(delta, support):
-        return tuple(x // scale[delta] for x in barycenter(support))
-
-    supports = {(d, point(d, o.support)): o.support
-                for d in rng for o in apartment_objects(geometry, d)}
-
     def op(delta, support):
-        u = point(delta, support)
-        image = tuple(u[perm.index(i)] for i in rng)
-        return index_map[delta], supports.get((index_map[delta], image))
+        x = barycenter(support)
+        u = tuple(x[perm.index(i)] // scale[delta] for i in rng)
+        word = []
+        while min(u) < 0:
+            word.append(u.index(min(u)) + 1)
+            u = rs.reflect(word[-1], u)
+        d2 = perm[delta - 1]
+        if u != rs.fundamental_weight(d2):
+            return d2, None
+        image = geometry.delta_space(d2).support
+        for i in reversed(word):
+            image = translate_support(rs, i, image)
+        return d2, image
 
-    return index_map, op
+    return op
 
 
 class E6Duality:
@@ -196,9 +207,9 @@ class E6Duality:
                                    % delta)
         return out
 
-    def psi_op(self):
-        index_map = dict(self.PHI)
-        return index_map, lambda d, s: (index_map[d], self.psi_support(s))
+    def psi(self, delta, support):
+        """The duality on an apartment object of type delta."""
+        return self.PHI[delta], self.psi_support(support)
 
     def wprime_orbit_of(self, my):
         if self._orbits is None:
@@ -375,9 +386,6 @@ class Triality:
             right = self.star_support(self.weights, support)
             return 2, self.star_support(support, right)
         raise ValueError("delta out of range")
-
-    def psi_op(self):
-        return dict(self.PHI), self.psi
 
 
 def e7_rank_one_check(geometry=None):

@@ -273,17 +273,6 @@ class RootSystem:
             else:
                 return cur
 
-    def minus_w0(self):
-        """The permutation p (1-based tuple) with -w0(omega_i) = omega_p[i]."""
-        perm = []
-        for i in range(1, self.rank + 1):
-            img = self.dual_weight(self.fundamental_weight(i))
-            ones = [j for j, x in enumerate(img) if x == 1]
-            if sum(img) != 1 or len(ones) != 1:
-                raise ConsistencyError("-w0 does not permute fundamental weights")
-            perm.append(ones[0] + 1)
-        return tuple(perm)
-
     def dual_weight(self, w):
         """-w0(w), the highest weight of the dual of V(w)."""
         return self.dominant_rep(tuple(-x for x in w))

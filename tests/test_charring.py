@@ -489,8 +489,8 @@ def test_power_size_count_is_exact(monkeypatch, name, lam, k):
     monkeypatch.setattr(charring, "MAX_WEIGHTS", size)
     check_power_sizes(rs, lam, k)
     monkeypatch.setattr(charring, "MAX_WEIGHTS", size - 1)
-    with pytest.raises(RefusedError,
-                       match="degree %d powers have %d weights" % (k, size)):
+    with pytest.raises(RefusedError, match="degree %d powers have more than "
+                       "%d weights" % (k, size - 1)):
         check_power_sizes(rs, lam, k)
 
 
@@ -498,9 +498,45 @@ def test_power_size_guard_on_the_e8_adjoint():
     e8 = RootSystem.named("E8")
     adjoint = (0, 0, 0, 0, 0, 0, 0, 1)
     check_power_sizes(e8, adjoint, 4)  # 996,001 weights at degree 4
-    # the count stops at the first degree over the limit, so a huge k is
-    # refused as quickly as k = 5
+    # the count stops once it passes the limit, so a huge k is refused as
+    # quickly as k = 5 (5,109,841 weights)
     for k in (5, 1000):
-        with pytest.raises(RefusedError,
-                           match="degree 5 powers have 5109841 weights"):
+        with pytest.raises(RefusedError, match="degree %d powers have more "
+                           "than 1000000 weights" % k):
             check_power_sizes(e8, adjoint, k)
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("A1", (1,)), ("A2", (1, 0)), ("A2", (1, 1)), ("B2", (1, 0)),
+    ("G2", (1, 0)), ("C3", (0, 1, 0)), ("D4", (0, 0, 1, 0)),
+])
+def test_power_weight_counts_never_fall(name, lam):
+    # mu -> mu + lam embeds the weights of V(d*lam) in those of
+    # V((d+1)*lam), so the guard need only count degree k
+    r = rs(name)
+    sizes = [sum(map(r.orbit_size,
+                     dominant_weights_below(r, tuple(d * x for x in lam))))
+             for d in range(1, 7)]
+    assert sizes == sorted(sizes)
+    for d, size in enumerate(sizes, 1):
+        if d <= 3:
+            char = irrep_character(r, tuple(d * x for x in lam))
+            assert len(char.weights) == size
+
+
+def test_power_size_guard_stops_counting_at_the_limit(monkeypatch):
+    calls = 0
+    a1 = rs("A1")
+    orbit_size = a1.orbit_size
+
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        assert calls <= 20_000, "the count ran past the limit"
+        return orbit_size(w)
+
+    monkeypatch.setattr(a1, "orbit_size", counted)
+    monkeypatch.setattr(charring, "MAX_WEIGHTS", 10_000)
+    with pytest.raises(RefusedError, match="degree 1000000 powers have more "
+                       "than 10000 weights"):
+        check_power_sizes(a1, (1,), 10**6)

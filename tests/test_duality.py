@@ -12,7 +12,8 @@ from weylgeom.duality import (
     wprime_orbits,
     zero_sum_triple_orbits,
 )
-from weylgeom.geometry import Geometry, apartment_objects
+from weylgeom import geometry
+from weylgeom.geometry import Geometry, apartment_objects, barycenter
 
 W1 = (1, 0, 0, 0, 0, 0)
 L3 = (-1, 0, 1, 0, 0, 0)
@@ -150,8 +151,7 @@ def test_verify_ln_perturbation_control(dual):
 
 
 def test_e6_chamber_automorphism(dual):
-    index_map, op = dual.psi_op()
-    assert chamber_automorphism_check(dual.geometry, index_map, op)
+    assert chamber_automorphism_check(dual.geometry, dual.psi)
 
 
 # triality on the D4 vector weights
@@ -234,9 +234,8 @@ def test_triality_psi_cubed_is_identity_on_points(tri):
 
 
 def test_d4_chamber_automorphism(tri):
-    index_map, op = tri.psi_op()
-    assert index_map == {1: 3, 2: 2, 3: 4, 4: 1}
-    assert chamber_automorphism_check(tri.geometry, index_map, op)
+    assert tri.PHI == {1: 3, 2: 2, 3: 4, 4: 1}
+    assert chamber_automorphism_check(tri.geometry, tri.psi)
 
 
 def test_dn_swap_automorphism():
@@ -245,9 +244,8 @@ def test_dn_swap_automorphism():
         g = Geometry(RootSystem.named(name), 1)
         n = g.rs.rank
         perm = tuple(range(1, n - 1)) + (n, n - 1)
-        index_map, op = diagram_duality(g, perm)
-        assert index_map[n - 1] == n and index_map[n] == n - 1
-        assert chamber_automorphism_check(g, index_map, op)
+        op = diagram_duality(g, perm)
+        assert chamber_automorphism_check(g, op)
 
         def swap(w):
             return w[:n - 2] + (w[n - 1], w[n - 2])
@@ -255,7 +253,7 @@ def test_dn_swap_automorphism():
         for d in range(1, n + 1):
             for o in apartment_objects(g, d):
                 assert op(d, o.support) == (
-                    index_map[d], frozenset(swap(w) for w in o.support))
+                    perm[d - 1], frozenset(swap(w) for w in o.support))
 
 
 # diagram dualities from barycenters
@@ -266,51 +264,125 @@ def _all_objects(g):
             for o in apartment_objects(g, d)]
 
 
+def _lookup_duality(g, perm):
+    """The same map found by walking every apartment into a
+    {(type, barycenter / c_type): support} dict, as an oracle."""
+    rng = range(1, g.rs.rank + 1)
+    scale = {d: barycenter(g.delta_space(d).support)[d - 1] for d in rng}
+
+    def point(delta, support):
+        return tuple(x // scale[delta] for x in barycenter(support))
+
+    supports = {(d, point(d, o.support)): o.support
+                for d in rng for o in apartment_objects(g, d)}
+
+    def op(delta, support):
+        u = point(delta, support)
+        image = tuple(u[perm.index(i)] for i in rng)
+        return perm[delta - 1], supports.get((perm[delta - 1], image))
+
+    return op
+
+
 def test_diagram_duality_is_the_e6_duality(dual):
     perm = tuple(dual.PHI[i] for i in range(1, 7))
-    _, op = diagram_duality(dual.geometry, perm)
+    op = diagram_duality(dual.geometry, perm)
     objs = _all_objects(dual.geometry)
     assert len(objs) == 1278
     for o in objs:
-        assert op(o.delta, o.support) == (dual.PHI[o.delta],
-                                          dual.psi_support(o.support))
+        assert op(o.delta, o.support) == dual.psi(o.delta, o.support)
 
 
 def test_diagram_duality_is_triality(tri):
     perm = tuple(tri.PHI[i] for i in range(1, 5))
-    _, op = diagram_duality(tri.geometry, perm)
+    op = diagram_duality(tri.geometry, perm)
     objs = _all_objects(tri.geometry)
     assert len(objs) == 48
     for o in objs:
         assert op(o.delta, o.support) == tri.psi(o.delta, o.support)
 
 
-AUTOMORPHIC = [(name, beta) for name in (
+# every geometry of A2-A8, D4-D8 and E6, each with a nontrivial diagram
+# automorphism
+EVERY_AUTOMORPHIC = [(name, beta) for name in (
     ["A%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(4, 9)]
     + ["E6"])
-    for beta in range(1, int(name[1:]) + 1)
-    if weyl_dimension(RootSystem.named(name),
-                      RootSystem.named(name).fundamental_weight(beta))
-    <= 1000]
+    for beta in range(1, int(name[1:]) + 1)]
+AUTOMORPHIC = [(name, beta) for name, beta in EVERY_AUTOMORPHIC
+               if weyl_dimension(RootSystem.named(name),
+                                 RootSystem.named(name).fundamental_weight(
+                                     beta)) <= 1000]
+
+
+def _other_automorphisms(rs):
+    identity = tuple(range(1, rs.rank + 1))
+    return [p for p in rs.diagram_automorphisms() if p != identity]
 
 
 @pytest.mark.parametrize("name,beta", AUTOMORPHIC,
                          ids=["%s-%d" % c for c in AUTOMORPHIC])
+def test_diagram_duality_agrees_with_the_apartment_lookup(name, beta):
+    g = Geometry(RootSystem.named(name), beta)
+    objs = _all_objects(g)
+    for perm in _other_automorphisms(g.rs):
+        op, oracle = diagram_duality(g, perm), _lookup_duality(g, perm)
+        for o in objs:
+            assert op(o.delta, o.support) == oracle(o.delta, o.support), perm
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_off_the_diagram_both_maps_miss_on_the_same_objects(beta):
+    # nodes 1 and 2 of E6 have different neighbours
+    g = Geometry(RootSystem.named("E6"), beta)
+    perm = (2, 1, 3, 4, 5, 6)
+    op, oracle = diagram_duality(g, perm), _lookup_duality(g, perm)
+    images = [op(o.delta, o.support) for o in _all_objects(g)]
+    assert images == [oracle(o.delta, o.support) for o in _all_objects(g)]
+    assert any(s is None for _, s in images)
+    assert any(s is not None for _, s in images)
+
+
+@pytest.mark.parametrize("name,beta", EVERY_AUTOMORPHIC,
+                         ids=["%s-%d" % c for c in EVERY_AUTOMORPHIC])
 def test_every_diagram_automorphism_is_a_chamber_automorphism(name, beta):
     g = Geometry(RootSystem.named(name), beta)
-    identity = tuple(range(1, g.rs.rank + 1))
-    perms = [p for p in g.rs.diagram_automorphisms() if p != identity]
+    perms = _other_automorphisms(g.rs)
     assert perms
     for perm in perms:
-        assert chamber_automorphism_check(g, *diagram_duality(g, perm)), perm
+        assert chamber_automorphism_check(g, diagram_duality(g, perm)), perm
+
+
+def test_diagram_duality_walks_no_apartment(monkeypatch):
+    g = Geometry(RootSystem.named("D8"), 4)
+    for d in range(1, 9):
+        g.delta_space(d)
+
+    def forbidden(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(geometry, "apartment_objects", forbidden)
+    monkeypatch.setattr(geometry, "closure", forbidden)
+    perm = (1, 2, 3, 4, 5, 6, 8, 7)
+    assert chamber_automorphism_check(g, diagram_duality(g, perm))
+
+
+def test_an_op_that_merges_types_is_no_automorphism(tri):
+    g = tri.geometry
+    # the rotation with types 1 and 3 both sent to 4, and the rotation with
+    # type 3 sent outside the diagram
+    merged = {1: 4, 2: 2, 3: 4, 4: 1}
+    assert not chamber_automorphism_check(
+        g, lambda d, s: (merged[d], tri.psi(d, s)[1]))
+    assert not chamber_automorphism_check(
+        g, lambda d, s: (5 if d == 3 else tri.PHI[d], tri.psi(d, s)[1]))
 
 
 def test_a_node_swap_off_the_diagram_is_no_automorphism(dual):
     # nodes 1 and 2 of E6 have different neighbours
     perm = (2, 1, 3, 4, 5, 6)
     assert perm not in dual.rs.diagram_automorphisms()
-    index_map, op = diagram_duality(dual.geometry, perm)
-    assert not chamber_automorphism_check(dual.geometry, index_map, op)
+    assert not chamber_automorphism_check(
+        dual.geometry, diagram_duality(dual.geometry, perm))
 
 
 # orbit bookkeeping

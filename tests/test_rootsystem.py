@@ -148,7 +148,10 @@ def test_dominant_and_antidominant():
     ("B3", (1, 2, 3)),
 ])
 def test_minus_w0(name, perm):
-    assert RootSystem.named(name).minus_w0() == perm
+    r = RootSystem.named(name)
+    for i in range(1, r.rank + 1):
+        assert (r.dual_weight(r.fundamental_weight(i))
+                == r.fundamental_weight(perm[i - 1]))
 
 
 def test_dual_weight():

@@ -7,10 +7,6 @@ weights only, and arbitrary characters are decomposed by peeling highest
 weights in an order refining dominance.
 """
 
-from __future__ import annotations
-
-import hashlib
-import json
 import os
 
 from .rootsystem import (
@@ -43,12 +39,6 @@ class FormalCharacter:
 
     def items(self):
         return self.weights.items()
-
-    def get(self, w, default=0):
-        return self.weights.get(tuple(w), default)
-
-    def support(self):
-        return frozenset(self.weights)
 
     def dimension(self):
         return sum(self.weights.values())
@@ -188,7 +178,8 @@ def dominant_weights_below(rs, lam):
 class TableStore:
     """Dominant character tables, memoized by (system key, weight) and, when
     a directory is given, kept there as one json file per table.  A file
-    whose header, checksum or table does not hold up is a miss."""
+    whose header, checksum or table does not hold up is a miss.  Only the
+    file methods import hashlib and json."""
 
     def __init__(self, directory=None):
         if directory:
@@ -197,6 +188,7 @@ class TableStore:
         self.memo = {}
 
     def _path(self, rs, lam):
+        import hashlib
         digest = hashlib.sha256((rs.key + repr(lam)).encode()).hexdigest()[:24]
         return os.path.join(self.directory, "domchar-%s.json" % digest)
 
@@ -212,6 +204,7 @@ class TableStore:
     def put(self, rs, lam, table):
         self.memo[(rs.key, lam)] = table
         if self.directory:
+            import json
             rows = [[list(w), int(m)] for w, m in sorted(table.items())]
             path = self._path(rs, lam)
             # one temp file per process, so concurrent writers never share one
@@ -228,6 +221,7 @@ class TableStore:
                     pass
 
     def _load(self, rs, lam):
+        import json
         try:
             with open(self._path(rs, lam), "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -242,6 +236,8 @@ class TableStore:
 def _payload(rs, lam, rows):
     """The json file of a table, given as sorted [weight, multiplicity]
     rows."""
+    import hashlib
+    import json
     body = json.dumps(rows, sort_keys=True)
     return {"format_version": 1, "system": rs.key, "weight": list(lam),
             "table": rows, "checksum": hashlib.sha256(body.encode()).hexdigest()}

@@ -9,12 +9,7 @@ has an explicit order.  Exit codes: 0 success, 1 internal consistency
 failure, 2 usage error, 3 refused computation.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
 import os
-import re
 import sys
 
 from . import charring
@@ -458,7 +453,32 @@ def render_weight(w):
 
 
 def emit_json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2) + "\\n" on str-keyed
+    dicts, lists, tuples, ints, bools, None and strings json writes as they
+    are (printable ASCII, no quote or backslash); anything else raises."""
+    return _json(payload, "\n") + "\n"
+
+
+def _json(v, newline):
+    if v is None or isinstance(v, bool):
+        return {None: "null", True: "true", False: "false"}[v]
+    if type(v) is int:
+        return str(v)
+    if type(v) is str:
+        if not (v.isascii() and v.isprintable()) or '"' in v or "\\" in v:
+            raise ValueError("string %r needs escapes" % v)
+        return '"%s"' % v
+    inner = newline + "  "
+    if isinstance(v, dict):
+        if not all(type(k) is str for k in v):
+            raise TypeError("dict keys must be strings")
+        items = [inner + _json(k, inner) + ": " + _json(v[k], inner)
+                 for k in sorted(v)]
+        return "{" + ",".join(items) + newline + "}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [inner + _json(x, inner) for x in v]
+        return "[" + ",".join(items) + newline + "]" if items else "[]"
+    raise TypeError("cannot render %s as json" % type(v).__name__)
 
 
 def emit_ascii(payload, indent=0):
@@ -757,11 +777,9 @@ def cmd_duality(args):
 
 
 def cmd_verify(args):
-    names = [n for n, _ in ACCEPTANCE_CHECKS]
-    wanted = names if args.name == "all" else [args.name]
     failed = 0
     for name, fn in ACCEPTANCE_CHECKS:
-        if name not in wanted:
+        if args.name not in ("all", name):
             continue
         try:
             fn()
@@ -773,66 +791,101 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reads comma-separated integer lists such as -1,0 as values, not as
-    flags.  This sets a private attribute of argparse; subparsers inherit
-    the class."""
+# command: (positionals, specs, choices).  specs maps each option, and
+# each positional that is not a required string, to (type, default);
+# choices maps a name to its allowed values.  The entry None holds the
+# global options, which come before the command.
+SYNTAX = {
+    None: ((), {"--format": (str, "json"), "--cache-dir": (str, None)},
+           {"--format": ("json", "ascii", "dot")}),
+    "dims": (("system",), {"--beta": (int, None)}, {}),
+    "hasse": (("system", "index"), {"index": (int, None)}, {}),
+    "orbit": (("system", "weight"), {}, {}),
+    "invariants": (("system", "weight"), {"--max-degree": (int, 3)}, {}),
+    "branch": (("rule",), {"--weight": (str, None)},
+               {"rule": tuple(sorted(NAMED_BRANCHINGS))}),
+    "incidence": (("system",), {"--beta": (int, None)}, {}),
+    "triality": (("what",), {}, {"what": ("table", "psi", "triples")}),
+    "duality": (("what",), {}, {"what": ("e6-chamber", "e6-extra",
+                                         "e6-brace-dims", "e6-ln",
+                                         "automorphisms")}),
+    "verify": (("name",), {"name": (str, "all")},
+               {"name": ("all",) + tuple(n for n, _ in ACCEPTANCE_CHECKS)}),
+}
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
+
+def usage():
+    """The --help text, read off SYNTAX."""
+    lines = []
+    for command, (positionals, specs, choices) in SYNTAX.items():
+        words = [command or "usage: weylgeom"]
+        for name in dict.fromkeys((*positionals, *specs)):
+            word = ("{%s}" % ",".join(choices[name]) if name in choices
+                    else name.lstrip("-").upper())
+            if name not in positionals:
+                word = "[%s %s]" % (name, word)
+            elif specs.get(name, (str, None))[1] is not None:
+                word = "[%s]" % word
+            words.append(word)
+        lines.append(" ".join(words))
+    return ("%s COMMAND ...\n\ncommands:\n  %s\n\n--cache-dir defaults to "
+            "$WEYLGEOM_CACHE.  Options are named in full, as --opt VALUE or\n"
+            "--opt=VALUE.  Exit codes: 0 success, 1 inconsistency, 2 usage "
+            "error, 3 refused.\n" % (lines[0], "\n  ".join(lines[1:])))
 
 
-def build_parser():
-    p = _Parser(
-        prog="weylgeom",
-        description="incidence geometry of standard representations")
-    p.add_argument("--format", choices=("json", "ascii", "dot"),
-                   default="json")
-    p.add_argument("--cache-dir", default=os.environ.get("WEYLGEOM_CACHE"),
-                   help="directory for the character disk cache "
-                        "(default: $WEYLGEOM_CACHE)")
-    sub = p.add_subparsers(dest="command", required=True)
+class Args:
+    """A parsed command line: command and one attribute per SYNTAX name."""
 
-    q = sub.add_parser("dims", help="dimension diagram of a geometry")
-    q.add_argument("system")
-    q.add_argument("--beta", type=int, default=None)
 
-    q = sub.add_parser("hasse", help="weight Hasse diagram of V(omega_i)")
-    q.add_argument("system")
-    q.add_argument("index", type=int)
-
-    q = sub.add_parser("orbit", help="Weyl orbit of a weight")
-    q.add_argument("system")
-    q.add_argument("weight")
-
-    q = sub.add_parser("invariants",
-                       help="trivial multiplicities in tensor powers")
-    q.add_argument("system")
-    q.add_argument("weight")
-    q.add_argument("--max-degree", type=int, default=3)
-
-    q = sub.add_parser("branch", help="restrict an irreducible character")
-    q.add_argument("rule", choices=sorted(NAMED_BRANCHINGS))
-    q.add_argument("--weight", default=None)
-
-    q = sub.add_parser("incidence",
-                       help="pairwise incidence of the standard chamber")
-    q.add_argument("system")
-    q.add_argument("--beta", type=int, default=None)
-
-    q = sub.add_parser("triality", help="D4 triality data")
-    q.add_argument("what", choices=("table", "psi", "triples"))
-
-    q = sub.add_parser("duality", help="E6 duality data")
-    q.add_argument("what", choices=("e6-chamber", "e6-extra",
-                                    "e6-brace-dims", "e6-ln",
-                                    "automorphisms"))
-
-    q = sub.add_parser("verify", help="run the acceptance checks")
-    q.add_argument("name", nargs="?", default="all",
-                   choices=["all"] + [n for n, _ in ACCEPTANCE_CHECKS])
-    return p
+def parse_args(argv):
+    """The command line as Args, or None when it asks for help; a line
+    that does not fit SYNTAX raises UsageError.  The argument after an
+    option is its value, whatever it looks like, so -1,0 can be a weight."""
+    command, given = None, []
+    values = {"--cache-dir": os.environ.get("WEYLGEOM_CACHE")}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None
+        if arg.startswith("--"):
+            name, eq, value = arg.partition("=")
+            if name not in SYNTAX[command][1]:
+                raise UsageError("%r is not an option of %s"
+                                 % (name, command or "weylgeom"))
+            values[name] = value if eq else next(args, None)
+            if values[name] is None:
+                raise UsageError("%s needs a value" % name)
+        elif command is None:
+            if arg not in SYNTAX:
+                raise UsageError("unknown command %r; see --help" % arg)
+            command = arg
+        else:
+            given.append(arg)
+    if command is None:
+        raise UsageError("no command given; see --help")
+    positionals = SYNTAX[command][0]
+    if len(given) > len(positionals):
+        raise UsageError("unexpected argument %r" % given[len(positionals)])
+    values.update(zip(positionals, given))
+    out = Args()
+    out.command = command
+    for positionals, specs, choices in (SYNTAX[None], SYNTAX[command]):
+        for name in dict.fromkeys((*positionals, *specs)):
+            kind, default = specs.get(name, (str, None))
+            value = values.get(name, default)
+            if value is None and name in positionals:
+                raise UsageError("%s needs a %s" % (command, name))
+            try:
+                value = value if value is None else kind(value)
+            except ValueError:
+                raise UsageError("%s must be an integer, got %r"
+                                 % (name, value))
+            if name in choices and value not in choices[name]:
+                raise UsageError("%s must be one of %s; got %r"
+                                 % (name, ", ".join(choices[name]), value))
+            setattr(out, name.lstrip("-").replace("-", "_"), value)
+    return out
 
 
 # each returns (payload, renderings); renderings maps a --format name to the
@@ -850,9 +903,11 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(usage())
+            return 0
         if args.cache_dir:
             try:
                 charring.STORE = charring.TableStore(args.cache_dir)

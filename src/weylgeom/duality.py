@@ -14,8 +14,6 @@ All maps act on supports (finite sets of weights); every structural claim
 is re-verified on the spot and a mismatch raises ConsistencyError.
 """
 
-from __future__ import annotations
-
 from .geometry import Geometry, barycenter, translate_support
 from .rootsystem import ConsistencyError, RootSystem, closure
 
@@ -104,26 +102,32 @@ def diagram_duality(geometry, perm):
     standard one translated back along the reflections at negative
     coordinates that make perm(u) dominant, or support None when that
     dominant weight is not omega_perm(delta), as when perm is no
-    automorphism.
+    automorphism.  The image is a function of (perm(delta), perm(u)), so op
+    keeps it for every point a reduction passes: a later reduction that
+    reaches one is translated back along its new prefix only.
     """
     rs = geometry.rs
     rng = range(1, rs.rank + 1)
     scale = {d: barycenter(geometry.delta_space(d).support)[d - 1]
              for d in rng}
+    images = {}
 
     def op(delta, support):
         x = barycenter(support)
         u = tuple(x[perm.index(i)] // scale[delta] for i in rng)
-        word = []
-        while min(u) < 0:
-            word.append(u.index(min(u)) + 1)
-            u = rs.reflect(word[-1], u)
         d2 = perm[delta - 1]
-        if u != rs.fundamental_weight(d2):
-            return d2, None
-        image = geometry.delta_space(d2).support
-        for i in reversed(word):
-            image = translate_support(rs, i, image)
+        path = []
+        while (d2, u) not in images and min(u) < 0:
+            path.append(u)
+            u = rs.reflect(u.index(min(u)) + 1, u)
+        if (d2, u) not in images:
+            images[d2, u] = (geometry.delta_space(d2).support
+                             if u == rs.fundamental_weight(d2) else None)
+        image = images[d2, u]
+        for v in reversed(path):
+            if image is not None:
+                image = translate_support(rs, v.index(min(v)) + 1, image)
+            images[d2, v] = image
         return d2, image
 
     return op
@@ -353,18 +357,13 @@ class Triality:
         w = self.phi2_weight(self.label_weight[c])
         return all(x + y + z == 0 for x, y, z in zip(u, v, w))
 
-    def _unique_left(self, support):
+    def _unique_factor(self, support, left):
         hits = [w for w in self.weights
-                if self.star_support((w,), self.weights) == support]
+                if (self.star_support((w,), self.weights) if left
+                    else self.star_support(self.weights, (w,))) == support]
         if len(hits) != 1:
-            raise ConsistencyError("left factor is not unique")
-        return hits[0]
-
-    def _unique_right(self, support):
-        hits = [w for w in self.weights
-                if self.star_support(self.weights, (w,)) == support]
-        if len(hits) != 1:
-            raise ConsistencyError("right factor is not unique")
+            raise ConsistencyError("%s factor is not unique"
+                                   % ("left" if left else "right"))
         return hits[0]
 
     def psi(self, delta, support):
@@ -377,10 +376,10 @@ class Triality:
             (nu,) = support
             return 3, self.star_support((nu,), self.weights)
         if delta == 3:
-            a = self._unique_left(support)
+            a = self._unique_factor(support, True)
             return 4, self.star_support(self.weights, (a,))
         if delta == 4:
-            a = self._unique_right(support)
+            a = self._unique_factor(support, False)
             return 1, frozenset((a,))
         if delta == 2:
             right = self.star_support(self.weights, support)

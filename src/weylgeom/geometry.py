@@ -9,12 +9,9 @@ two objects are incident when some chamber holds both (Tits), which is
 decided from the barycenters of their supports.
 """
 
-from __future__ import annotations
-
-from functools import cached_property
-
 from .charring import irrep_character, minuscule_check, weyl_dimension
-from .rootsystem import MAX_WEIGHTS, ConsistencyError, RefusedError, closure
+from .rootsystem import (MAX_WEIGHTS, ConsistencyError, RefusedError,
+                         cached_property, closure)
 
 
 def descent(rs, weights, top, nodes):

@@ -16,13 +16,7 @@ Conventions, fixed once and used by every other module:
 Simple root indices are 1-based in the public interface.
 """
 
-from __future__ import annotations
-
-import json
 import math
-import re
-from fractions import Fraction
-from functools import cached_property
 
 
 # the most weights one orbit or one irreducible character may hold; larger
@@ -52,6 +46,21 @@ _RANK_RANGE = {
     "F": (4, 4),
     "G": (2, 2),
 }
+
+
+class cached_property:
+    """A property computed on first read and stored in the instance dict,
+    where it shadows this non-data descriptor from then on."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
 
 
 def _path_edges(n):
@@ -99,27 +108,27 @@ def symmetrizer(cartan):
     """Positive integers d with C[i][j]*d[j] == C[j][i]*d[i], the least on
     each connected component (in finite type, short roots get 1)."""
     n = len(cartan)
+    # starting at the product of all entries makes every division exact
+    top = math.prod(abs(x) for row in cartan for x in row if x)
     d = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
+        d[start] = top
 
         def step(i):
             for j in range(n):
                 if j != i and cartan[i][j]:
-                    val = d[i] * cartan[j][i] / cartan[i][j]
                     if d[j] is None:
-                        d[j] = val
-                    elif d[j] != val:
+                        d[j] = d[i] * cartan[j][i] // cartan[i][j]
+                    elif d[i] * cartan[j][i] != d[j] * cartan[i][j]:
                         raise ValueError("Cartan matrix is not symmetrizable")
                     yield j
 
         comp = closure([start], step)
-        lcm = math.lcm(*(d[i].denominator for i in comp))
-        gcd = math.gcd(*(int(d[i] * lcm) for i in comp))
+        gcd = math.gcd(*(d[i] for i in comp))
         for i in comp:
-            d[i] = int(d[i] * lcm) // gcd
+            d[i] //= gcd
     return tuple(d)
 
 
@@ -217,15 +226,16 @@ class RootSystem:
                 if cartan[i][j] * self.d[j] != cartan[j][i] * self.d[i]:
                     raise ValueError("d does not symmetrize the matrix")
         self.label = label
-        self.key = json.dumps({"cartan": cartan, "d": self.d}, sort_keys=True)
+        self.key = repr((cartan, self.d))
 
     @classmethod
     def named(cls, name):
-        m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", name.strip())
-        if not m:
+        """The system of a letter A-G and a rank: E6, " e6" or "E 6"."""
+        text = name.strip()
+        digits = text[1:].lstrip()
+        if not (digits.isdecimal() and text[0] in "ABCDEFGabcdefg"):
             raise ValueError("expected a family name like E6 or D5, got %r" % name)
-        family = m.group(1).upper()
-        rank = int(m.group(2))
+        family, rank = text[0].upper(), int(digits)
         return cls(family_cartan(family, rank), label="%s%d" % (family, rank))
 
     def __repr__(self):
@@ -351,23 +361,26 @@ class RootSystem:
         """C^-1 as an integer pair (n, m): n is the least positive int that
         makes n*C^-1 integral, and m[j] is column j of n*C^-1, so the j-th
         simple coordinate of a fw vector x is (x . m[j]) / n; scaled_norm2
-        reads it."""
+        reads it.  Fraction-free Gauss-Jordan (Bareiss) on [C | I] divides
+        exactly by each previous pivot and ends at [det*I | det*C^-1]."""
         k = self.rank
-        a = [[Fraction(self.cartan[i][j]) for j in range(k)] +
-             [Fraction(1 if j == i else 0) for j in range(k)] for i in range(k)]
+        a = [list(self.cartan[i]) + [1 if j == i else 0 for j in range(k)]
+             for i in range(k)]
+        prev = 1
         for col in range(k):
-            piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+            piv = next((r for r in range(col, k) if a[r][col]), None)
             if piv is None:
                 raise ValueError("Cartan matrix is singular")
             a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
+            p, top = a[col][col], a[col]
             for r in range(k):
-                if r != col and a[r][col] != 0:
+                if r != col:
                     f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        n = math.lcm(*(x.denominator for row in a for x in row[k:]))
-        return n, tuple(tuple(int(a[i][k + j] * n) for i in range(k))
+                    a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+            prev = p
+        det = a[0][0]
+        n = abs(det) // math.gcd(det, *(x for row in a for x in row[k:]))
+        return n, tuple(tuple(a[i][k + j] * n // det for i in range(k))
                         for j in range(k))
 
     def scaled_norm2(self, fw):

@@ -4,8 +4,9 @@ Golden transcripts live in tests/golden/ and are regenerated with
 ``pytest --update-golden``.
 """
 
-import argparse
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -62,10 +63,65 @@ def test_usage_error_bad_weight(capsys):
     assert cli.main(["orbit", "A2", "1,2,3"]) == 2
 
 
-def test_usage_error_unknown_command():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == 2
+def _one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_usage_error_unknown_command(capsys):
+    assert cli.main(["frobnicate"]) == 2
+    assert "frobnicate" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate", "E6"],
+    ["triality", "square"],
+    ["duality", "e7-chamber"],
+    ["branch", "e8-levi-e7"],
+    ["verify", "all", "orbits"],
+    ["dims"],
+    ["hasse", "E6"],
+    ["orbit", "A2"],
+    ["dims", "E6", "2"],
+    ["triality", "table", "psi"],
+    ["dims", "E6", "--beta", "two"],
+    ["dims", "E6", "--beta=1.5"],
+    ["incidence", "A3", "--beta", ""],
+    ["invariants", "A2", "1,0", "--max-degree", "3x"],
+    ["hasse", "E6", "one"],
+    ["dims", "E6", "--format", "ascii"],
+    ["dims", "E6", "--cache-dir", "x"],
+    ["dims", "E6", "--beta"],
+    ["--format", "yaml", "dims", "E6"],
+    ["dims", "E6", "--bet", "1"],
+    ["invariants", "A2", "1,0", "--max", "2"],
+    ["dims", "E6", "--be\nta", "2"],
+    ["frob\nnicate"],
+])
+def test_usage_error_is_one_line(capsys, argv):
+    assert cli.main(argv) == 2
+    _one_line_error(capsys)
+
+
+def test_option_value_after_an_equals_sign(capsys):
+    assert cli.main(["dims", "E6", "--beta=5"]) == 0
+    assert json.loads(capsys.readouterr().out)["beta"] == 5
+    assert cli.main(["--format=ascii", "dims", "E6", "--beta", "5"]) == 0
+    assert "beta: 5\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["dims", "-h"],
+                                  ["--format", "ascii", "verify", "--help"]])
+def test_help_lists_every_command(capsys, argv):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: weylgeom ")
+    for command in list(cli.COMMANDS) + ["verify"]:
+        assert "\n  %s " % command in captured.out
 
 
 def test_refused_exit_code(capsys):
@@ -130,10 +186,9 @@ def test_verify_single_check(capsys):
     assert "PASS standard-dimensions" in out
 
 
-def test_verify_unknown_name():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "no-such-check"])
-    assert exc.value.code == 2
+def test_verify_unknown_name(capsys):
+    assert cli.main(["verify", "no-such-check"]) == 2
+    assert "no-such-check" in _one_line_error(capsys)
 
 
 def test_verify_lists_every_check(capsys):
@@ -190,14 +245,6 @@ def test_negative_weight_is_a_value(capsys, argv):
     assert capsys.readouterr().err == "error: weight must be dominant\n"
 
 
-def test_argparse_still_has_the_negative_number_matcher():
-    # cli._Parser overrides this private attribute; if a Python upgrade
-    # renames it, "invariants A2 -1,0" goes back to "expected one argument"
-    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher"), (
-        "this Python's argparse has no _negative_number_matcher: the Python "
-        "upgrade broke cli._Parser, so -1,0 would be read as a flag")
-
-
 def test_orbit_of_a_negative_weight(capsys):
     assert cli.main(["orbit", "A2", "-1,0"]) == 0
     negative = json.loads(capsys.readouterr().out)
@@ -248,3 +295,93 @@ def test_invariants_size_guard_covers_the_bilinear_degree(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("refused: degree 2 powers")
     monkeypatch.setattr(charring, "MAX_WEIGHTS", 19)
     assert cli.main(argv) == 0
+
+
+# -- the json emitter against the json module ------------------------------
+
+EMITTER_CASES = [
+    {}, [], (), {"a": {}}, {"a": []}, [[]], [{}], [[], {}], {"a": [[], {}]},
+    True, False, None, 0, -7, 10 ** 30, "", "a b-c_d.e:f",
+    [True, 1, False, 0, None], {"b": True, "a": 1, "c": [1, True]},
+    {"z": [1, [2, [3, []]]], "y": {"x": {"w": None}}}, (1, (2, 3), [4]),
+]
+
+
+@pytest.mark.parametrize("payload", EMITTER_CASES)
+def test_emit_json_is_json_dumps(payload):
+    assert cli.emit_json(payload) == json.dumps(payload, sort_keys=True,
+                                                indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES,
+                         ids=[c[0] for c in GOLDEN_CASES])
+def test_emit_json_on_every_golden_payload(name, argv):
+    args = cli.parse_args(argv)
+    payload, _ = cli.COMMANDS[args.command](args)
+    assert cli.emit_json(payload) == json.dumps(payload, sort_keys=True,
+                                                indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    1.5, [0.0], {"a": float("nan")}, "caf\u00e9", ["\u2202"], 'say "hi"',
+    "back\\slash", "tab\t", "new\nline", "\x7f", {1: 2}, {"a": {None: 1}},
+    {("a",): 1}, frozenset(), {1, 2}, b"bytes",
+])
+def test_emit_json_refuses_what_it_cannot_render_as_json_does(payload):
+    with pytest.raises((TypeError, ValueError)):
+        cli.emit_json(payload)
+
+
+# -- what the command line imports ------------------------------------------
+
+FORBIDDEN = ("argparse", "json", "re", "enum", "collections", "functools",
+             "fractions", "decimal", "hashlib", "shutil", "locale", "gettext",
+             "__future__")
+
+FOOTPRINT = """
+import io, sys
+for name in sys.argv[1].split(","):
+    if name:
+        __import__(name)
+before = set(sys.modules)
+from weylgeom import cli
+imported = set(sys.modules)
+out, sys.stdout = sys.stdout, io.StringIO()
+code = cli.main(sys.argv[2:])
+sys.stdout = out
+print(code)
+print(" ".join(sorted(imported - before)))
+print(" ".join(sorted(set(sys.modules) - imported)))
+"""
+
+
+def _footprint(preload, *argv):
+    """The exit code of a command in a fresh python -S, with the modules
+    that importing weylgeom.cli and running the command add to those of
+    the interpreter and of the preloaded ones."""
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("WEYLGEOM_CACHE", None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT, ",".join(preload), *argv],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, at_import, in_main = proc.stdout.split("\n")[:3]
+    return int(code), set(at_import.split()), set(in_main.split())
+
+
+def test_cli_imports_no_heavy_stdlib_module():
+    code, at_import, in_main = _footprint((), "dims", "E6")
+    assert code == 0
+    assert "weylgeom.cli" in at_import
+    assert not at_import & set(FORBIDDEN)
+    assert not in_main & set(FORBIDDEN)
+
+
+def test_a_cache_directory_adds_only_json_and_hashlib(tmp_path):
+    _, at_import, in_main = _footprint((), "dims", "E6")
+    code, cached_import, cached_main = _footprint(
+        ("json", "hashlib"), "--cache-dir", str(tmp_path), "dims", "E6")
+    assert code == 0
+    assert list(tmp_path.glob("domchar-*.json"))
+    assert cached_import <= at_import and cached_main <= in_main

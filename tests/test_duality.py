@@ -264,17 +264,17 @@ def _all_objects(g):
             for o in apartment_objects(g, d)]
 
 
-def _lookup_duality(g, perm):
-    """The same map found by walking every apartment into a
-    {(type, barycenter / c_type): support} dict, as an oracle."""
+def _lookup_duality(g, perm, objs):
+    """The same map found from every apartment object, objs being
+    _all_objects(g), through a {(type, barycenter / c_type): support}
+    dict, as an oracle."""
     rng = range(1, g.rs.rank + 1)
     scale = {d: barycenter(g.delta_space(d).support)[d - 1] for d in rng}
 
     def point(delta, support):
         return tuple(x // scale[delta] for x in barycenter(support))
 
-    supports = {(d, point(d, o.support)): o.support
-                for d in rng for o in apartment_objects(g, d)}
+    supports = {(o.delta, point(o.delta, o.support)): o.support for o in objs}
 
     def op(delta, support):
         u = point(delta, support)
@@ -325,9 +325,23 @@ def test_diagram_duality_agrees_with_the_apartment_lookup(name, beta):
     g = Geometry(RootSystem.named(name), beta)
     objs = _all_objects(g)
     for perm in _other_automorphisms(g.rs):
-        op, oracle = diagram_duality(g, perm), _lookup_duality(g, perm)
+        op, oracle = diagram_duality(g, perm), _lookup_duality(g, perm, objs)
         for o in objs:
             assert op(o.delta, o.support) == oracle(o.delta, o.support), perm
+
+
+def test_diagram_duality_images_do_not_depend_on_the_order_asked():
+    # op remembers the images along each reduction; a fresh op asked in
+    # reverse order reaches those points from the other end
+    g = Geometry(RootSystem.named("D8"), 3)
+    objs = _all_objects(g)
+    assert len(objs) == 5536
+    perm = (1, 2, 3, 4, 5, 6, 8, 7)
+    op, op2 = diagram_duality(g, perm), diagram_duality(g, perm)
+    forward = [op(o.delta, o.support) for o in objs]
+    backward = [op2(o.delta, o.support) for o in reversed(objs)]
+    assert forward == backward[::-1]
+    assert all(s is not None for _, s in forward)
 
 
 @pytest.mark.parametrize("beta", [1, 2, 3])
@@ -335,9 +349,10 @@ def test_off_the_diagram_both_maps_miss_on_the_same_objects(beta):
     # nodes 1 and 2 of E6 have different neighbours
     g = Geometry(RootSystem.named("E6"), beta)
     perm = (2, 1, 3, 4, 5, 6)
-    op, oracle = diagram_duality(g, perm), _lookup_duality(g, perm)
-    images = [op(o.delta, o.support) for o in _all_objects(g)]
-    assert images == [oracle(o.delta, o.support) for o in _all_objects(g)]
+    objs = _all_objects(g)
+    op, oracle = diagram_duality(g, perm), _lookup_duality(g, perm, objs)
+    images = [op(o.delta, o.support) for o in objs]
+    assert images == [oracle(o.delta, o.support) for o in objs]
     assert any(s is None for _, s in images)
     assert any(s is not None for _, s in images)
 

@@ -1,6 +1,9 @@
 import itertools
+import math
 import random
+import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -539,3 +542,171 @@ def test_weight_limit_sits_between_the_largest_built_and_refused(
         monkeypatch.setattr(charring, "closure", _refuse_closure)
         with pytest.raises(RefusedError):
             irrep_character(system, lam)
+
+
+# -- the integer linear algebra against the Fraction one it replaced ----------
+
+
+def _fraction_symmetrizer(cartan):
+    """symmetrizer in rational arithmetic, as the oracle."""
+    n = len(cartan)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+
+        def step(i):
+            for j in range(n):
+                if j != i and cartan[i][j]:
+                    val = d[i] * cartan[j][i] / cartan[i][j]
+                    if d[j] is None:
+                        d[j] = val
+                    elif d[j] != val:
+                        raise ValueError("Cartan matrix is not symmetrizable")
+                    yield j
+
+        comp = closure([start], step)
+        lcm = math.lcm(*(d[i].denominator for i in comp))
+        gcd = math.gcd(*(int(d[i] * lcm) for i in comp))
+        for i in comp:
+            d[i] = int(d[i] * lcm) // gcd
+    return tuple(d)
+
+
+def _fraction_cartan_inverse(cartan):
+    """cartan_inverse by Gauss-Jordan over the rationals, as the oracle."""
+    k = len(cartan)
+    a = [[Fraction(cartan[i][j]) for j in range(k)] +
+         [Fraction(1 if j == i else 0) for j in range(k)] for i in range(k)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("Cartan matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    n = math.lcm(*(x.denominator for row in a for x in row[k:]))
+    return n, tuple(tuple(int(a[i][k + j] * n) for i in range(k))
+                    for j in range(k))
+
+
+def _relabelled(cartan, perm):
+    return [[cartan[p][q] for q in perm] for p in perm]
+
+
+def _block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+REDUCIBLE = {
+    "A1+A1": _block_sum(family_cartan("A", 1), family_cartan("A", 1)),
+    "C2+G2": _block_sum(family_cartan("C", 2), family_cartan("G", 2)),
+    "G2+B3+A1": _block_sum(family_cartan("G", 2), family_cartan("B", 3),
+                           family_cartan("A", 1)),
+    "E6+D4": _block_sum(family_cartan("E", 6), family_cartan("D", 4)),
+    "F4+C3": _block_sum(family_cartan("F", 4), family_cartan("C", 3)),
+    # nonsingular, with a singular 2x2 leading minor: the elimination
+    # has to swap rows
+    "swap": [[2, -2, 0], [-2, 2, -1], [0, -1, 2]],
+    "hyperbolic": [[2, -3], [-3, 2]],
+}
+
+
+def _matrices():
+    rng = random.Random(5)
+    for name in SYSTEMS:
+        cartan = RootSystem.named(name).cartan
+        yield name, cartan
+        for _ in range(2):
+            perm = list(range(len(cartan)))
+            rng.shuffle(perm)
+            yield "%s%r" % (name, perm), _relabelled(cartan, perm)
+    for name, cartan in REDUCIBLE.items():
+        yield name, cartan
+        perm = list(range(len(cartan)))[::-1]
+        yield "%s reversed" % name, _relabelled(cartan, perm)
+
+
+MATRICES = list(_matrices())
+
+
+@pytest.mark.parametrize("cartan", [c for _, c in MATRICES],
+                         ids=[n for n, _ in MATRICES])
+def test_integer_linear_algebra_is_the_fraction_one(cartan):
+    rs = RootSystem(cartan)
+    assert symmetrizer(cartan) == rs.d == _fraction_symmetrizer(cartan)
+    n, m = rs.cartan_inverse
+    assert (n, m) == _fraction_cartan_inverse(cartan)
+    assert math.gcd(n, *(x for col in m for x in col)) == 1
+
+
+@pytest.mark.parametrize("cartan", [
+    [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],
+    [[2, -1, -2], [-1, 2, -1], [-1, -1, 2]],
+])
+def test_integer_symmetrizer_refuses_as_the_fraction_one(cartan):
+    for fn in (symmetrizer, _fraction_symmetrizer):
+        with pytest.raises(ValueError, match="not symmetrizable"):
+            fn(cartan)
+
+
+@pytest.mark.parametrize("cartan", [c for n, c in NON_FINITE.items()
+                                    if n != "hyperbolic"],
+                         ids=[n for n in NON_FINITE if n != "hyperbolic"])
+def test_integer_inverse_refuses_a_singular_matrix_as_the_fraction_one(cartan):
+    for fn in (lambda c: RootSystem(c).cartan_inverse,
+               _fraction_cartan_inverse):
+        with pytest.raises(ValueError, match="singular"):
+            fn(cartan)
+
+
+# -- parsing names without re ------------------------------------------------
+
+NAME_CASES = {
+    "E6": "E6", " e6 ": "E6", "E 6": "E6", "\tg\n2 ": "G2", "a10": "A10",
+    "D04": "D4", "E6x": None, "6": None, "": None, "Z3": None, "E": None,
+    "E-6": None, "E+6": None, "E6 6": None, "EE6": None, "H4": None,
+    " ": None, "E 6 ": "E6", "e\x0b7": "E7", "B2.": None,
+    # non-ASCII: decimal digits and whitespace count, as they did for \d
+    # and \s; other letters do not
+    "E\u0666": "E6", "E\u00a06": "E6", "\u0395" "6": None,
+}
+
+
+@pytest.mark.parametrize("text,label", NAME_CASES.items(),
+                         ids=[repr(t) for t in NAME_CASES])
+def test_named_accepts_and_refuses(text, label):
+    if label is None:
+        with pytest.raises(ValueError, match="expected a family name"):
+            RootSystem.named(text)
+    else:
+        assert RootSystem.named(text).label == label
+
+
+def test_named_accepts_what_the_old_pattern_accepted():
+    # every string of up to three characters from an alphabet that covers
+    # each class the old pattern ([A-Ga-g])\s*(\d+) tells apart
+    for size in range(4):
+        for chars in itertools.product("Eeg H06 9\t\x1f-x", repeat=size):
+            text = "".join(chars)
+            m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", text.strip())
+            try:
+                got = RootSystem.named(text).label
+            except ValueError as e:
+                got = ("refused" if "expected a family name" in str(e)
+                       else "out of range")
+            if m is None:
+                assert got == "refused", repr(text)
+            elif got != "out of range":
+                assert got == "%s%d" % (m.group(1).upper(), int(m.group(2)))

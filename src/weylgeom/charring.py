@@ -467,17 +467,16 @@ def minuscule_check(rs, lam):
 
 
 def invariant_bilinear_type(rs, lam):
-    """None when V(lam) is not self-dual; otherwise 'Symmetric' or 'Skew'
-    according to where the invariant form lives."""
+    """None when V(lam) is not self-dual; otherwise 'Symmetric' or 'Skew',
+    the sign of the invariant form being (-1)^<lam, 2 rho^vee> (Steinberg,
+    Lectures on Chevalley Groups; Bourbaki, Lie VIII 7.5), where <lam,
+    2 rho^vee> sums 2(lam, alpha)/(alpha, alpha) over the positive roots."""
     lam = tuple(lam)
     if rs.dual_weight(lam) != lam:
         return None
-    char = irrep_character(rs, lam)
-    sym = decompose(rs, symmetric_power(char, 2)).get(rs.zero(), 0)
-    alt = decompose(rs, exterior_power(char, 2)).get(rs.zero(), 0)
-    if sym + alt != 1:
-        raise ConsistencyError("self-dual irreducible needs exactly one form")
-    return "Symmetric" if sym else "Skew"
+    height = sum(2 * rs.pair_root(lam, alpha) // rs.root_norm2(alpha)
+                 for alpha in rs.positive_roots)
+    return "Skew" if height % 2 else "Symmetric"
 
 
 # -- branching ----------------------------------------------------------------
@@ -531,12 +530,7 @@ def e6_to_f4_fold():
 
 def e7_to_e6_levi():
     """Restriction to the rank-6 subsystem obtained by deleting node 7."""
-    return BranchingRule(
-        "e7-levi-e6",
-        RootSystem.named("E7"),
-        RootSystem.named("E6"),
-        lambda w: w[:6],
-    )
+    return levi_restriction(RootSystem.named("E7"), range(1, 7))
 
 
 def levi_restriction(rs, keep):

@@ -617,8 +617,7 @@ def cmd_invariants(args):
     if args.max_degree < 1:
         raise UsageError("--max-degree must be at least 1")
     ch = irrep_character(rs, w)
-    # invariant_bilinear_type builds degree 2
-    check_power_sizes(rs, w, max(args.max_degree, 2))
+    check_power_sizes(rs, w, args.max_degree)
 
     def trivial(alternating):
         series = power_series(ch, args.max_degree, alternating,
@@ -645,9 +644,7 @@ def cmd_branch(args):
         if not rule.source.is_dominant(lam):
             raise UsageError("weight must be dominant")
     else:
-        lam = {"e6-levi-d5": (1, 0, 0, 0, 0, 0),
-               "e6-fold-f4": (1, 0, 0, 0, 0, 0),
-               "e7-levi-e6": (0, 0, 0, 0, 0, 0, 1)}[args.rule]
+        lam = rule.source.fundamental_weight(default_beta(rule.source))
     dec = rule.restrict_irrep(lam)
     pieces = [{"weight": list(w), "multiplicity": m,
                "dimension": weyl_dimension(rule.target, w)}

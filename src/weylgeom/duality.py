@@ -15,7 +15,7 @@ is re-verified on the spot and a mismatch raises ConsistencyError.
 """
 
 from .geometry import Geometry, barycenter, translate_support
-from .rootsystem import ConsistencyError, RootSystem, closure
+from .rootsystem import ConsistencyError, RootSystem, cached_property, closure
 
 
 def triple_sums(xs, ys, zs):
@@ -143,7 +143,6 @@ class E6Duality:
         self.geometry = Geometry(self.rs, 1)
         self.weights = self.geometry.weights
         self._hyperlines = {}
-        self._orbits = None
 
     @staticmethod
     def phi_weight(c):
@@ -215,9 +214,11 @@ class E6Duality:
         """The duality on an apartment object of type delta."""
         return self.PHI[delta], self.psi_support(support)
 
+    @cached_property
+    def _orbits(self):
+        return wprime_orbits(self.rs, 6, self.weights)
+
     def wprime_orbit_of(self, my):
-        if self._orbits is None:
-            self._orbits = wprime_orbits(self.rs, 6, self.weights)
         for o in self._orbits:
             if my in o:
                 return o
@@ -387,17 +388,16 @@ class Triality:
         raise ValueError("delta out of range")
 
 
-def e7_rank_one_check(geometry=None):
-    """In the 56-weight system, doubling the highest weight pairs with no
-    weight except the opposite one."""
-    g = geometry or Geometry(RootSystem.named("E7"), 7)
-    hw = g.hw
+def e7_rank_one_check(geometry):
+    """In the 56-weight geometry, doubling the highest weight pairs with
+    no weight except the opposite one."""
+    hw = geometry.hw
     opposite = tuple(-x for x in hw)
-    if opposite not in g.weights:
+    if opposite not in geometry.weights:
         raise ConsistencyError("lowest weight missing")
-    for nu in g.weights:
+    for nu in geometry.weights:
         w = tuple(2 * a + b for a, b in zip(hw, nu))
-        if (w in g.weights) != (nu == opposite):
+        if (w in geometry.weights) != (nu == opposite):
             return False
     return True
 

@@ -172,12 +172,10 @@ def apartment_objects(geometry, delta):
     """
     rs = geometry.rs
     std = geometry.delta_space(delta).support
-    # |W| is cached, and bounds the orbit at less cost than orbit_size
-    if rs._order * len(std) > MAX_WEIGHTS:
-        size = rs.orbit_size(rs.fundamental_weight(delta)) * len(std)
-        if size > MAX_WEIGHTS:
-            raise RefusedError("apartment of %d weights, above the limit of "
-                               "%d" % (size, MAX_WEIGHTS))
+    size = rs.orbit_size(rs.fundamental_weight(delta)) * len(std)
+    if size > MAX_WEIGHTS:
+        raise RefusedError("apartment of %d weights, above the limit of %d"
+                           % (size, MAX_WEIGHTS))
     tables = {i: {w: rs.reflect(i, w) for w in geometry.weights}
               for i in range(1, rs.rank + 1)}
     supports = {barycenter(std): std}

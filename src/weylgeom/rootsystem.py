@@ -8,10 +8,10 @@ Conventions, fixed once and used by every other module:
   written in fundamental-weight coordinates, and the simple reflection acts
   by s_i(w) = w - w[i] * row_i.
 * Roots also travel in simple-root coordinates; fw = simple . C converts.
-* The symmetrizer d (positive ints, short roots = 1) satisfies
-  C[i][j] * d[j] == C[j][i] * d[i] and defines the invariant pairing
-  (x, alpha) = sum_j d_j * alpha_j * x_j for x in fw coordinates and alpha
-  in simple coordinates.
+* The symmetrizer d, read off C (least positive ints on each component,
+  short roots = 1), satisfies C[i][j] * d[j] == C[j][i] * d[i] and defines
+  the invariant pairing (x, alpha) = sum_j d_j * alpha_j * x_j for x in fw
+  coordinates and alpha in simple coordinates.
 
 Simple root indices are 1-based in the public interface.
 """
@@ -203,7 +203,7 @@ def cartan_isomorphisms(c1, c2):
 class RootSystem:
     """A finite root system given by a Cartan matrix in the row convention."""
 
-    def __init__(self, cartan, d=None, label=None):
+    def __init__(self, cartan, label=None):
         cartan = tuple(tuple(int(x) for x in row) for row in cartan)
         n = len(cartan)
         if n == 0 or any(len(row) != n for row in cartan):
@@ -218,13 +218,7 @@ class RootSystem:
                     raise ValueError("zero pattern must be symmetric")
         self.cartan = cartan
         self.rank = n
-        self.d = tuple(int(x) for x in d) if d is not None else symmetrizer(cartan)
-        if len(self.d) != n or any(x <= 0 for x in self.d):
-            raise ValueError("bad symmetrizer")
-        for i in range(n):
-            for j in range(n):
-                if cartan[i][j] * self.d[j] != cartan[j][i] * self.d[i]:
-                    raise ValueError("d does not symmetrize the matrix")
+        self.d = symmetrizer(cartan)
         self.label = label
         self.key = repr((cartan, self.d))
 
@@ -427,8 +421,7 @@ class RootSystem:
         if not nodes:
             raise ValueError("empty node set")
         cartan = [[self.cartan[i - 1][j - 1] for j in nodes] for i in nodes]
-        d = [self.d[i - 1] for i in nodes]
-        return RootSystem(cartan, d=d), nodes
+        return RootSystem(cartan), nodes
 
     def classify(self):
         """Family label of the diagram, e.g. 'D5': the first family, in

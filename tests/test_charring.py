@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import itertools
 import json
 import random
 
@@ -6,6 +8,7 @@ import pytest
 
 from weylgeom import charring
 from weylgeom.charring import (
+    BranchingRule,
     FormalCharacter,
     check_power_sizes,
     decompose,
@@ -282,6 +285,39 @@ def test_invariant_bilinear_type(name, lam, expected):
     assert invariant_bilinear_type(rs(name), lam) == expected
 
 
+def _bilinear_type_by_squares(rs, lam):
+    """The form's type read off where the invariant lives, S^2 V or
+    Lambda^2 V, as the library computed it before the sign formula."""
+    if rs.dual_weight(lam) != lam:
+        return None
+    char = irrep_character(rs, lam)
+    sym = trivial_multiplicity(rs, symmetric_power(char, 2))
+    alt = trivial_multiplicity(rs, exterior_power(char, 2))
+    assert sym + alt == 1
+    return "Symmetric" if sym else "Skew"
+
+
+def _small_highest_weights(top_dim):
+    """(system, lam) for every family of rank <= 8 and every nonzero lam
+    with coordinates summing to at most 3 and dim V(lam) <= top_dim."""
+    names = ["%s%d" % (family, n) for family, lo in zip("ABCD", (1, 2, 2, 3))
+             for n in range(lo, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+    for system in map(RootSystem.named, names):
+        for lam in itertools.product(range(4), repeat=system.rank):
+            if 0 < sum(lam) <= 3 and weyl_dimension(system, lam) <= top_dim:
+                yield system, lam
+
+
+def test_bilinear_type_is_where_the_invariant_lives():
+    kinds = collections.Counter()
+    for system, lam in _small_highest_weights(400):
+        want = _bilinear_type_by_squares(system, lam)
+        assert invariant_bilinear_type(system, lam) == want, (system, lam)
+        kinds[want] += 1
+    # 372 weights, 200 of them self-dual, with both signs
+    assert kinds == {None: 172, "Symmetric": 156, "Skew": 44}
+
+
 @pytest.mark.parametrize("name,lam,expected", [
     ("A4", (1, 0, 0, 0), True),
     ("A4", (0, 0, 1, 0), True),
@@ -339,16 +375,18 @@ def test_branching_e7_to_e6():
 
 
 def test_generic_levi_matches_named_rule():
-    named = e7_to_e6_levi()
-    generic = levi_restriction(rs("E7"), (1, 2, 3, 4, 5, 6))
-    lam = (0, 0, 0, 0, 0, 0, 1)
-    a = named.restrict_irrep(lam)
-    b = generic.restrict_irrep(lam)
-    dims_a = sorted(weyl_dimension(named.target, hw)
-                    for hw, m in a.items() for _ in range(m))
-    dims_b = sorted(weyl_dimension(generic.target, hw)
-                    for hw, m in b.items() for _ in range(m))
-    assert dims_a == dims_b == [1, 1, 27, 27]
+    # the coordinate map e7_to_e6_levi was written as before it became the
+    # generic Levi restriction
+    by_hand = BranchingRule("e7-levi-e6", rs("E7"), rs("E6"),
+                            lambda w: w[:6])
+    rule = e7_to_e6_levi()
+    assert rule.target.key == by_hand.target.key
+    for lam in ((0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 0),
+                (0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 2)):
+        char = irrep_character(rule.source, lam)
+        assert (rule.restrict_character(char)
+                == by_hand.restrict_character(char))
+        assert rule.restrict_irrep(lam) == by_hand.restrict_irrep(lam)
 
 
 def test_generic_levi_e6_drop_node6():

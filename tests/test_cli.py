@@ -14,6 +14,7 @@ import time
 import pytest
 
 from weylgeom import charring, cli
+from weylgeom.rootsystem import RootSystem
 
 GOLDEN_CASES = [
     ("dims-e6.json", ["dims", "E6"]),
@@ -286,15 +287,57 @@ def test_oversized_invariants_are_refused_at_once(capsys, monkeypatch):
                             "weights\n")
 
 
-def test_invariants_size_guard_covers_the_bilinear_degree(capsys, monkeypatch):
-    # the bilinear type builds degree 2 even under --max-degree 1: V(2,2)
-    # of A2 has 19 weights
+def test_invariants_guard_only_the_asked_degree(capsys, monkeypatch):
+    # the bilinear type is read off the root data, so --max-degree 1 builds
+    # no degree 2 power: it answers although V(2,2) of A2 has 19 weights
     monkeypatch.setattr(charring, "MAX_WEIGHTS", 18)
-    argv = ["invariants", "A2", "1,1", "--max-degree", "1"]
-    assert cli.main(argv) == 3
+    assert cli.main(["invariants", "A2", "1,1", "--max-degree", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["bilinear"] == "Symmetric"
+    assert payload["symmetric_trivial"] == {"1": 0}
+    assert cli.main(["invariants", "A2", "1,1", "--max-degree", "2"]) == 3
     assert capsys.readouterr().err.startswith("refused: degree 2 powers")
-    monkeypatch.setattr(charring, "MAX_WEIGHTS", 19)
-    assert cli.main(argv) == 0
+
+
+def _product(polys, top):
+    """Coefficients of t^0..t^top in a product of polynomials, each given
+    as {power: coefficient}."""
+    out = [1] + [0] * top
+    for poly in polys:
+        out = [sum(c * out[k - e] for e, c in poly.items() if e <= k)
+               for k in range(top + 1)]
+    return out
+
+
+@pytest.mark.parametrize("name,top", [
+    ("A1", 6), ("A2", 6), ("B2", 6), ("G2", 6), ("A3", 5),
+    ("B3", 4), ("C3", 4), ("D4", 4), ("F4", 3), ("E6", 3),
+])
+def test_invariants_of_the_adjoint_are_chevalley_and_hks(name, top):
+    # the degrees d_i = e_i + 1, the exponents e_i being the dual partition
+    # of the positive roots counted by height (Kostant); invariants of
+    # S(g) are polynomials in generators of degrees d_i (Chevalley), those
+    # of Lambda(g) an exterior algebra on degrees 2d_i - 1 (Hopf,
+    # Koszul-Samelson)
+    rs = RootSystem.named(name)
+    heights = [sum(q) for q in rs.positive_roots]
+    degrees = [h + 1 for h in set(heights)
+               for _ in range(heights.count(h) - heights.count(h + 1))]
+    assert len(degrees) == rs.rank
+    # 1/(1 - t^d) truncated at t^top
+    sym = _product([dict.fromkeys(range(0, top + 1, d), 1) for d in degrees],
+                   top)
+    ext = _product([{0: 1, 2 * d - 1: 1} for d in degrees], top)
+    adjoint = ",".join(map(str, rs.root_fw(rs.highest_root)))
+    args = cli.parse_args(["invariants", name, adjoint,
+                           "--max-degree", str(top)])
+    payload, _ = cli.COMMANDS["invariants"](args)
+    assert payload["symmetric_trivial"] == {str(k): sym[k]
+                                            for k in range(1, top + 1)}
+    assert payload["exterior_trivial"] == {str(k): ext[k]
+                                           for k in range(1, top + 1)}
 
 
 # -- the json emitter against the json module ------------------------------

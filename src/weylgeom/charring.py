@@ -8,6 +8,7 @@ weights in an order refining dominance.
 """
 
 import os
+from math import comb
 
 from .rootsystem import (
     MAX_WEIGHTS,
@@ -142,8 +143,8 @@ def _convolve(a, b, out):
 
 
 def weyl_dimension(rs, lam):
-    """Dimension of the irreducible with highest weight lam, by the product
-    formula; exact integer division is asserted."""
+    """Dimension of V(lam): the product of (lam+rho, alpha)/(rho, alpha)
+    over alpha > 0, rho = (1, ..., 1), checked to be an integer."""
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
@@ -151,8 +152,8 @@ def weyl_dimension(rs, lam):
     num = 1
     den = 1
     for alpha in rs.positive_roots:
-        num *= rs.pair_root(rho_shift, alpha)
-        den *= rs.pair_root(rs.rho, alpha)
+        num *= sum(d * a * x for d, a, x in zip(rs.d, alpha, rho_shift))
+        den *= sum(d * a for d, a in zip(rs.d, alpha))
     if num % den:
         raise ConsistencyError("Weyl dimension is not an integer")
     return num // den
@@ -166,13 +167,23 @@ def _covers(rs, w):
             yield v
 
 
-def dominant_weights_below(rs, lam):
+def dominant_weights_below(rs, lam, cost=1):
     """All dominant weights mu <= lam (coset of the root lattice), found by
-    walking covers: subtract positive roots, keep dominant results."""
+    walking covers: subtract positive roots, keep dominant results.  The
+    walk stops, refused, once their number times cost passes MAX_WEIGHTS."""
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError("need a dominant weight")
-    return set(closure([lam], lambda w: _covers(rs, w)))
+    budget = iter(range(MAX_WEIGHTS // cost))
+
+    def step(w):
+        if next(budget, None) is None:
+            raise RefusedError("the dominant weights below %r, at %d steps "
+                               "each, need more than %d"
+                               % (lam, cost, MAX_WEIGHTS))
+        return _covers(rs, w)
+
+    return set(closure([lam], step))
 
 
 class TableStore:
@@ -264,6 +275,8 @@ def dominant_character(rs, lam):
 
     The recursion runs over dominant weights in decreasing |mu+rho|^2 order;
     every division is checked to be exact and every multiplicity positive.
+    It is refused up front when #dominant weights * |positive roots|, the
+    steps it takes, passes MAX_WEIGHTS.
     """
     lam = tuple(lam)
     table = STORE.get(rs, lam)
@@ -272,7 +285,8 @@ def dominant_character(rs, lam):
 
     # n*|mu+rho|^2 for each dominant mu, n as in cartan_inverse
     norms = {mu: rs.scaled_norm2(tuple(a + 1 for a in mu))
-             for mu in dominant_weights_below(rs, lam)}
+             for mu in dominant_weights_below(rs, lam,
+                                              len(rs.positive_roots))}
     order = sorted(norms, key=lambda mu: (-norms[mu], tuple(-x for x in mu)))
     if order[0] != lam:
         raise ConsistencyError("highest weight is not maximal")
@@ -355,42 +369,29 @@ def power_series(char, k, alternating=False, max_degree=DEFAULT_MAX_POWER):
     s = -1 if alternating else 1
     p = [None] + [{j * key: s ** (j - 1) * m for key, m in base.items()}
                   for j in range(1, k + 1)]
-    c = [{0: 1}]
-    for d in range(1, k + 1):
-        acc = {}
-        for j in range(1, d + 1):
-            _convolve(p[j], c[d - j], acc)
-        cd = {}
-        for key, m in acc.items():
-            if m:
-                q, r = divmod(m, d)
-                if r:
-                    (w,) = _unpack({key: m}, rank, width)
-                    raise ConsistencyError("multiplicity %d at %r not "
-                                           "divisible by %d" % (m, w, d))
-                cd[key] = q
-        c.append(cd)
+    c = _newton(p, k, _convolve, {0: 1},
+                lambda key: next(iter(_unpack({key: 0}, rank, width))))
     return [FormalCharacter(_unpack(cd, rank, width)) for cd in c]
 
 
-def check_power_sizes(rs, lam, k):
-    """Refuse, before any power is built, when a degree d <= k of the power
-    series of V(lam) holds more than MAX_WEIGHTS weights.  S^d V(lam) has
-    exactly the weights of V(d*lam), the W-orbits of the dominant weights
-    below d*lam; Lambda^d V(lam) and each Newton term have some of them.
-    mu -> mu + lam embeds those of V(d*lam) in V((d+1)*lam), so degree k
-    holds the most; its count stops once past the limit, however large k."""
-    size = 0
-
-    def step(w):
-        nonlocal size
-        size += rs.orbit_size(w)
-        if size > MAX_WEIGHTS:
-            raise RefusedError("degree %d powers have more than %d weights"
-                               % (k, MAX_WEIGHTS))
-        return _covers(rs, w)
-
-    closure([tuple(k * x for x in lam)], step)
+def _newton(p, k, times, one, weight):
+    """c_0 = one and d*c_d = sum_{j<=d} p[j] c_{d-j} for d <= k, times(a, b,
+    out) adding a*b into out; an inexact division names weight(key)."""
+    c = [one]
+    for d in range(1, k + 1):
+        acc = {}
+        for j in range(1, d + 1):
+            times(p[j], c[d - j], acc)
+        cd = {}
+        for key, m in acc.items():
+            q, r = divmod(m, d)
+            if r:
+                raise ConsistencyError("multiplicity %d at %r not divisible "
+                                       "by %d" % (m, weight(key), d))
+            if q:
+                cd[key] = q
+        c.append(cd)
+    return c
 
 
 def symmetric_power(char, k, max_degree=DEFAULT_MAX_POWER):
@@ -444,9 +445,76 @@ def decompose(rs, char):
     return out
 
 
-def trivial_multiplicity(rs, char):
-    """Multiplicity of the trivial representation in a character."""
-    return decompose(rs, char).get(rs.zero(), 0)
+def _dot_dominant(rs, v):
+    """(det w, w(v) - rho) for v = mu + nu + rho and w taking v into the
+    dominant chamber; None when v lies on a wall."""
+    sign = 1
+    while 0 not in v:
+        for i, x in enumerate(v):
+            if x < 0:
+                v = tuple([a - x * r for a, r in zip(v, rs.cartan[i])])
+                sign = -sign
+                break
+        else:
+            return sign, tuple(a - 1 for a in v)
+    return None
+
+
+def _times(rs, dec, weights, out):
+    """Add into out the decomposition of (sum of dec[mu] V(mu)) times the
+    W-invariant character with weights {nu: m}, by Klimyk's formula
+    V(mu) x chi = sum_nu chi(nu) det(w) V(w(mu+nu+rho) - rho) (Humphreys,
+    Introduction to Lie Algebras, 24): the product's weights are never
+    built."""
+    shifted = [(tuple(x + 1 for x in nu), m) for nu, m in weights.items()]
+    for mu, a in dec.items():
+        for nu_rho, m in shifted:
+            term = _dot_dominant(rs, tuple(map(int.__add__, mu, nu_rho)))
+            if term:
+                out[term[1]] = out.get(term[1], 0) + term[0] * a * m
+    return out
+
+
+def _checked(rs, dec, dim, what):
+    """dec without its zero entries, once no multiplicity is negative and
+    sum m*dim V(mu) is dim; what names dec in the error."""
+    if any(m < 0 for m in dec.values()) or sum(
+            m * weyl_dimension(rs, hw) for hw, m in dec.items()) != dim:
+        raise ConsistencyError("%s is not a character of dimension %d"
+                               % (what, dim))
+    return {hw: m for hw, m in dec.items() if m}
+
+
+def power_decompositions(rs, lam, k):
+    """(symmetric, exterior): the decompositions {hw: mult} of S^d V(lam)
+    and Lambda^d V(lam), d = 0..k, by power_series' recursion, psi^j V
+    having the weights j*nu.  Degree k costs about k*|wt V| terms per
+    dominant weight below k*lam, refused up front above MAX_WEIGHTS."""
+    lam = tuple(lam)
+    wt = irrep_character(rs, lam).weights
+    dominant_weights_below(rs, tuple(k * x for x in lam), k * len(wt))
+    n = sum(wt.values())
+    series = []
+    for s, name in ((1, "S^%d V"), (-1, "Lambda^%d V")):
+        psi = [None] + [{tuple(j * x for x in nu): s ** (j - 1) * m
+                         for nu, m in wt.items()} for j in range(1, k + 1)]
+        c = _newton(psi, k, lambda chi, dec, out: _times(rs, dec, chi, out),
+                    {rs.zero(): 1}, tuple)
+        series.append([_checked(rs, cd, comb(n + d - 1, d) if s == 1
+                                else comb(n, d), name % d)
+                       for d, cd in enumerate(c)])
+    return tuple(series)
+
+
+def tensor_decomposition(rs, lams):
+    """The decomposition {hw: mult} of V(lams[0]) x V(lams[1]) x ..., one
+    checked Klimyk product per factor."""
+    dec, dim = {tuple(lams[0]): 1}, weyl_dimension(rs, lams[0])
+    for lam in lams[1:]:
+        dim *= weyl_dimension(rs, lam)
+        dec = _checked(rs, _times(rs, dec, irrep_character(rs, lam).weights,
+                                  {}), dim, "the product up to V%r" % (lam,))
+    return dec
 
 
 # -- structural predicates ----------------------------------------------------

@@ -15,14 +15,13 @@ import sys
 from . import charring
 from .charring import (
     NAMED_BRANCHINGS,
-    check_power_sizes,
     exterior_power,
     irrep_character,
     minuscule_check,
     invariant_bilinear_type,
-    power_series,
+    power_decompositions,
     symmetric_power,
-    trivial_multiplicity,
+    tensor_decomposition,
     weyl_dimension,
 )
 from .duality import (
@@ -144,25 +143,20 @@ def check_e6_hasse():
 
 def check_invariant_forms():
     rs6 = RootSystem.named("E6")
-    c27 = irrep_character(rs6, (1, 0, 0, 0, 0, 0))
-    cubic = [trivial_multiplicity(rs6, symmetric_power(c27, k))
-             for k in (1, 2, 3)]
+    cubic = [c.get(rs6.zero(), 0) for c in
+             power_decompositions(rs6, (1, 0, 0, 0, 0, 0), 3)[0][1:]]
     _expect(cubic == [0, 0, 1], "E6 cubic invariant: %r" % (cubic,))
 
     rs7 = RootSystem.named("E7")
-    c56 = irrep_character(rs7, (0, 0, 0, 0, 0, 0, 1))
-    _expect(trivial_multiplicity(rs7, exterior_power(c56, 2)) == 1,
-            "E7 symplectic form")
-    _expect(trivial_multiplicity(rs7, symmetric_power(c56, 2)) == 0,
-            "E7 has no symmetric pairing")
-    _expect(trivial_multiplicity(rs7, symmetric_power(c56, 4)) == 1,
-            "E7 quartic invariant")
+    sym, ext = power_decompositions(rs7, (0, 0, 0, 0, 0, 0, 1), 4)
+    _expect(ext[2].get(rs7.zero()) == 1, "E7 symplectic form")
+    _expect(rs7.zero() not in sym[2], "E7 has no symmetric pairing")
+    _expect(sym[4].get(rs7.zero()) == 1, "E7 quartic invariant")
 
     rs4 = RootSystem.named("D4")
-    triple = (irrep_character(rs4, (1, 0, 0, 0))
-              * irrep_character(rs4, (0, 0, 1, 0))
-              * irrep_character(rs4, (0, 0, 0, 1)))
-    _expect(trivial_multiplicity(rs4, triple) == 1, "D4 triple pairing")
+    triple = tensor_decomposition(
+        rs4, ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    _expect(triple.get(rs4.zero()) == 1, "D4 triple pairing")
 
     kinds = {}
     for name, lam, want in (("D4", (1, 0, 0, 0), "Symmetric"),
@@ -616,23 +610,18 @@ def cmd_invariants(args):
         raise UsageError("weight must be dominant")
     if args.max_degree < 1:
         raise UsageError("--max-degree must be at least 1")
-    ch = irrep_character(rs, w)
-    check_power_sizes(rs, w, args.max_degree)
 
-    def trivial(alternating):
-        series = power_series(ch, args.max_degree, alternating,
-                              args.max_degree)
-        return {str(k): trivial_multiplicity(rs, c)
-                for k, c in enumerate(series) if k}
+    sym, ext = ({str(k): c.get(rs.zero(), 0) for k, c in enumerate(s) if k}
+                for s in power_decompositions(rs, w, args.max_degree))
 
     payload = {
         "system": args.system,
         "weight": list(w),
-        "dimension": ch.dimension(),
+        "dimension": weyl_dimension(rs, w),
         "bilinear": invariant_bilinear_type(rs, w),
         "max_degree": args.max_degree,
-        "symmetric_trivial": trivial(False),
-        "exterior_trivial": trivial(True),
+        "symmetric_trivial": sym,
+        "exterior_trivial": ext,
     }
     return payload, {}
 

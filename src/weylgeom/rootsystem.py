@@ -154,18 +154,14 @@ def closure(seeds, step):
     return levels
 
 
-def _weyl_order(roots):
-    """Order of the Weyl group whose positive roots (simple coordinates)
-    are given: the product of e+1 over the exponents e, which form the
-    dual partition of the root counts by height (Kostant)."""
+def _exponents(roots):
+    """{e: how many exponents equal e} for the Weyl group with these
+    positive roots (simple coordinates): the dual partition of the root
+    counts by height (Kostant), so n_h - n_(h+1) exponents equal h."""
     count = {}
     for q in roots:
         count[sum(q)] = count.get(sum(q), 0) + 1
-    order = 1
-    for h, n in count.items():
-        # n - count[h+1] exponents equal h
-        order *= (h + 1) ** (n - count.get(h + 1, 0))
-    return order
+    return {h: n - count.get(h + 1, 0) for h, n in count.items()}
 
 
 def cartan_isomorphisms(c1, c2):
@@ -297,14 +293,21 @@ class RootSystem:
         """|W.w| = |W|/|W_J|, J the nodes where the dominant form of w
         vanishes; the positive roots of W_J are those supported on J."""
         mu = self.dominant_rep(w)
-        return self._order // _weyl_order(
+        return self._order // math.prod((e + 1) ** m for e, m in _exponents(
             [q for q in self.positive_roots
-             if all(mu[i] == 0 for i, x in enumerate(q) if x)])
+             if all(mu[i] == 0 for i, x in enumerate(q) if x)]).items())
+
+    @cached_property
+    def exponents(self):
+        """The exponents e_i, ascending; |W| is the product of the e_i + 1
+        and the basic invariants have degrees e_i + 1 (Chevalley)."""
+        return tuple(sorted(e for e, m in _exponents(self.positive_roots)
+                            .items() for _ in range(m)))
 
     @cached_property
     def _order(self):
         """|W|, computed once."""
-        return _weyl_order(self.positive_roots)
+        return math.prod(e + 1 for e in self.exponents)
 
     # -- roots -------------------------------------------------------------
 

@@ -10,7 +10,6 @@ from weylgeom import charring
 from weylgeom.charring import (
     BranchingRule,
     FormalCharacter,
-    check_power_sizes,
     decompose,
     dominant_character,
     dominant_weights_below,
@@ -22,9 +21,10 @@ from weylgeom.charring import (
     irrep_character,
     levi_restriction,
     minuscule_check,
+    power_decompositions,
     power_series,
     symmetric_power,
-    trivial_multiplicity,
+    tensor_decomposition,
     weyl_dimension,
 )
 from weylgeom.rootsystem import ConsistencyError, RefusedError, RootSystem
@@ -32,6 +32,11 @@ from weylgeom.rootsystem import ConsistencyError, RefusedError, RootSystem
 
 def rs(name):
     return RootSystem.named(name)
+
+
+def trivial_multiplicity(rs, char):
+    """Multiplicity of the trivial representation in a character."""
+    return decompose(rs, char).get(rs.zero(), 0)
 
 
 @pytest.mark.parametrize("name,lam,dim", [
@@ -347,6 +352,9 @@ def test_trivial_multiplicity_small():
     g2 = rs("G2")
     w = irrep_character(g2, (1, 0))
     assert trivial_multiplicity(g2, symmetric_power(w, 2)) == 1
+    sym, ext = power_decompositions(g2, (1, 0), 2)
+    assert [c.get(g2.zero(), 0) for c in sym] == [1, 0, 1]
+    assert [c.get(g2.zero(), 0) for c in ext] == [1, 0, 0]
 
 
 def test_branching_e6_to_d5():
@@ -413,7 +421,7 @@ def _rewrite(path, rows):
 
 
 def _no_computing(monkeypatch):
-    def refuse(rs, lam):
+    def refuse(*args):
         raise AssertionError("table recomputed")
     monkeypatch.setattr(charring, "dominant_weights_below", refuse)
 
@@ -512,36 +520,169 @@ def test_memo_is_keyed_by_cartan_matrix(monkeypatch):
     assert len(store.memo) == 1
 
 
+# -- the Klimyk recursion against the peeled powers -------------------------
+
+ORACLE_SYSTEMS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                  "D3", "D4", "F4", "G2")
+ORACLE_CASES = [("E6", (1, 0, 0, 0, 0, 0), 3),
+                ("E7", (0, 0, 0, 0, 0, 0, 1), 4)] + [
+    (name, rs(name).fundamental_weight(i), 3)
+    for name in ORACLE_SYSTEMS for i in range(1, rs(name).rank + 1)]
+
+
+@pytest.mark.parametrize("name,lam,k", ORACLE_CASES)
+def test_klimyk_powers_are_the_peeled_powers(name, lam, k):
+    r = rs(name)
+    char = irrep_character(r, lam)
+    peeled = [[decompose(r, c) for c in power_series(char, k, alternating)]
+              for alternating in (False, True)]
+    assert list(power_decompositions(r, lam, k)) == peeled
+
+
+def test_klimyk_triple_is_the_peeled_triple():
+    d4 = rs("D4")
+    chars = [irrep_character(d4, lam)
+             for lam in ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    dec = tensor_decomposition(
+        d4, ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    assert dec == decompose(d4, chars[0] * chars[1] * chars[2])
+    assert dec[d4.zero()] == 1
+
+
+@pytest.mark.parametrize("k,call,extra,message", [
+    (1, 1, {(0, 0): 1}, r"^S\^1 V is not a character of dimension 3$"),
+    # 3 + 8 - 8 adds up to 3, but with a negative multiplicity
+    (1, 1, {(0, 0): 8, (1, 1): -1}, r"^S\^1 V is not a character"),
+    # the exterior series runs after the symmetric one
+    (1, 2, {(0, 0): 1}, r"^Lambda\^1 V is not a character of dimension 3$"),
+    (2, 2, {(2, 0): 1}, r"multiplicity 3 at \(2, 0\) not divisible by 2$"),
+    # the tensor product V(1,0) x V(0,1) = V(1,1) + V(0,0) of dimension 9
+    (None, 1, {(0, 0): 1}, r"^the product up to V\(0, 1\) is not a "
+     r"character of dimension 9$"),
+    # 17 - 8 adds up to 9, with V(1,1) at -1
+    (None, 1, {(0, 0): 16, (1, 1): -2}, r"the product up to V\(0, 1\) is "
+     r"not a character"),
+])
+def test_klimyk_recursion_checks_its_arithmetic(monkeypatch, k, call, extra,
+                                                message):
+    # S^2 of V(1,0) of A2 is V(2,0); one product of the recursion, or of
+    # the tensor product when k is None, is off
+    calls = 0
+    times = charring._times
+
+    def perturbed(*args):
+        nonlocal calls
+        calls += 1
+        out = times(*args)
+        if calls == call:
+            for hw, m in extra.items():
+                out[hw] = out.get(hw, 0) + m
+        return out
+
+    monkeypatch.setattr(charring, "_times", perturbed)
+    with pytest.raises(ConsistencyError, match=message):
+        if k is None:
+            tensor_decomposition(rs("A2"), ((1, 0), (0, 1)))
+        else:
+            power_decompositions(rs("A2"), (1, 0), k)
+
+
+def test_dominant_character_refuses_before_its_recursion(monkeypatch):
+    # #dom(lam) * |positive roots| against the limit, counted on the one
+    # walk the recursion takes anyway
+    b3 = rs("B3")
+    lam = (2, 1, 1)
+    size = len(dominant_weights_below(b3, lam)) * 9
+    walks = []
+    below = charring.dominant_weights_below
+
+    def walk(*args):
+        walks.append(args)
+        return below(*args)
+
+    monkeypatch.setattr(charring, "dominant_weights_below", walk)
+    monkeypatch.setattr(charring, "STORE", charring.TableStore())
+    monkeypatch.setattr(charring, "MAX_WEIGHTS", size - 1)
+    with pytest.raises(RefusedError, match=r"below \(2, 1, 1\), at 9 steps "
+                       "each, need more than %d$" % (size - 1)):
+        dominant_character(b3, lam)
+    monkeypatch.setattr(charring, "MAX_WEIGHTS", size)
+    table = dominant_character(b3, lam)
+    assert (sum(m * b3.orbit_size(mu) for mu, m in table.items())
+            == weyl_dimension(b3, lam))
+    assert len(walks) == 2
+
+
+def _klimyk_cost(system, lam, k):
+    """k * |wt V(lam)| * #dominant weights below k*lam: the Klimyk
+    recursion's guard refuses above MAX_WEIGHTS."""
+    weights = len(irrep_character(system, lam).weights)
+    top = tuple(k * x for x in lam)
+    return k * weights * len(dominant_weights_below(system, top))
+
+
 @pytest.mark.parametrize("name,lam,k", [
     ("E7", (0, 0, 0, 0, 0, 0, 1), 3), ("G2", (0, 1), 3),
     ("D4", (1, 0, 0, 0), 3), ("A2", (1, 1), 3),
     ("E8", (0, 0, 0, 0, 0, 0, 0, 1), 2),
 ])
 def test_power_size_count_is_exact(monkeypatch, name, lam, k):
-    # S^k V(lam) has the weights of V(k*lam), so the count the guard
-    # refuses on is exact for it and bounds Lambda^k V(lam)
-    rs = RootSystem.named(name)
-    char = irrep_character(rs, lam)
-    size = len(power_series(char, k)[k])
-    assert len(power_series(char, k, True)[k]) <= size
-    monkeypatch.setattr(charring, "MAX_WEIGHTS", size)
-    check_power_sizes(rs, lam, k)
-    monkeypatch.setattr(charring, "MAX_WEIGHTS", size - 1)
-    with pytest.raises(RefusedError, match="degree %d powers have more than "
-                       "%d weights" % (k, size - 1)):
-        check_power_sizes(rs, lam, k)
+    # the guard refuses exactly when k * |wt V| * #dom(k*lam) passes the
+    # limit, and the last degree's Klimyk terms stay within that product
+    # for each series
+    r = RootSystem.named(name)
+    cost = _klimyk_cost(r, lam, k)
+    want = power_decompositions(r, lam, k)
+    terms = []
+    times = charring._times
+
+    def counted(system, dec, weights, out):
+        terms.append(len(dec) * len(weights))
+        return times(system, dec, weights, out)
+
+    monkeypatch.setattr(charring, "MAX_WEIGHTS", cost)
+    monkeypatch.setattr(charring, "_times", counted)
+    assert power_decompositions(r, lam, k - 1) == tuple(
+        series[:k] for series in want)
+    before = sum(terms)
+    assert power_decompositions(r, lam, k) == want
+    assert sum(terms) - 2 * before <= 2 * cost
+    monkeypatch.setattr(charring, "MAX_WEIGHTS", cost - 1)
+    with pytest.raises(RefusedError, match=r"the dominant weights below "
+                       r"\(.*\), at %d steps each, need more than %d$"
+                       % (cost // len(dominant_weights_below(
+                           r, tuple(k * x for x in lam))), cost - 1)):
+        power_decompositions(r, lam, k)
 
 
 def test_power_size_guard_on_the_e8_adjoint():
     e8 = RootSystem.named("E8")
     adjoint = (0, 0, 0, 0, 0, 0, 0, 1)
-    check_power_sizes(e8, adjoint, 4)  # 996,001 weights at degree 4
-    # the count stops once it passes the limit, so a huge k is refused as
-    # quickly as k = 5 (5,109,841 weights)
-    for k in (5, 1000):
-        with pytest.raises(RefusedError, match="degree %d powers have more "
-                           "than 1000000 weights" % k):
-            check_power_sizes(e8, adjoint, k)
+    # 8 * 241 * 165 = 318,120 steps at degree 8; 1000 * 241 steps a weight
+    # at degree 1000, so the walk stops after five of them
+    assert _klimyk_cost(e8, adjoint, 8) == 318_120
+    calls = 0
+    covers = charring._covers
+
+    def counted(system, w):
+        nonlocal calls
+        calls += 1
+        return covers(system, w)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(charring, "_covers", counted)
+        m.setattr(charring, "_times", _no_klimyk)
+        with pytest.raises(RefusedError, match="at 241000 steps each, need "
+                           "more than 1000000"):
+            power_decompositions(e8, adjoint, 1000)
+    assert calls == 4
+    sym, ext = power_decompositions(e8, adjoint, 8)
+    assert [c.get(e8.zero(), 0) for c in sym] == [1, 0, 1, 0, 1, 0, 1, 0, 2]
+    assert [c.get(e8.zero(), 0) for c in ext] == [1, 0, 0, 1, 0, 0, 0, 0, 0]
+
+
+def _no_klimyk(*args):
+    raise AssertionError("Klimyk product called")
 
 
 @pytest.mark.parametrize("name,lam", [
@@ -549,12 +690,15 @@ def test_power_size_guard_on_the_e8_adjoint():
     ("G2", (1, 0)), ("C3", (0, 1, 0)), ("D4", (0, 0, 1, 0)),
 ])
 def test_power_weight_counts_never_fall(name, lam):
-    # mu -> mu + lam embeds the weights of V(d*lam) in those of
-    # V((d+1)*lam), so the guard need only count degree k
+    # mu -> mu + lam embeds the dominant weights below d*lam in those below
+    # (d+1)*lam, so the guard need only count degree k; the weights of
+    # V(d*lam) grow too
     r = rs(name)
-    sizes = [sum(map(r.orbit_size,
-                     dominant_weights_below(r, tuple(d * x for x in lam))))
+    below = [dominant_weights_below(r, tuple(d * x for x in lam))
              for d in range(1, 7)]
+    for low, high in zip(below, below[1:]):
+        assert {tuple(a + b for a, b in zip(mu, lam)) for mu in low} <= high
+    sizes = [sum(map(r.orbit_size, dom)) for dom in below]
     assert sizes == sorted(sizes)
     for d, size in enumerate(sizes, 1):
         if d <= 3:
@@ -563,18 +707,21 @@ def test_power_weight_counts_never_fall(name, lam):
 
 
 def test_power_size_guard_stops_counting_at_the_limit(monkeypatch):
+    # A1 at degree 10**6 costs 2 * 10**6 steps a weight: with a limit of
+    # 10**9 the walk refuses at weight 501 of 500,001
     calls = 0
-    a1 = rs("A1")
-    orbit_size = a1.orbit_size
+    covers = charring._covers
 
-    def counted(w):
+    def counted(system, w):
         nonlocal calls
         calls += 1
-        assert calls <= 20_000, "the count ran past the limit"
-        return orbit_size(w)
+        assert calls <= 1_000, "the count ran past the limit"
+        return covers(system, w)
 
-    monkeypatch.setattr(a1, "orbit_size", counted)
-    monkeypatch.setattr(charring, "MAX_WEIGHTS", 10_000)
-    with pytest.raises(RefusedError, match="degree 1000000 powers have more "
-                       "than 10000 weights"):
-        check_power_sizes(a1, (1,), 10**6)
+    monkeypatch.setattr(charring, "_covers", counted)
+    monkeypatch.setattr(charring, "_times", _no_klimyk)
+    monkeypatch.setattr(charring, "MAX_WEIGHTS", 10**9)
+    with pytest.raises(RefusedError, match=r"below \(1000000,\), at 2000000 "
+                       "steps each, need more than 1000000000"):
+        power_decompositions(rs("A1"), (1,), 10**6)
+    assert calls == 500

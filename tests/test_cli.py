@@ -270,26 +270,32 @@ def test_regular_e8_orbit_is_refused_at_once(capsys):
     assert captured.err.count("\n") == 1
 
 
-def _no_power_series(*args, **kwargs):
-    raise AssertionError("power_series called")
+def _no_klimyk(*args, **kwargs):
+    raise AssertionError("Klimyk product called")
 
 
 def test_oversized_invariants_are_refused_at_once(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "power_series", _no_power_series)
-    monkeypatch.setattr(charring, "power_series", _no_power_series)
-    start = time.perf_counter()
-    assert cli.main(["invariants", "E8", "0,0,0,0,0,0,0,1",
-                     "--max-degree", "6"]) == 3
-    assert time.perf_counter() - start < 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("refused: degree 6 powers have more than 1000000 "
-                            "weights\n")
+    # the guard refuses from k * |wt V| * #dom(k*lam) before any product
+    monkeypatch.setattr(charring, "_times", _no_klimyk)
+    for argv, top, cost in (
+            (["E8", "0,0,0,0,0,0,0,1", "--max-degree", "1000"],
+             "(0, 0, 0, 0, 0, 0, 0, 1000)", 1000 * 241),
+            (["A2", "1,0", "--max-degree", "9999999"], "(9999999, 0)",
+             9999999 * 3)):
+        start = time.perf_counter()
+        assert cli.main(["invariants", *argv]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("refused: the dominant weights below %s, at "
+                                "%d steps each, need more than 1000000\n"
+                                % (top, cost))
 
 
 def test_invariants_guard_only_the_asked_degree(capsys, monkeypatch):
-    # the bilinear type is read off the root data, so --max-degree 1 builds
-    # no degree 2 power: it answers although V(2,2) of A2 has 19 weights
+    # the bilinear type is read off the root data, so --max-degree 1 runs
+    # no degree 2 recursion: it answers with 1 * 7 * 2 = 14 steps, although
+    # degree 2 would take 2 * 7 * 5 = 70
     monkeypatch.setattr(charring, "MAX_WEIGHTS", 18)
     assert cli.main(["invariants", "A2", "1,1", "--max-degree", "1"]) == 0
     captured = capsys.readouterr()
@@ -298,7 +304,9 @@ def test_invariants_guard_only_the_asked_degree(capsys, monkeypatch):
     assert payload["bilinear"] == "Symmetric"
     assert payload["symmetric_trivial"] == {"1": 0}
     assert cli.main(["invariants", "A2", "1,1", "--max-degree", "2"]) == 3
-    assert capsys.readouterr().err.startswith("refused: degree 2 powers")
+    assert capsys.readouterr().err == ("refused: the dominant weights below "
+                                       "(2, 2), at 14 steps each, need more "
+                                       "than 18\n")
 
 
 def _product(polys, top):
@@ -314,18 +322,18 @@ def _product(polys, top):
 @pytest.mark.parametrize("name,top", [
     ("A1", 6), ("A2", 6), ("B2", 6), ("G2", 6), ("A3", 5),
     ("B3", 4), ("C3", 4), ("D4", 4), ("F4", 3), ("E6", 3),
+    ("A4", 8), ("A5", 8), ("A6", 8), ("A7", 6), ("A8", 6),
+    ("B4", 8), ("B5", 8), ("B6", 8), ("B7", 6), ("B8", 6),
+    ("C4", 8), ("C5", 8), ("C6", 8), ("C7", 6), ("C8", 6),
+    ("D5", 8), ("D6", 8), ("D7", 6), ("D8", 6),
+    ("E7", 8), ("E8", 8),
 ])
 def test_invariants_of_the_adjoint_are_chevalley_and_hks(name, top):
-    # the degrees d_i = e_i + 1, the exponents e_i being the dual partition
-    # of the positive roots counted by height (Kostant); invariants of
-    # S(g) are polynomials in generators of degrees d_i (Chevalley), those
-    # of Lambda(g) an exterior algebra on degrees 2d_i - 1 (Hopf,
-    # Koszul-Samelson)
+    # invariants of S(g) are polynomials in generators of degrees
+    # d_i = e_i + 1 (Chevalley), those of Lambda(g) an exterior algebra on
+    # degrees 2d_i - 1 (Hopf, Koszul-Samelson)
     rs = RootSystem.named(name)
-    heights = [sum(q) for q in rs.positive_roots]
-    degrees = [h + 1 for h in set(heights)
-               for _ in range(heights.count(h) - heights.count(h + 1))]
-    assert len(degrees) == rs.rank
+    degrees = [e + 1 for e in rs.exponents]
     # 1/(1 - t^d) truncated at t^top
     sym = _product([dict.fromkeys(range(0, top + 1, d), 1) for d in degrees],
                    top)

@@ -185,6 +185,29 @@ def test_exceptional_weyl_group_orders(name, order):
     assert rs.orbit_size(rs.zero()) == 1
 
 
+def _textbook_exponents(name):
+    """Bourbaki, Lie IV-VI, Planches I-IX."""
+    family, n = name[0], int(name[1:])
+    if family == "A":
+        return list(range(1, n + 1))
+    if family in "BC":
+        return list(range(1, 2 * n, 2))
+    if family == "D":
+        return sorted(list(range(1, 2 * n - 2, 2)) + [n - 1])
+    return {"E6": [1, 4, 5, 7, 8, 11], "E7": [1, 5, 7, 9, 11, 13, 17],
+            "E8": [1, 7, 11, 13, 17, 19, 23, 29], "F4": [1, 5, 7, 11],
+            "G2": [1, 5]}[name]
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_exponents_are_the_textbook_ones(name):
+    rs = RootSystem.named(name)
+    assert list(rs.exponents) == _textbook_exponents(name)
+    # they add up to the number of positive roots; |W| is prod (e_i + 1)
+    assert sum(rs.exponents) == len(rs.positive_roots)
+    assert rs.orbit_size(rs.rho) == math.prod(e + 1 for e in rs.exponents)
+
+
 def _negative_roots(rs, w):
     """#{alpha > 0 : (w, alpha) < 0}, the length of the shortest x in W
     with w = x(w+) for w+ dominant (Humphreys, Reflection Groups and

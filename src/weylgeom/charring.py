@@ -335,7 +335,8 @@ def irrep_character(rs, lam):
                            % (dim, MAX_WEIGHTS))
     out = {}
     for mu, m in dominant_character(rs, lam).items():
-        for w in rs.weyl_orbit(mu):
+        out[mu] = m
+        for w, _, _, _ in rs.orbit_steps(mu):
             out[w] = m
     return FormalCharacter(out)
 

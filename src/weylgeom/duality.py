@@ -102,9 +102,11 @@ def diagram_duality(geometry, perm):
     standard one translated back along the reflections at negative
     coordinates that make perm(u) dominant, or support None when that
     dominant weight is not omega_perm(delta), as when perm is no
-    automorphism.  The image is a function of (perm(delta), perm(u)), so op
-    keeps it for every point a reduction passes: a later reduction that
-    reaches one is translated back along its new prefix only.
+    automorphism, and when c_delta does not divide the barycenter, which
+    is then no object's.  The image is a function of (perm(delta),
+    perm(u)), so op keeps it for every point a reduction passes: a later
+    reduction that reaches one is translated back along its new prefix
+    only.
     """
     rs = geometry.rs
     rng = range(1, rs.rank + 1)
@@ -114,8 +116,10 @@ def diagram_duality(geometry, perm):
 
     def op(delta, support):
         x = barycenter(support)
-        u = tuple(x[perm.index(i)] // scale[delta] for i in rng)
         d2 = perm[delta - 1]
+        if any(a % scale[delta] for a in x):
+            return d2, None
+        u = tuple(x[perm.index(i)] // scale[delta] for i in rng)
         path = []
         while (d2, u) not in images and min(u) < 0:
             path.append(u)

@@ -161,14 +161,14 @@ def apartment_objects(geometry, delta):
     then by support descending.
 
     The walk runs on barycenters.  An object is fixed by its barycenter (see
-    incidence), so objects and barycenters correspond one to one, the
-    correspondence commutes with each s_i, and s_i fixes both when the
-    barycenter's i-th coordinate is 0; skipping those self-loops leaves each
-    level, the length of a shortest word carrying the standard object there,
-    that of a walk on the supports.  Each support is translated once, when
-    its barycenter is first reached, through s_i tabulated on the weights
-    of V.  An apartment of |W.omega_delta| objects of |support| weights
-    each is refused above MAX_WEIGHTS weights, before the walk.
+    incidence), so objects and barycenters correspond one to one and the
+    correspondence commutes with each s_i.  The barycenters form the orbit
+    of the dominant standard one, which orbit_steps walks as a tree: each
+    support is translated once, from its parent's, through s_i tabulated on
+    the weights of V, and its level is the length of the shortest word
+    carrying the standard object there.  An apartment of |W.omega_delta|
+    objects of |support| weights each is refused above MAX_WEIGHTS weights,
+    before the walk.
     """
     rs = geometry.rs
     std = geometry.delta_space(delta).support
@@ -178,18 +178,12 @@ def apartment_objects(geometry, delta):
                            % (size, MAX_WEIGHTS))
     tables = {i: {w: rs.reflect(i, w) for w in geometry.weights}
               for i in range(1, rs.rank + 1)}
-    supports = {barycenter(std): std}
-
-    def step(x):
-        for i, c in enumerate(x, 1):
-            if c:
-                y = rs.reflect(i, x)
-                if y not in supports:
-                    t = tables[i]
-                    supports[y] = frozenset([t[w] for w in supports[x]])
-                yield y
-
-    levels = closure(list(supports), step)
+    top = barycenter(std)
+    supports, levels = {top: std}, {top: 0}
+    for y, level, x, i in rs.orbit_steps(top):
+        t = tables[i]
+        supports[y] = frozenset([t[w] for w in supports[x]])
+        levels[y] = level
     order = sorted(levels, key=lambda x: (levels[x],
                                           sorted(supports[x], reverse=True)))
     return [ApartmentObject(delta, supports[x]) for x in order]

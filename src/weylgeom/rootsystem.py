@@ -279,15 +279,36 @@ class RootSystem:
 
     def weyl_orbit(self, w):
         """Weyl orbit of w as a lex-descending sorted list of weights;
-        refused above MAX_WEIGHTS."""
+        refused above MAX_WEIGHTS before orbit_steps walks it."""
         size = self.orbit_size(w)
         if size > MAX_WEIGHTS:
             raise RefusedError("orbit of %d weights, above the limit of %d"
                                % (size, MAX_WEIGHTS))
-        # s_i fixes v when v[i-1] == 0, so those steps are skipped
-        return sorted(closure([tuple(w)], lambda v: (
-            self.reflect(i, v) for i in range(1, self.rank + 1) if v[i - 1])),
-            reverse=True)
+        top = self.dominant_rep(w)
+        return sorted([top] + [y for y, _, _, _ in self.orbit_steps(top)],
+                      reverse=True)
+
+    def orbit_steps(self, top):
+        """Walk W.top, top dominant, as a tree, level by level: yield
+        (y, level, x, i) with y = s_i x once for each y != top.  The parent
+        of y is s_j y, j its first negative coordinate, and its level is
+        #{alpha > 0 : (y, alpha) < 0}, the length of the shortest element
+        carrying top to y (Humphreys, Reflection Groups and Coxeter Groups,
+        1.6-1.10).  From x, whose first negative coordinate f is where its
+        parent stepped, s_i x (x_i > 0) is kept when i is its first negative
+        coordinate: at once when i < f, and never when s_i fixes x_f < 0."""
+        frontier, level = [(tuple(top), self.rank)], 0
+        while frontier:
+            level += 1
+            new = []
+            for x, f in frontier:
+                for i, (c, row) in enumerate(zip(x, self.cartan)):
+                    if c > 0 and (i < f or row[f]):
+                        y = tuple([a - c * r for a, r in zip(x, row)])
+                        if i < f or min(y[:i]) >= 0:
+                            new.append((y, i))
+                            yield y, level, x, i + 1
+            frontier = new
 
     def orbit_size(self, w):
         """|W.w| = |W|/|W_J|, J the nodes where the dominant form of w

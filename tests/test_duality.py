@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from weylgeom import ConsistencyError, RootSystem
@@ -344,6 +346,32 @@ def test_diagram_duality_images_do_not_depend_on_the_order_asked():
     assert all(s is not None for _, s in forward)
 
 
+def test_diagram_duality_gives_no_image_to_a_non_object(dual):
+    # random supports of each type's size that are no object: a barycenter
+    # c_delta does not divide once floored onto W.omega_delta, so the
+    # images must be checked to be None, not only the floors
+    g = dual.geometry
+    op = diagram_duality(g, tuple(dual.PHI[i] for i in range(1, 7)))
+    objs = {(o.delta, o.support) for o in _all_objects(g)}
+    weights = sorted(g.weights)
+    rng = random.Random(17)
+    tried = floored = 0
+    for d in range(1, 7):
+        std = g.delta_space(d).support
+        c = barycenter(std)[d - 1]
+        for _ in range(3000):
+            s = frozenset(rng.sample(weights, len(std)))
+            if (d, s) in objs:
+                continue
+            tried += 1
+            x = barycenter(s)
+            floor = g.rs.dominant_rep(tuple(a // c for a in x))
+            floored += (any(a % c for a in x)
+                        and floor == g.rs.fundamental_weight(d))
+            assert op(d, s) == (dual.PHI[d], None), (d, sorted(s))
+    assert tried > 10_000 and floored > 100
+
+
 @pytest.mark.parametrize("beta", [1, 2, 3])
 def test_off_the_diagram_both_maps_miss_on_the_same_objects(beta):
     # nodes 1 and 2 of E6 have different neighbours
@@ -377,6 +405,7 @@ def test_diagram_duality_walks_no_apartment(monkeypatch):
 
     monkeypatch.setattr(geometry, "apartment_objects", forbidden)
     monkeypatch.setattr(geometry, "closure", forbidden)
+    monkeypatch.setattr(RootSystem, "orbit_steps", forbidden)
     perm = (1, 2, 3, 4, 5, 6, 8, 7)
     assert chamber_automorphism_check(g, diagram_duality(g, perm))
 

@@ -195,14 +195,16 @@ def test_hasse_e6_negated_twist_is_anti_automorphism():
 # apartment objects and incidence
 
 
+def _refuse_walk(self, top):
+    raise AssertionError("orbit walked")
+
+
 def test_e8_node4_apartment_is_refused_before_the_walk(monkeypatch):
     # E8 beta = 8, delta = 4: 483,840 objects of 5 weights each
     g = geom("E8", 8)
     assert len(g.delta_space(4).support) == 5
 
-    def refuse(seeds, step):
-        raise AssertionError("closure called")
-    monkeypatch.setattr(geometry, "closure", refuse)
+    monkeypatch.setattr(RootSystem, "orbit_steps", _refuse_walk)
     with pytest.raises(RefusedError, match="2419200 weights"):
         apartment_objects(g, 4)
 
@@ -214,8 +216,25 @@ def test_e8_node4_geometry_is_refused_before_any_work(monkeypatch):
     def refuse(seeds, step):
         raise AssertionError("closure called")
     monkeypatch.setattr(charring, "closure", refuse)
+    monkeypatch.setattr(RootSystem, "orbit_steps", _refuse_walk)
     with pytest.raises(RefusedError):
         Geometry(e8, 4)
+
+
+def test_apartment_walk_reflects_only_to_fill_its_tables(monkeypatch):
+    # E7 beta = 7, delta = 4: s_1..s_7 tabulated on the 56 weights of V,
+    # then 10,080 objects each translated once from its parent
+    g = geom("E7", 7)
+    g.delta_space(4)
+    calls = []
+    reflect = RootSystem.reflect
+
+    def counted(self, i, w):
+        calls.append(i)
+        return reflect(self, i, w)
+    monkeypatch.setattr(RootSystem, "reflect", counted)
+    assert len(apartment_objects(g, 4)) == 10_080
+    assert len(calls) == 56 * 7
 
 
 def test_d3_geometry_answers_alike_under_every_name():

@@ -234,8 +234,103 @@ def test_closure_words_are_reduced(name):
         assert len(levels) == rs.orbit_size(seed)
         for w, level in levels.items():
             assert level == _negative_roots(rs, w), (seed, w)
+        # the tree walk reaches the same weights at the same levels
+        assert _walk_levels(rs, seed) == levels
     levels = _reflection_levels(rs, rs.rho)
     assert max(levels.values()) == len(rs.positive_roots)
+
+
+def _walk_levels(rs, top):
+    levels = {top: 0}
+    for y, level, x, i in rs.orbit_steps(top):
+        assert y not in levels and levels[x] == level - 1
+        assert y == rs.reflect(i, x)
+        levels[y] = level
+    return levels
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poincare(rs):
+    """W(q) = prod [e_i + 1]_q, coefficients from q^0 up."""
+    p = [1]
+    for e in rs.exponents:
+        p = _poly_mul(p, [1] * (e + 1))
+    return p
+
+
+# every (system, delta) of rank <= 8 whose orbit W.omega_delta has at most
+# 20,000 weights
+LEVEL_CASES = [(name, delta) for name in SYSTEMS
+               for delta in range(1, int(name[1:]) + 1)
+               if RootSystem.named(name).orbit_size(
+                   RootSystem.named(name).fundamental_weight(delta)) <= 20_000]
+
+
+@pytest.mark.parametrize("name,delta", LEVEL_CASES,
+                         ids=["%s-%d" % c for c in LEVEL_CASES])
+def test_walk_levels_count_the_minimal_coset_representatives(name, delta):
+    # the levels of W.omega_delta are the lengths of the minimal coset
+    # representatives of W/W_J, J the nodes other than delta, so
+    # sum q^level = W(q)/W_J(q) (Humphreys, Reflection Groups and Coxeter
+    # Groups, 1.11 and 3.15); compared as sum q^level * W_J(q) = W(q)
+    rs = RootSystem.named(name)
+    counts = [1]
+    for _, level, _, _ in rs.orbit_steps(rs.fundamental_weight(delta)):
+        if level == len(counts):
+            counts.append(0)
+        counts[level] += 1
+    rest = [i for i in range(1, rs.rank + 1) if i != delta]
+    levi = _poincare(rs.restricted(rest)[0]) if rest else [1]
+    assert _poly_mul(counts, levi) == _poincare(rs)
+
+
+def test_level_cases_cover_the_small_orbits():
+    # D3 = A3 counted under both names
+    assert len(LEVEL_CASES) == 162
+    assert ("E7", 4) in LEVEL_CASES and ("E8", 4) not in LEVEL_CASES
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "A4", "B4", "D4",
+                                  "F4", "D5", "E6"])
+def test_walk_does_not_depend_on_the_node_numbering(name):
+    # node a of the relabelled system is node p[a] here; every weight and
+    # its level come out the same, though the tree may differ
+    rs = RootSystem.named(name)
+    perms = list(itertools.permutations(range(rs.rank)))
+    if len(perms) > 24:
+        perms = random.Random(name).sample(perms, 24)
+    tops = [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
+    tops += [rs.rho] * (rs.orbit_size(rs.rho) <= 2000)
+    for p in perms:
+        other = RootSystem([[rs.cartan[a][b] for b in p] for a in p])
+        for top in tops:
+            moved = tuple(top[a] for a in p)
+            back = {}
+            for y, level in _walk_levels(other, moved).items():
+                w = [0] * rs.rank
+                for a, c in zip(p, y):
+                    w[a] = c
+                back[tuple(w)] = level
+            assert back == _walk_levels(rs, top), (p, top)
+
+
+def test_walking_an_orbit_reflects_nothing_and_repeats_nothing(monkeypatch):
+    e7 = RootSystem.named("E7")
+    top = e7.fundamental_weight(4)
+
+    def refuse(self, i, w):
+        raise AssertionError("reflect called")
+    monkeypatch.setattr(RootSystem, "reflect", refuse)
+    walked = [y for y, _, _, _ in e7.orbit_steps(top)]
+    assert len(walked) == e7.orbit_size(top) - 1 == 10_079
+    assert len(set(walked)) == len(walked) and top not in walked
 
 
 def test_closure_on_a_path():
@@ -527,10 +622,14 @@ def _refuse_closure(seeds, step):
     raise AssertionError("closure called")
 
 
+def _refuse_walk(self, top):
+    raise AssertionError("orbit walked")
+
+
 def test_regular_e8_orbit_is_refused_before_any_work(monkeypatch):
     e8 = RootSystem.named("E8")
     assert e8.orbit_size(e8.rho) == 696_729_600
-    monkeypatch.setattr(rootsystem, "closure", _refuse_closure)
+    monkeypatch.setattr(RootSystem, "orbit_steps", _refuse_walk)
     with pytest.raises(RefusedError):
         e8.weyl_orbit(e8.rho)
 
@@ -557,6 +656,7 @@ def test_weight_limit_sits_between_the_largest_built_and_refused(
     assert (dim > MAX_WEIGHTS) == refused
     if refused:
         monkeypatch.setattr(charring, "closure", _refuse_closure)
+        monkeypatch.setattr(RootSystem, "orbit_steps", _refuse_walk)
         with pytest.raises(RefusedError):
             irrep_character(system, lam)
 

@@ -7,7 +7,6 @@ weights only, and arbitrary characters are decomposed by peeling highest
 weights in an order refining dominance.
 """
 
-import os
 from math import comb
 
 from .rootsystem import (
@@ -186,88 +185,9 @@ def dominant_weights_below(rs, lam, cost=1):
     return set(closure([lam], step))
 
 
-class TableStore:
-    """Dominant character tables, memoized by (system key, weight) and, when
-    a directory is given, kept there as one json file per table.  A file
-    whose header, checksum or table does not hold up is a miss.  Only the
-    file methods import hashlib and json."""
-
-    def __init__(self, directory=None):
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self.directory = directory
-        self.memo = {}
-
-    def _path(self, rs, lam):
-        import hashlib
-        digest = hashlib.sha256((rs.key + repr(lam)).encode()).hexdigest()[:24]
-        return os.path.join(self.directory, "domchar-%s.json" % digest)
-
-    def get(self, rs, lam):
-        """The stored table of V(lam), or None; do not mutate it."""
-        key = (rs.key, lam)
-        if key not in self.memo and self.directory:
-            table = self._load(rs, lam)
-            if table is not None:
-                self.memo[key] = table
-        return self.memo.get(key)
-
-    def put(self, rs, lam, table):
-        self.memo[(rs.key, lam)] = table
-        if self.directory:
-            import json
-            rows = [[list(w), int(m)] for w, m in sorted(table.items())]
-            path = self._path(rs, lam)
-            # one temp file per process, so concurrent writers never share one
-            tmp = "%s.%d.tmp" % (path, os.getpid())
-            try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(_payload(rs, lam, rows), fh, sort_keys=True)
-                os.replace(tmp, path)
-            except OSError:
-                # best-effort, as _load makes an unusable file a miss
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-
-    def _load(self, rs, lam):
-        import json
-        try:
-            with open(self._path(rs, lam), "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if data != _payload(rs, lam, data["table"]):
-                return None
-            table = {tuple(w): int(m) for w, m in data["table"]}
-            return table if _valid(rs, lam, table) else None
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-
-def _payload(rs, lam, rows):
-    """The json file of a table, given as sorted [weight, multiplicity]
-    rows."""
-    import hashlib
-    import json
-    body = json.dumps(rows, sort_keys=True)
-    return {"format_version": 1, "system": rs.key, "weight": list(lam),
-            "table": rows, "checksum": hashlib.sha256(body.encode()).hexdigest()}
-
-
-def _valid(rs, lam, table):
-    """A table can be V(lam)'s only if its weights are dominant, m(lam) = 1,
-    every m > 0 and the orbits add up to the Weyl dimension."""
-    if table.get(lam) != 1:
-        return False
-    if not all(len(mu) == rs.rank and rs.is_dominant(mu) and m > 0
-               for mu, m in table.items()):
-        return False
-    return (sum(m * rs.orbit_size(mu) for mu, m in table.items())
-            == weyl_dimension(rs, lam))
-
-
-# the store dominant_character reads; the CLI swaps in a directory-backed one
-STORE = TableStore()
+# dominant_character's tables by (system key, weight), so a second
+# RootSystem of the same Cartan matrix finds them too
+TABLES = {}
 
 
 def dominant_character(rs, lam):
@@ -279,9 +199,9 @@ def dominant_character(rs, lam):
     steps it takes, passes MAX_WEIGHTS.
     """
     lam = tuple(lam)
-    table = STORE.get(rs, lam)
-    if table is not None:
-        return dict(table)
+    key = (rs.key, lam)
+    if key in TABLES:
+        return dict(TABLES[key])
 
     # n*|mu+rho|^2 for each dominant mu, n as in cartan_inverse
     norms = {mu: rs.scaled_norm2(tuple(a + 1 for a in mu))
@@ -322,7 +242,7 @@ def dominant_character(rs, lam):
             raise ConsistencyError("nonpositive multiplicity")
         table[mu] = mult
 
-    STORE.put(rs, lam, table)
+    TABLES[key] = table
     return dict(table)
 
 

@@ -19,8 +19,8 @@ from .rootsystem import ConsistencyError, RootSystem, cached_property, closure
 
 
 def triple_sums(xs, ys, zs):
-    """Every x + y + z with x in xs, y in ys and z in zs, lazily, so that
-    all() and any() over it stop at the first decisive sum."""
+    """Every x + y + z over xs, ys and zs, lazily, so that all() and any()
+    stop early; the E6 brace relation reads E6Duality._reach instead."""
     return (tuple(a + b + c for a, b, c in zip(x, y, z))
             for x in xs for y in ys for z in zs)
 
@@ -147,6 +147,7 @@ class E6Duality:
         self.geometry = Geometry(self.rs, 1)
         self.weights = self.geometry.weights
         self._hyperlines = {}
+        self._reaches = {}
 
     @staticmethod
     def phi_weight(c):
@@ -156,13 +157,9 @@ class E6Duality:
         return self.geometry.delta_space(delta).support
 
     def sharp_support(self, s1, s2):
-        out = set()
-        for a in s1:
-            for b in s2:
-                w = self.phi_weight(tuple(x + y for x, y in zip(a, b)))
-                if w in self.weights:
-                    out.add(w)
-        return frozenset(out)
+        return self.weights.intersection(
+            self.phi_weight(tuple(x + y for x, y in zip(a, b)))
+            for a in s1 for b in s2)
 
     def hyperline(self, mu):
         h = self._hyperlines.get(mu)
@@ -174,14 +171,30 @@ class E6Duality:
             self._hyperlines[mu] = h
         return h
 
+    def _require_weights(self, support):
+        support = frozenset(support)
+        for w in support - self.weights:
+            raise ValueError("%r is not a weight here" % (w,))
+        return support
+
+    def _reach(self, s):
+        """The weights s + y with y a weight, memoised by s."""
+        r = self._reaches.get(s)
+        if r is None:
+            r = self._reaches[s] = self.weights.intersection(
+                tuple(a + b for a, b in zip(s, y)) for y in self.weights)
+        return r
+
     def _closed(self, support, phis):
         """Does every support weight + weight + phi-image that is a weight
-        stay in the support?"""
-        return all(w not in self.weights or w in support
-                   for w in triple_sums(support, self.weights, phis))
+        stay in the support?  Grouped as (x + z) + y, the weights reached
+        from each x + z are one memoised set."""
+        return all(self._reach(tuple(a + b for a, b in zip(x, z))) <= support
+                   for x in support for z in phis)
 
     def brace_closed(self, support):
         """No brace built from two support weights escapes the support."""
+        support = self._require_weights(support)
         return self._closed(support, [self.phi_weight(my) for my in support])
 
     def psi_support(self, support):
@@ -191,15 +204,11 @@ class E6Duality:
         self-dual size the hyperlines are too generous and the brace-closure
         filter is used instead.
         """
-        support = frozenset(support)
+        support = self._require_weights(support)
         if not support:
             raise ValueError("empty support")
         if len(support) != 6:
-            out = None
-            for mu in support:
-                h = self.hyperline(mu)
-                out = h if out is None else out & h
-            return frozenset(out)
+            return frozenset.intersection(*map(self.hyperline, support))
         return frozenset(nu for nu in self.weights
                          if self._closed(support, (self.phi_weight(nu),)))
 
@@ -239,8 +248,7 @@ class E6Duality:
         support count, lower bound from one-term certificates), and 17 (the
         support count; a matching certificate family is not attempted).
         """
-        if my not in self.weights:
-            raise ValueError("%r is not a weight here" % (my,))
+        self._require_weights((my,))
         hw = self.geometry.hw
         minus_om6 = tuple(-x for x in self.rs.fundamental_weight(6))
         orbit = self.wprime_orbit_of(my)
@@ -257,8 +265,7 @@ class E6Duality:
         if hw in orbit:
             return 0, frozenset()
         pm = self.phi_weight(my)
-        upper = frozenset(w for w in triple_sums((hw,), self.weights, (pm,))
-                          if w in self.weights)
+        upper = self._reach(tuple(a + b for a, b in zip(hw, pm)))
         if len(upper) != 6:
             raise ConsistencyError("expected a 6-element brace support")
         zero = (0,) * 6
@@ -336,13 +343,8 @@ class Triality:
         return None if w is None else self.weight_label[w]
 
     def star_support(self, s1, s2):
-        out = set()
-        for u in s1:
-            for v in s2:
-                w = self.star_weight(u, v)
-                if w is not None:
-                    out.add(w)
-        return frozenset(out)
+        return frozenset(self.star_weight(u, v)
+                         for u in s1 for v in s2) - {None}
 
     def table(self):
         """The 8x8 product table in the printed layout: the column entry
@@ -362,10 +364,18 @@ class Triality:
         w = self.phi2_weight(self.label_weight[c])
         return all(x + y + z == 0 for x, y, z in zip(u, v, w))
 
+    @cached_property
+    def _factors(self):
+        """{(True, w * V) and (False, V * w): the weights w giving it}."""
+        out = {}
+        for w in self.weights:
+            for key in ((True, self.star_support((w,), self.weights)),
+                        (False, self.star_support(self.weights, (w,)))):
+                out[key] = out.get(key, ()) + (w,)
+        return out
+
     def _unique_factor(self, support, left):
-        hits = [w for w in self.weights
-                if (self.star_support((w,), self.weights) if left
-                    else self.star_support(self.weights, (w,))) == support]
+        hits = self._factors.get((left, support), ())
         if len(hits) != 1:
             raise ConsistencyError("%s factor is not unique"
                                    % ("left" if left else "right"))

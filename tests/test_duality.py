@@ -14,7 +14,7 @@ from weylgeom.duality import (
     wprime_orbits,
     zero_sum_triple_orbits,
 )
-from weylgeom import geometry
+from weylgeom import duality, geometry
 from weylgeom.geometry import Geometry, apartment_objects, barycenter
 
 W1 = (1, 0, 0, 0, 0, 0)
@@ -110,6 +110,102 @@ def test_psi_on_intersections(dual):
 def test_psi_rejects_empty(dual):
     with pytest.raises(ValueError):
         dual.psi_support(frozenset())
+
+
+@pytest.mark.parametrize("size", [1, 4, 6, 7])
+def test_psi_and_brace_closure_reject_a_non_weight(dual, size):
+    # a non-weight is bad input, not a failed internal check: on every
+    # branch, the 6-support one included
+    support = frozenset(sorted(S2_FROZEN | dual.standard_support(5))
+                        [:size - 1] + [(0,) * 6])
+    assert len(support) == size
+    message = r"^\(0, 0, 0, 0, 0, 0\) is not a weight here$"
+    for f in (dual.psi_support, dual.brace_closed):
+        with pytest.raises(ValueError, match=message):
+            f(support)
+
+
+def _brace_escapes(weights, support, phis):
+    """The brace relation as triple sums: is some x + y + z, with x in the
+    support, y a weight and z in phis, a weight outside the support?"""
+    for x in support:
+        for y in weights:
+            for z in phis:
+                w = tuple(a + b + c for a, b, c in zip(x, y, z))
+                if w in weights and w not in support:
+                    return True
+    return False
+
+
+def _triple_sum_psi(dual, support):
+    """psi_support spelled out: the common hyperline {phi(mu + y)} of the
+    members, or at size 6 the nu whose phi-image keeps the support closed."""
+    weights, phi = dual.weights, dual.phi_weight
+    if len(support) != 6:
+        out = weights
+        for mu in support:
+            out = out & {phi(tuple(a + b for a, b in zip(mu, y)))
+                         for y in weights}
+        return out
+    return frozenset(nu for nu in weights
+                     if not _brace_escapes(weights, support, (phi(nu),)))
+
+
+def test_psi_and_brace_closure_match_the_triple_sum_definition():
+    # one duality for every support, so later supports read what earlier
+    # ones memoised; the 6-objects come last, and bring closed 6-supports
+    dual = E6Duality()
+    objs = {o.support for d in range(1, 7)
+            for o in apartment_objects(dual.geometry, d)}
+    weights = sorted(dual.weights)
+    rng = random.Random(19)
+    supports = [frozenset(rng.sample(weights, size))
+                for size in range(1, 11)
+                for _ in range(2000 if size == 6 else 100)]
+    # one weight of a 6-object swapped out: psi is then often nonempty
+    six = sorted(sorted(s) for s in objs if len(s) == 6)
+    for _ in range(400):
+        s = rng.choice(six)
+        out = rng.choice(s)
+        supports.append(frozenset(s).difference([out]).union(
+            [rng.choice([w for w in weights if w not in s])]))
+    supports += [frozenset(s) for s in six]
+    seen = {}
+    for s in supports:
+        psi = dual.psi_support(s)
+        assert psi == _triple_sum_psi(dual, s), sorted(s)
+        closed = not _brace_escapes(dual.weights, s,
+                                    [dual.phi_weight(m) for m in s])
+        assert dual.brace_closed(s) == closed, sorted(s)
+        k = seen.setdefault(len(s), [0, 0, 0])
+        k[0] += s not in objs
+        k[1] += bool(psi)
+        k[2] += closed
+    assert seen[6][0] >= 2000
+    # both answers occur at every size that has them
+    assert all(seen[n][1] for n in range(1, 8))
+    assert all(seen[n][2] for n in (1, 2, 6))
+    assert seen[6][1] > 100
+
+
+def test_psi_of_the_self_dual_type_sums_no_triples(monkeypatch):
+    # psi, brace closure and the brace dimensions read the memoised brace
+    # relation, one set per sum of a weight and a phi-image
+    dual = E6Duality()
+    objs = [o.support for o in apartment_objects(dual.geometry, 2)]
+    assert len(objs) == 72
+
+    def forbidden(*args):
+        raise AssertionError("summed triples")
+
+    monkeypatch.setattr(duality, "triple_sums", forbidden)
+    images = {s: dual.psi_support(s) for s in objs}
+    assert all(images[images[s]] == s for s in objs)
+    assert set(images.values()) == set(objs)
+    assert sum(dual.brace_closed(s) for s in objs) == 24
+    assert sorted(dual.dim_brace_vplus(my)[0] for my in dual.weights) \
+        == [0] * 10 + [6] * 16 + [17]
+    assert 0 < len(dual._reaches) <= 27 * 27
 
 
 def test_wprime_orbit_sizes(dual):
@@ -233,6 +329,20 @@ def test_triality_psi_cubed_is_identity_on_points(tri):
         for _ in range(3):
             d, s = tri.psi(d, s)
         assert (d, s) == (1, frozenset((w,)))
+
+
+def test_triality_factor_tables_are_the_fork_objects():
+    tri = Triality()
+    for left, delta in ((True, 3), (False, 4)):
+        objs = {o.support for o in apartment_objects(tri.geometry, delta)}
+        assert {s for side, s in tri._factors if side == left} == objs
+    assert all(len(ws) == 1 for ws in tri._factors.values())
+    s3 = tri.geometry.delta_space(3).support
+    s4 = tri.geometry.delta_space(4).support
+    with pytest.raises(ConsistencyError, match="left factor is not unique"):
+        tri.psi(3, s4)
+    with pytest.raises(ConsistencyError, match="right factor is not unique"):
+        tri.psi(4, s3)
 
 
 def test_d4_chamber_automorphism(tri):

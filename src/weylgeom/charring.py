@@ -30,12 +30,8 @@ class FormalCharacter:
     __slots__ = ("weights",)
 
     def __init__(self, weights=None):
-        data = {}
-        if weights:
-            for w, m in (weights.items() if hasattr(weights, "items") else weights):
-                if m:
-                    data[tuple(w)] = data.get(tuple(w), 0) + m
-        self.weights = {w: m for w, m in data.items() if m}
+        """weights: {weight tuple: multiplicity}; zeros are dropped."""
+        self.weights = {w: m for w, m in (weights or {}).items() if m}
 
     def items(self):
         return self.weights.items()

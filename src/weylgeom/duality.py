@@ -18,6 +18,14 @@ from .geometry import Geometry, barycenter, translate_support
 from .rootsystem import ConsistencyError, RootSystem, cached_property, closure
 
 
+def _require_weights(weights, support):
+    """support as a frozenset; ValueError if a member is not in weights."""
+    support = frozenset(support)
+    for w in support - weights:
+        raise ValueError("%r is not a weight here" % (w,))
+    return support
+
+
 def triple_sums(xs, ys, zs):
     """Every x + y + z over xs, ys and zs, lazily, so that all() and any()
     stop early; the E6 brace relation reads E6Duality._reach instead."""
@@ -102,22 +110,27 @@ def diagram_duality(geometry, perm):
     standard one translated back along the reflections at negative
     coordinates that make perm(u) dominant, or support None when that
     dominant weight is not omega_perm(delta), as when perm is no
-    automorphism, and when c_delta does not divide the barycenter, which
-    is then no object's.  The image is a function of (perm(delta),
-    perm(u)), so op keeps it for every point a reduction passes: a later
-    reduction that reaches one is translated back along its new prefix
-    only.
+    automorphism, and when the support is no object's: its size is not
+    the standard delta-space's, or c_delta does not divide its barycenter.
+    Of the supports of the standard size, only the object sums to
+    c_delta*u, since the standard support is the face of V's weights on
+    which (., omega_delta) is greatest.  A non-weight raises ValueError.
+    The image is a function of (perm(delta), perm(u)), so op keeps it for
+    every point a reduction passes: a later reduction that reaches one is
+    translated back along its new prefix only.
     """
     rs = geometry.rs
     rng = range(1, rs.rank + 1)
-    scale = {d: barycenter(geometry.delta_space(d).support)[d - 1]
-             for d in rng}
+    std = {d: geometry.delta_space(d).support for d in rng}
+    scale = {d: barycenter(std[d])[d - 1] for d in rng}
     images = {}
 
     def op(delta, support):
-        x = barycenter(support)
+        support = _require_weights(geometry.weights, support)
         d2 = perm[delta - 1]
-        if any(a % scale[delta] for a in x):
+        x = barycenter(support)
+        if (len(support) != len(std[delta])
+                or any(a % scale[delta] for a in x)):
             return d2, None
         u = tuple(x[perm.index(i)] // scale[delta] for i in rng)
         path = []
@@ -125,8 +138,8 @@ def diagram_duality(geometry, perm):
             path.append(u)
             u = rs.reflect(u.index(min(u)) + 1, u)
         if (d2, u) not in images:
-            images[d2, u] = (geometry.delta_space(d2).support
-                             if u == rs.fundamental_weight(d2) else None)
+            images[d2, u] = (std[d2] if u == rs.fundamental_weight(d2)
+                             else None)
         image = images[d2, u]
         for v in reversed(path):
             if image is not None:
@@ -164,18 +177,13 @@ class E6Duality:
     def hyperline(self, mu):
         h = self._hyperlines.get(mu)
         if h is None:
+            _require_weights(self.weights, (mu,))
             h = self.sharp_support((mu,), self.weights)
             if len(h) != 10:
                 raise ConsistencyError("hyperline of %r has size %d"
                                        % (mu, len(h)))
             self._hyperlines[mu] = h
         return h
-
-    def _require_weights(self, support):
-        support = frozenset(support)
-        for w in support - self.weights:
-            raise ValueError("%r is not a weight here" % (w,))
-        return support
 
     def _reach(self, s):
         """The weights s + y with y a weight, memoised by s."""
@@ -194,7 +202,7 @@ class E6Duality:
 
     def brace_closed(self, support):
         """No brace built from two support weights escapes the support."""
-        support = self._require_weights(support)
+        support = _require_weights(self.weights, support)
         return self._closed(support, [self.phi_weight(my) for my in support])
 
     def psi_support(self, support):
@@ -204,7 +212,7 @@ class E6Duality:
         self-dual size the hyperlines are too generous and the brace-closure
         filter is used instead.
         """
-        support = self._require_weights(support)
+        support = _require_weights(self.weights, support)
         if not support:
             raise ValueError("empty support")
         if len(support) != 6:
@@ -248,7 +256,7 @@ class E6Duality:
         support count, lower bound from one-term certificates), and 17 (the
         support count; a matching certificate family is not attempted).
         """
-        self._require_weights((my,))
+        _require_weights(self.weights, (my,))
         hw = self.geometry.hw
         minus_om6 = tuple(-x for x in self.rs.fundamental_weight(6))
         orbit = self.wprime_orbit_of(my)
@@ -272,13 +280,12 @@ class E6Duality:
         for lam in upper:
             found = False
             for f in self.weights:
-                t1 = my == minus_om6 and f == lam
-                t2 = (tuple(a + b for a, b in zip(f, pm)) == zero
+                t1 = (tuple(a + b for a, b in zip(f, pm)) == zero
                       and lam == hw)
                 s = tuple(a + b + c for a, b, c in zip(hw, f, pm))
-                t3 = (self.phi_weight(tuple(a + b for a, b in zip(hw, f)))
+                t2 = (self.phi_weight(tuple(a + b for a, b in zip(hw, f)))
                       in self.weights and s in self.weights and s == lam)
-                if int(t1) + int(t2) + int(t3) == 1:
+                if t1 != t2:
                     found = True
                     break
             if not found:
@@ -384,7 +391,7 @@ class Triality:
     def psi(self, delta, support):
         """One triality step on an apartment object, following the node
         rotation 1 -> 3 -> 4 -> 1 (node 2 objects map to node 2)."""
-        support = frozenset(support)
+        support = _require_weights(self.weights, support)
         if delta == 1:
             if len(support) != 1:
                 raise ValueError("a point support must be a singleton")

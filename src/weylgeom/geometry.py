@@ -1,15 +1,15 @@
 """Incidence geometry of a standard representation.
 
 A geometry is a root system together with a distinguished fundamental weight
-omega_beta.  Each node delta of the diagram yields a delta-space: the span of
-the weights omega_beta - alpha where alpha runs over nonnegative combinations
-of simple roots from the connected component of beta in the diagram with
-delta deleted.  Apartment objects are Weyl translates of the standard spaces;
-two objects are incident when some chamber holds both (Tits), which is
-decided from the barycenters of their supports.
+omega_beta.  Each node delta of the diagram yields a delta-space: the sum of
+the weight spaces of V(omega_beta) at omega_beta - alpha, alpha running over
+nonnegative combinations of simple roots from the connected component of beta
+in the diagram with delta deleted.  Apartment objects are Weyl translates of
+the standard spaces; two objects are incident when some chamber holds both
+(Tits), which is decided from the barycenters of their supports.
 """
 
-from .charring import irrep_character, minuscule_check, weyl_dimension
+from .charring import irrep_character, minuscule_check
 from .rootsystem import (MAX_WEIGHTS, ConsistencyError, RefusedError,
                          cached_property, closure)
 
@@ -57,7 +57,8 @@ class Geometry:
 
 
 class DeltaSpace:
-    """The standard delta-space of a geometry."""
+    """The standard delta-space of a geometry; its dimension is the sum of
+    V's multiplicities over its support."""
 
     def __init__(self, geometry, delta):
         rs = geometry.rs
@@ -68,17 +69,7 @@ class DeltaSpace:
         self.component = rs.delta_component(geometry.beta, delta)
         levels = descent(rs, geometry.weights, geometry.hw, self.component)
         self.support = frozenset(levels)
-        if self.component:
-            sub, nodes = rs.restricted(self.component)
-            pos = nodes.index(geometry.beta) + 1
-            self.dimension = weyl_dimension(sub, sub.fundamental_weight(pos))
-        else:
-            self.dimension = 1
-        # the distinct weights of a module of this dimension, all of them
-        # when V is minuscule
-        if (self.dimension != len(self.support) if geometry.minuscule
-                else self.dimension < len(self.support)):
-            raise ConsistencyError("dimension and support size disagree")
+        self.dimension = sum(geometry.char.weights[w] for w in self.support)
         # incidence rests on this: the support sums to c*omega_delta
         x = barycenter(self.support)
         if x[delta - 1] <= 0 or any(x[:delta - 1] + x[delta:]):

@@ -125,6 +125,12 @@ def test_psi_and_brace_closure_reject_a_non_weight(dual, size):
             f(support)
 
 
+def test_hyperline_rejects_a_non_weight(dual):
+    with pytest.raises(ValueError,
+                       match=r"^\(0, 0, 0, 0, 0, 0\) is not a weight here$"):
+        dual.hyperline((0,) * 6)
+
+
 def _brace_escapes(weights, support, phis):
     """The brace relation as triple sums: is some x + y + z, with x in the
     support, y a weight and z in phis, a weight outside the support?"""
@@ -345,6 +351,14 @@ def test_triality_factor_tables_are_the_fork_objects():
         tri.psi(4, s3)
 
 
+@pytest.mark.parametrize("delta", [1, 2, 3, 4])
+def test_triality_psi_rejects_a_non_weight(tri, delta):
+    message = r"^\(9, 9, 9, 9\) is not a weight here$"
+    for support in ({(9, 9, 9, 9)}, {(9, 9, 9, 9), (1, 0, 0, 0)}):
+        with pytest.raises(ValueError, match=message):
+            tri.psi(delta, support)
+
+
 def test_d4_chamber_automorphism(tri):
     assert tri.PHI == {1: 3, 2: 2, 3: 4, 4: 1}
     assert chamber_automorphism_check(tri.geometry, tri.psi)
@@ -480,6 +494,33 @@ def test_diagram_duality_gives_no_image_to_a_non_object(dual):
                         and floor == g.rs.fundamental_weight(d))
             assert op(d, s) == (dual.PHI[d], None), (d, sorted(s))
     assert tried > 10_000 and floored > 100
+
+
+def test_diagram_duality_rejects_a_non_weight(dual):
+    # these two sum to the barycenter of the standard 3-object, which the
+    # barycenter alone would take for it
+    perm = tuple(dual.PHI[i] for i in range(1, 7))
+    op = diagram_duality(dual.geometry, perm)
+    support = {(4, 5, 6, 5, 5, 5), (-4, -5, -5, -5, -5, -5)}
+    assert barycenter(support) == barycenter(dual.standard_support(3))
+    for f in (op, dual.psi):
+        with pytest.raises(ValueError, match="is not a weight here"):
+            f(3, support)
+
+
+def test_diagram_duality_gives_no_image_to_a_support_of_another_size(tri):
+    # D4 beta = 2: the weight 0 adds nothing to a barycenter
+    g = Geometry(tri.rs, 2)
+    assert (0,) * 4 in g.weights
+    perm = tuple(tri.PHI[i] for i in range(1, 5))
+    op = diagram_duality(g, perm)
+    for d in range(1, 5):
+        for o in apartment_objects(g, d):
+            assert op(d, o.support)[1] is not None
+            if (0,) * 4 not in o.support:
+                bigger = o.support | {(0,) * 4}
+                assert op(d, bigger) == (perm[d - 1], None), d
+            assert op(d, sorted(o.support)[1:]) == (perm[d - 1], None), d
 
 
 @pytest.mark.parametrize("beta", [1, 2, 3])

@@ -124,6 +124,20 @@ def test_support_size_matches_dimension_when_minuscule():
             assert len(sp.support) == sp.dimension
 
 
+DELTA_DIMENSIONS = {"E7": {1: 12, 2: 7, 3: 6, 4: 4, 5: 3, 6: 2, 7: 1},
+                    "E8": {1: 14, 2: 8, 3: 7, 4: 5, 5: 4, 6: 3, 7: 2, 8: 1}}
+
+
+@pytest.mark.parametrize("name,beta", [("E7", 7), ("E8", 8)])
+def test_delta_spaces_build_no_root_system(monkeypatch, name, beta):
+    g = geom(name, beta)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("root system built")
+    monkeypatch.setattr(RootSystem, "__init__", forbidden)
+    assert dimension_diagram(g) == DELTA_DIMENSIONS[name]
+
+
 def test_bad_nodes_rejected():
     rs = RootSystem.named("A3")
     with pytest.raises(ValueError):
@@ -686,6 +700,18 @@ def test_descent_matches_the_depth_filter(name, beta):
         s = g.delta_space(delta)
         assert s.support == _depth_support(g, depths, delta), delta
         assert s.lowest_weight == _w0_image(rs, g.hw, s.component), delta
+        # the dimension read off V's character against the Weyl formula
+        # on the Levi, at omega_beta's position in the component
+        if s.component:
+            sub, nodes = rs.restricted(s.component)
+            pos = nodes.index(beta) + 1
+            assert s.dimension == charring.weyl_dimension(
+                sub, sub.fundamental_weight(pos)), delta
+        else:
+            assert s.dimension == 1, delta
+        assert len(s.support) <= s.dimension, delta
+        if g.minuscule:
+            assert len(s.support) == s.dimension, delta
     # over all nodes the descent reaches every weight, at its height
     levels = geometry.descent(rs, g.weights, g.hw, range(1, rs.rank + 1))
     assert levels == {w: sum(q) for w, q in depths.items()}

@@ -1,10 +1,10 @@
 """Characters of highest-weight representations, exactly.
 
 Everything is integer arithmetic on weight dictionaries.  A formal character
-is a finite Z-combination of weights (fw-coordinate int tuples); irreducible
-characters come from the recursive multiplicity formula evaluated on dominant
-weights only, and arbitrary characters are decomposed by peeling highest
-weights in an order refining dominance.
+is a finite Z-combination of weights (fw-coordinate int tuples).  Irreducible
+characters come from Freudenthal's formula on dominant weights, summed over
+the root orbits of each weight's stabiliser (Moody-Patera); other characters
+are decomposed by peeling highest weights in an order refining dominance.
 """
 
 from math import comb
@@ -189,10 +189,14 @@ TABLES = {}
 def dominant_character(rs, lam):
     """Multiplicities of the dominant weights of V(lam) as a dict.
 
-    The recursion runs over dominant weights in decreasing |mu+rho|^2 order;
-    every division is checked to be exact and every multiplicity positive.
-    It is refused up front when #dominant weights * |positive roots|, the
-    steps it takes, passes MAX_WEIGHTS.
+    Freudenthal's recursion over the dominant mu by decreasing |mu+rho|^2,
+    its sum over positive roots folded onto orbits of W_J, the stabiliser
+    of mu (J = {i : mu_i = 0}; Moody and Patera, Bull. AMS 7, 1982): an
+    orbit off J is its J-dominant root alpha, counted |W_J|/|W_J'| times
+    (J' = {i in J : alpha_i = 0}), and an orbit on J counts half.  A string
+    stops once |mu + k alpha|^2 passes |lam|^2, as no weight of V(lam) does.
+    Divisions are checked exact and multiplicities positive; refused up
+    front when #dominant weights * |positive roots| passes MAX_WEIGHTS.
     """
     lam = tuple(lam)
     key = (rs.key, lam)
@@ -207,33 +211,47 @@ def dominant_character(rs, lam):
     if order[0] != lam:
         raise ConsistencyError("highest weight is not maximal")
 
-    roots = [(alpha_fw,
-              tuple(rs.d[j] * alpha[j] for j in range(rs.rank)),
-              rs.root_norm2(alpha))
-             for alpha, alpha_fw in zip(rs.positive_roots, rs.positive_roots_fw)]
+    roots = [(fw, tuple(map(int.__mul__, rs.d, alpha)), rs.root_norm2(alpha))
+             for alpha, fw in zip(rs.positive_roots, rs.positive_roots_fw)]
+    orders, reps = {}, {}
+
+    def size(nodes):
+        if nodes not in orders:
+            orders[nodes] = rs.parabolic_order(nodes)
+        return orders[nodes]
+
     table = {lam: 1}
     n = rs.cartan_inverse[0]
+    top = rs.scaled_norm2(lam)
     dominate = rs.dominant_rep
     for mu in order[1:]:
+        J = tuple(i for i, x in enumerate(mu, 1) if x == 0)
+        if J not in reps:
+            reps[J] = [(alpha_fw, pairvec, norm2a, size(J) // size(
+                tuple(i for i in J if alpha_fw[i - 1] == 0)))
+                for alpha_fw, pairvec, norm2a in roots
+                if all(alpha_fw[i - 1] >= 0 for i in J)]
+        # mu + k alpha may be a weight while n*|mu + k alpha|^2 <= top
+        room = (top - rs.scaled_norm2(mu)) // n
         num = 0
-        for alpha_fw, pairvec, norm2a in roots:
+        for alpha_fw, pairvec, norm2a, orbit in reps[J]:
             base = sum(p * x for p, x in zip(pairvec, mu))
-            nu = mu
-            k = 1
-            while True:
+            weight = 2 * orbit if base else orbit  # base is 0 on J's roots
+            nu, k = mu, 1
+            while k * (2 * base + k * norm2a) <= room:
                 nu = tuple(a + b for a, b in zip(nu, alpha_fw))
                 m = table.get(dominate(nu), 0)
                 if m == 0:
                     break
-                num += m * (base + k * norm2a)
+                num += weight * m * (base + k * norm2a)
                 k += 1
-        # den = n*(|lam+rho|^2 - |mu+rho|^2), so the numerator takes n too
+        # den = n*(|lam+rho|^2 - |mu+rho|^2); num is doubled, so takes n
         den = norms[lam] - norms[mu]
         if den <= 0:
             raise ConsistencyError("norm ordering violated")
-        if (2 * n * num) % den:
+        if (n * num) % den:
             raise ConsistencyError("multiplicity recursion not exact")
-        mult = 2 * n * num // den
+        mult = n * num // den
         if mult <= 0:
             raise ConsistencyError("nonpositive multiplicity")
         table[mu] = mult
@@ -332,15 +350,13 @@ def decompose(rs, char):
     the input is not a genuine character.
     """
     total = char.dimension()
-    dom = {w: m for w, m in char.items() if rs.is_dominant(w)}
-    rho = rs.rho
+    dom = {w: m for w, m in char.items() if min(w) >= 0}
     norm_cache = {}
 
     def norm(mu):
         val = norm_cache.get(mu)
         if val is None:
-            val = rs.scaled_norm2(tuple(a + b for a, b in zip(mu, rho)))
-            norm_cache[mu] = val
+            val = norm_cache[mu] = rs.scaled_norm2(tuple(a + 1 for a in mu))
         return val
 
     out = {}

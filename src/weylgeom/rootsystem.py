@@ -265,10 +265,9 @@ class RootSystem:
         """The dominant weight in the Weyl orbit of w."""
         cur = tuple(w)
         while True:
-            for i, x in enumerate(cur):
+            for x, row in zip(cur, self.cartan):
                 if x < 0:
-                    row = self.cartan[i]
-                    cur = tuple(cur[j] - x * row[j] for j in range(self.rank))
+                    cur = tuple([a - x * r for a, r in zip(cur, row)])
                     break
             else:
                 return cur
@@ -311,12 +310,17 @@ class RootSystem:
             frontier = new
 
     def orbit_size(self, w):
-        """|W.w| = |W|/|W_J|, J the nodes where the dominant form of w
-        vanishes; the positive roots of W_J are those supported on J."""
-        mu = self.dominant_rep(w)
-        return self._order // math.prod((e + 1) ** m for e, m in _exponents(
+        """|W.w| = |W|/|W_J|, J the zeros of the dominant form of w."""
+        return self._order // self.parabolic_order(
+            i for i, x in enumerate(self.dominant_rep(w), 1) if x == 0)
+
+    def parabolic_order(self, nodes):
+        """|W_J| for the nodes J: the product of the e + 1 over the
+        exponents e of W_J, whose positive roots are those supported on J."""
+        nodes = set(nodes)
+        return math.prod((e + 1) ** m for e, m in _exponents(
             [q for q in self.positive_roots
-             if all(mu[i] == 0 for i, x in enumerate(q) if x)]).items())
+             if all(i in nodes for i, x in enumerate(q, 1) if x)]).items())
 
     @cached_property
     def exponents(self):

@@ -623,3 +623,122 @@ def test_power_size_guard_stops_counting_at_the_limit(monkeypatch):
                        "steps each, need more than 1000000000"):
         power_decompositions(rs("A1"), (1,), 10**6)
     assert calls == 500
+
+
+# -- the orbit-folded recursion against the sum over every positive root ----
+
+
+def _freudenthal_over_positive_roots(system, lam):
+    """Freudenthal's formula as Humphreys states it (Introduction to Lie
+    Algebras, 22.3): 2 * sum over every positive root alpha and k >= 1 of
+    m(mu + k alpha) (mu + k alpha, alpha), each string walked until its
+    weight has multiplicity 0, over |lam+rho|^2 - |mu+rho|^2."""
+    n = system.cartan_inverse[0]
+    norm = {mu: system.scaled_norm2(tuple(x + 1 for x in mu))
+            for mu in dominant_weights_below(system, lam)}
+    table = {lam: 1}
+    for mu in sorted(norm.keys() - {lam}, key=lambda mu: -norm[mu]):
+        total = 0
+        for alpha in system.positive_roots:
+            alpha_fw = system.root_fw(alpha)
+            for k in itertools.count(1):
+                nu = tuple(a + k * b for a, b in zip(mu, alpha_fw))
+                m = table.get(system.dominant_rep(nu), 0)
+                if not m:
+                    break
+                total += m * system.pair_root(nu, alpha)
+        mult, rest = divmod(2 * n * total, norm[lam] - norm[mu])
+        assert rest == 0 and mult > 0, (lam, mu)
+        table[mu] = mult
+    return table
+
+
+COLD = [("E8", (0, 0, 0, 0, 0, 0, 0, 3)), ("E8", (2, 0, 0, 0, 0, 0, 0, 0)),
+        ("E8", (0, 0, 0, 0, 0, 1, 0, 0)), ("E8", (1, 0, 0, 0, 0, 0, 0, 1)),
+        ("E7", (0, 0, 0, 0, 0, 0, 3)), ("E7", (0, 0, 1, 0, 0, 0, 0)),
+        ("E6", (1, 1, 0, 0, 0, 1)), ("F4", (1, 1, 0, 0)),
+        ("D8", (1, 1, 0, 0, 0, 0, 0, 1)), ("A8", (1, 1, 0, 0, 0, 0, 1, 1))]
+FAMILIES = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+            + ["C%d" % n for n in range(2, 9)]
+            + ["D%d" % n for n in range(3, 9)]
+            + ["E6", "E7", "E8", "F4", "G2"])
+# A2 x B2 x A1, the middle block reversed
+REDUCIBLE = ((2, -1, 0, 0, 0), (-1, 2, 0, 0, 0), (0, 0, 2, -1, 0),
+             (0, 0, -2, 2, 0), (0, 0, 0, 0, 2))
+
+
+def _sweep():
+    """(name, Cartan matrix, highest weight): the fundamental weights of
+    every family of rank <= 8 and two seeded small weights each, the
+    benchmark's cold tables and a reducible system, each once, kept while
+    the dimension is at most 5,000,000 and #dominant weights * |positive
+    roots| at most 3,000."""
+    rng = random.Random(21)
+    cases = [(name, rs(name).cartan, lam) for name, lam in COLD]
+    for name in FAMILIES:
+        system = rs(name)
+        lams = [system.fundamental_weight(i)
+                for i in range(1, system.rank + 1)]
+        lams += [tuple(rng.choice((0, 0, 0, 1, 2)) for _ in lams)
+                 for _ in range(2)]
+        cases += [(name, system.cartan, lam) for lam in lams]
+    cases += [("A2+B2+A1", REDUCIBLE, lam) for lam in
+              itertools.product((0, 1), (0, 2), (1, 0), (0, 1), (3,))]
+    for name, cartan, lam in dict.fromkeys(cases):
+        system = RootSystem(cartan)
+        if weyl_dimension(system, lam) <= 5_000_000 and len(
+                dominant_weights_below(system, lam)) * len(
+                system.positive_roots) <= 3000:
+            yield pytest.param(cartan, lam, id="%s%r" % (name, lam))
+
+
+@pytest.mark.parametrize("cartan,lam", _sweep())
+def test_orbit_sums_match_positive_root_sums(monkeypatch, cartan, lam):
+    # on a relabelled copy, the new table is the positive-root table with
+    # every weight relabelled
+    perm = list(range(len(lam)))
+    random.Random(repr(lam)).shuffle(perm)
+    relabelled = RootSystem([[cartan[p][q] for q in perm] for p in perm])
+    monkeypatch.setattr(charring, "TABLES", {})
+    table = dominant_character(relabelled, tuple(lam[p] for p in perm))
+    want = _freudenthal_over_positive_roots(RootSystem(cartan), lam)
+    assert table == {tuple(mu[p] for p in perm): m for mu, m in want.items()}
+
+
+@pytest.mark.parametrize("cartan,lam", [
+    (rs("A2").cartan, (2, 1)), (rs("B3").cartan, (1, 0, 1)),
+    (rs("G2").cartan, (1, 1)), (rs("F4").cartan, (0, 0, 1, 0)),
+    (rs("E6").cartan, (1, 0, 0, 0, 0, 1)),
+    # D5 with its nodes reversed
+    ([row[::-1] for row in rs("D5").cartan[::-1]], (1, 0, 0, 1, 0)),
+])
+def test_no_weight_is_longer_than_the_highest(cartan, lam):
+    # the premise of the recursion's cut-off: |nu|^2 <= |lam|^2 for every
+    # weight nu of V(lam), with equality exactly on W.lam
+    system = RootSystem(cartan)
+    top = system.scaled_norm2(lam)
+    orbit = set(system.weyl_orbit(lam))
+    for w in irrep_character(system, lam).weights:
+        assert system.scaled_norm2(w) <= top
+        assert (system.scaled_norm2(w) == top) == (w in orbit), w
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("B3", (1, 0, 1)), ("F4", (1, 1, 0, 0)), ("E7", (0, 0, 1, 0, 0, 0, 0)),
+])
+def test_strings_stop_at_the_norm_of_the_highest_weight(monkeypatch, name,
+                                                        lam):
+    # no weight longer than lam is carried to the dominant chamber
+    system = rs(name)
+    top = system.scaled_norm2(lam)
+    asked = []
+    dominate = system.dominant_rep
+
+    def checked(w):
+        asked.append(system.scaled_norm2(w))
+        return dominate(w)
+
+    monkeypatch.setattr(system, "dominant_rep", checked)
+    monkeypatch.setattr(charring, "TABLES", {})
+    dominant_character(system, lam)
+    assert asked and max(asked) <= top

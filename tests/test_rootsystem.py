@@ -185,6 +185,52 @@ def test_exceptional_weyl_group_orders(name, order):
     assert rs.orbit_size(rs.zero()) == 1
 
 
+def _node_sets(rs, rng):
+    """Every set of nodes up to rank 6; above it, twelve seeded ones."""
+    nodes = range(1, rs.rank + 1)
+    if rs.rank <= 6:
+        return [J for r in range(rs.rank + 1)
+                for J in itertools.combinations(nodes, r)]
+    return [tuple(i for i in nodes if rng.random() < 0.5) for _ in range(12)]
+
+
+@pytest.mark.parametrize("name", [n for n in SYSTEMS if int(n[1:]) <= 6]
+                         + ["E7", "E8"])
+def test_parabolic_orbits_of_roots(name):
+    # W_J permutes the positive roots off J, and each W_J-orbit of roots
+    # holds one J-dominant root alpha, of |W_J| / |W_J'| roots, J' the
+    # nodes of J orthogonal to alpha: so the orbit sizes add up to |Phi+|
+    # when the orbits inside J count half, and to |Phi| over all of Phi
+    rs = RootSystem.named(name)
+    rng = random.Random(name)
+    assert rs.parabolic_order(()) == 1
+    assert rs.parabolic_order(range(1, rs.rank + 1)) == rs.orbit_size(rs.rho)
+    roots = list(zip(rs.positive_roots, rs.positive_roots_fw))
+    roots += [(tuple(-x for x in q), tuple(-x for x in fw))
+              for q, fw in roots]
+    for J in _node_sets(rs, rng):
+        size = {fw: rs.parabolic_order(J) // rs.parabolic_order(
+            [i for i in J if fw[i - 1] == 0])
+            for _, fw in roots if all(fw[i - 1] >= 0 for i in J)}
+        twice = 0
+        for q, fw in roots[:len(rs.positive_roots)]:
+            if fw in size:
+                on_j = all(i in J for i, x in enumerate(q, 1) if x)
+                twice += size[fw] if on_j else 2 * size[fw]
+        assert twice == 2 * len(rs.positive_roots), J
+        assert sum(size.values()) == len(roots), J
+        if rs.rank <= 6:
+            # the orbits themselves, walked by the simple reflections of J
+            seen = set()
+            for _, fw in roots:
+                if fw not in seen:
+                    orbit = closure([fw], lambda v: (rs.reflect(i, v)
+                                                     for i in J))
+                    seen.update(orbit)
+                    tops = [v for v in orbit if v in size]
+                    assert len(tops) == 1 and len(orbit) == size[tops[0]]
+
+
 def _textbook_exponents(name):
     """Bourbaki, Lie IV-VI, Planches I-IX."""
     family, n = name[0], int(name[1:])

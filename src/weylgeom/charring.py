@@ -3,8 +3,8 @@
 Everything is integer arithmetic on weight dictionaries.  A formal character
 is a finite Z-combination of weights (fw-coordinate int tuples).  Irreducible
 characters come from Freudenthal's formula on dominant weights, summed over
-the root orbits of each weight's stabiliser (Moody-Patera); other characters
-are decomposed by peeling highest weights in an order refining dominance.
+the root orbits of each weight's stabiliser (Moody-Patera); decompose() peels
+any character in one pass over its dominant weights, highest first.
 """
 
 from math import comb
@@ -23,8 +23,8 @@ DEFAULT_MAX_POWER = 5
 class FormalCharacter:
     """A finite integer combination of weights.
 
-    Supports negative multiplicities, so intermediate virtual characters in
-    the power-sum recursions are fine; decompose() rejects non-characters.
+    Supports negative multiplicities, as the power-sum recursions need;
+    decompose() reads only its dominant weights and its dimension.
     """
 
     __slots__ = ("weights",)
@@ -278,17 +278,7 @@ def irrep_character(rs, lam):
 # -- tensor and plethysm ------------------------------------------------------
 
 
-def _power_check(char, k, max_degree):
-    if not char.weights:
-        raise ValueError("empty character")
-    if k < 0:
-        raise ValueError("negative power")
-    if k > max_degree:
-        raise RefusedError("degree %d above the configured maximum %d"
-                           % (k, max_degree))
-
-
-def power_series(char, k, alternating=False, max_degree=DEFAULT_MAX_POWER):
+def power_series(char, k, alternating=False):
     """Characters of the symmetric powers of degrees 0..k, or of the
     exterior powers when alternating, by the Newton recursion
     d*c_d = sum_{j=1}^{d} s^(j-1) p_j c_{d-j} with s = -1 if alternating
@@ -296,8 +286,14 @@ def power_series(char, k, alternating=False, max_degree=DEFAULT_MAX_POWER):
 
     Runs on packed weights: every weight of c_d, and of p_j c_{d-j}, is a
     sum of d <= k weights of char, so k times the bound of char bounds
-    them all."""
-    _power_check(char, k, max_degree)
+    them all.  Degrees above DEFAULT_MAX_POWER are refused."""
+    if not char.weights:
+        raise ValueError("empty character")
+    if k < 0:
+        raise ValueError("negative power")
+    if k > DEFAULT_MAX_POWER:
+        raise RefusedError("degree %d above the configured maximum %d"
+                           % (k, DEFAULT_MAX_POWER))
     rank = len(next(iter(char.weights)))
     width = _width(k * _bound(char.weights))
     base = _pack(char.weights, width)
@@ -329,14 +325,14 @@ def _newton(p, k, times, one, weight):
     return c
 
 
-def symmetric_power(char, k, max_degree=DEFAULT_MAX_POWER):
+def symmetric_power(char, k):
     """Character of the k-th symmetric power."""
-    return power_series(char, k, max_degree=max_degree)[k]
+    return power_series(char, k)[k]
 
 
-def exterior_power(char, k, max_degree=DEFAULT_MAX_POWER):
+def exterior_power(char, k):
     """Character of the k-th exterior power."""
-    return power_series(char, k, True, max_degree)[k]
+    return power_series(char, k, True)[k]
 
 
 # -- decomposition ------------------------------------------------------------
@@ -345,37 +341,26 @@ def exterior_power(char, k, max_degree=DEFAULT_MAX_POWER):
 def decompose(rs, char):
     """Write a character as a sum of irreducibles: dict hw -> multiplicity.
 
-    Peels the maximal dominant weight under (|mu+rho|^2, lex), an order
-    refining dominance, and subtracts dominant character tables.  Raises if
-    the input is not a genuine character.
+    One pass over the dominant weights by decreasing (|mu+rho|^2, mu), an
+    order refining dominance, subtracting V(mu)'s dominant table for each
+    nonzero residue.  Only the dominant weights and the total dimension are
+    read: a residue left over, a negative multiplicity or a wrong dimension
+    raises, but the other weights are not checked for W-invariance (one
+    reflection per weight took the plethysm benchmark from 0.9 s to 1.2 s).
     """
-    total = char.dimension()
     dom = {w: m for w, m in char.items() if min(w) >= 0}
-    norm_cache = {}
-
-    def norm(mu):
-        val = norm_cache.get(mu)
-        if val is None:
-            val = norm_cache[mu] = rs.scaled_norm2(tuple(a + 1 for a in mu))
-        return val
-
     out = {}
-    while dom:
-        mu = max(dom, key=lambda w: (norm(w), w))
+    for mu in sorted(dom, key=lambda w: (
+            rs.scaled_norm2(tuple(a + 1 for a in w)), w), reverse=True):
         mult = dom[mu]
-        if mult < 0:
-            raise ConsistencyError("not a character: multiplicity %d at %r"
-                                   % (mult, mu))
-        out[mu] = mult
-        for nu, m in dominant_character(rs, mu).items():
-            left = dom.get(nu, 0) - mult * m
-            if left:
-                dom[nu] = left
-            elif nu in dom:
-                del dom[nu]
-    if sum(m * weyl_dimension(rs, mu) for mu, m in out.items()) != total:
-        raise ConsistencyError("decomposition does not add up to the dimension")
-    return out
+        if mult:
+            out[mu] = mult
+            for nu, m in dominant_character(rs, mu).items():
+                dom[nu] = dom.get(nu, 0) - mult * m
+    for nu, m in dom.items():
+        if m:
+            raise ConsistencyError("not a character: %d left at %r" % (m, nu))
+    return _checked(rs, out, char.dimension(), "the input")
 
 
 def _dot_dominant(rs, v):
@@ -437,17 +422,6 @@ def power_decompositions(rs, lam, k):
                                 else comb(n, d), name % d)
                        for d, cd in enumerate(c)])
     return tuple(series)
-
-
-def tensor_decomposition(rs, lams):
-    """The decomposition {hw: mult} of V(lams[0]) x V(lams[1]) x ..., one
-    checked Klimyk product per factor."""
-    dec, dim = {tuple(lams[0]): 1}, weyl_dimension(rs, lams[0])
-    for lam in lams[1:]:
-        dim *= weyl_dimension(rs, lam)
-        dec = _checked(rs, _times(rs, dec, irrep_character(rs, lam).weights,
-                                  {}), dim, "the product up to V%r" % (lam,))
-    return dec
 
 
 # -- structural predicates ----------------------------------------------------

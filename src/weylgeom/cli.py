@@ -13,13 +13,13 @@ import sys
 
 from .charring import (
     NAMED_BRANCHINGS,
+    decompose,
     exterior_power,
     irrep_character,
     minuscule_check,
     invariant_bilinear_type,
     power_decompositions,
     symmetric_power,
-    tensor_decomposition,
     weyl_dimension,
 )
 from .duality import (
@@ -152,8 +152,9 @@ def check_invariant_forms():
     _expect(sym[4].get(rs7.zero()) == 1, "E7 quartic invariant")
 
     rs4 = RootSystem.named("D4")
-    triple = tensor_decomposition(
-        rs4, ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    v, s, c = (irrep_character(rs4, lam)
+               for lam in ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    triple = decompose(rs4, v * s * c)
     _expect(triple.get(rs4.zero()) == 1, "D4 triple pairing")
 
     kinds = {}

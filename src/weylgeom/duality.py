@@ -26,6 +26,15 @@ def _require_weights(weights, support):
     return support
 
 
+def _require_object(same, delta, support):
+    """support as a frozenset; ValueError unless same, an identity
+    diagram_duality op, fixes it as a type-delta object."""
+    support = frozenset(support)
+    if same(delta, support) != (delta, support):
+        raise ValueError("not an object of type %d" % delta)
+    return support
+
+
 def triple_sums(xs, ys, zs):
     """Every x + y + z over xs, ys and zs, lazily, so that all() and any()
     stop early; the E6 brace relation reads E6Duality._reach instead."""
@@ -114,7 +123,8 @@ def diagram_duality(geometry, perm):
     the standard delta-space's, or c_delta does not divide its barycenter.
     Of the supports of the standard size, only the object sums to
     c_delta*u, since the standard support is the face of V's weights on
-    which (., omega_delta) is greatest.  A non-weight raises ValueError.
+    which (., omega_delta) is greatest.  A non-weight, or a delta that is
+    no node, raises ValueError.
     The image is a function of (perm(delta), perm(u)), so op keeps it for
     every point a reduction passes: a later reduction that reaches one is
     translated back along its new prefix only.
@@ -126,6 +136,8 @@ def diagram_duality(geometry, perm):
     images = {}
 
     def op(delta, support):
+        if delta not in std:
+            raise ValueError("delta out of range")
         support = _require_weights(geometry.weights, support)
         d2 = perm[delta - 1]
         x = barycenter(support)
@@ -159,6 +171,7 @@ class E6Duality:
         self.rs = RootSystem.named("E6")
         self.geometry = Geometry(self.rs, 1)
         self.weights = self.geometry.weights
+        self._same = diagram_duality(self.geometry, tuple(range(1, 7)))
         self._hyperlines = {}
         self._reaches = {}
 
@@ -233,6 +246,7 @@ class E6Duality:
 
     def psi(self, delta, support):
         """The duality on an apartment object of type delta."""
+        support = _require_object(self._same, delta, support)
         return self.PHI[delta], self.psi_support(support)
 
     @cached_property
@@ -322,6 +336,7 @@ class Triality:
         self.rs = RootSystem.named("D4")
         self.geometry = Geometry(self.rs, 1)
         self.weights = self.geometry.weights
+        self._same = diagram_duality(self.geometry, (1, 2, 3, 4))
         eps = {1: (1, 0, 0, 0), 2: (-1, 1, 0, 0), 3: (0, -1, 1, 1),
                4: (0, 0, -1, 1)}
         self.label_weight = {}
@@ -391,22 +406,17 @@ class Triality:
     def psi(self, delta, support):
         """One triality step on an apartment object, following the node
         rotation 1 -> 3 -> 4 -> 1 (node 2 objects map to node 2)."""
-        support = _require_weights(self.weights, support)
+        support = _require_object(self._same, delta, support)
         if delta == 1:
-            if len(support) != 1:
-                raise ValueError("a point support must be a singleton")
-            (nu,) = support
-            return 3, self.star_support((nu,), self.weights)
+            return 3, self.star_support(support, self.weights)
         if delta == 3:
             a = self._unique_factor(support, True)
             return 4, self.star_support(self.weights, (a,))
         if delta == 4:
             a = self._unique_factor(support, False)
             return 1, frozenset((a,))
-        if delta == 2:
-            right = self.star_support(self.weights, support)
-            return 2, self.star_support(support, right)
-        raise ValueError("delta out of range")
+        right = self.star_support(self.weights, support)
+        return 2, self.star_support(support, right)
 
 
 def e7_rank_one_check(geometry):

@@ -4,6 +4,9 @@ Each test drives the same check function the ``weylgeom verify`` command
 runs, so a green run here matches a clean ``weylgeom verify all``.
 """
 
+import subprocess
+import sys
+
 from weylgeom import cli
 
 
@@ -75,3 +78,13 @@ def test_10_properties():
     """Cross-checks: dimension formulas agree, duals involute, powers add up."""
     out = cli.check_properties()
     assert out["dimension_cases"] == 8
+
+
+def test_verify_all_in_a_fresh_process():
+    """The command itself: exit 0 and one PASS line per check, in order."""
+    proc = subprocess.run([sys.executable, "-m", "weylgeom.cli", "verify",
+                           "all"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "".join("PASS %s\n" % name
+                                  for name, _ in cli.ACCEPTANCE_CHECKS)
+    assert len(cli.ACCEPTANCE_CHECKS) == 10

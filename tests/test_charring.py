@@ -22,7 +22,6 @@ from weylgeom.charring import (
     power_decompositions,
     power_series,
     symmetric_power,
-    tensor_decomposition,
     weyl_dimension,
 )
 from weylgeom.rootsystem import ConsistencyError, RefusedError, RootSystem
@@ -147,6 +146,80 @@ def test_decompose_rejects_non_character():
         decompose(a2, broken)
 
 
+def _repeated_max_peel(rs, char):
+    """The repeated-max peel, as an oracle for decompose's single pass:
+    take the maximal dominant weight under (|mu+rho|^2, mu) again after
+    every subtraction."""
+    total = char.dimension()
+    dom = {w: m for w, m in char.items() if min(w) >= 0}
+    out = {}
+    while dom:
+        mu = max(dom, key=lambda w: (
+            rs.scaled_norm2(tuple(a + 1 for a in w)), w))
+        mult = dom[mu]
+        if mult < 0:
+            raise ConsistencyError("not a character")
+        out[mu] = mult
+        for nu, m in dominant_character(rs, mu).items():
+            left = dom.get(nu, 0) - mult * m
+            if left:
+                dom[nu] = left
+            elif nu in dom:
+                del dom[nu]
+    if sum(m * weyl_dimension(rs, mu) for mu, m in out.items()) != total:
+        raise ConsistencyError("decomposition does not add up")
+    return out
+
+
+def _branched_fundamentals():
+    """(rule name, lam): every fundamental V(lam) of dimension <= 20,000
+    of each named branching's source, 17 in all."""
+    for name, make in charring.NAMED_BRANCHINGS.items():
+        source = make().source
+        for i in range(1, source.rank + 1):
+            lam = source.fundamental_weight(i)
+            if weyl_dimension(source, lam) <= 20_000:
+                yield name, lam
+
+
+BRANCHED = list(_branched_fundamentals())
+SQUARED = [("E7", (0, 0, 0, 0, 0, 0, 1)), ("E6", (1, 0, 0, 0, 0, 1)),
+           ("G2", (1, 1)), ("E8", (0, 0, 0, 0, 0, 0, 0, 1))]
+
+
+def _assert_peels_agree(system, char):
+    # equal dicts in equal order: constituents come out highest first
+    assert list(decompose(system, char).items()) == list(
+        _repeated_max_peel(system, char).items())
+
+
+@pytest.mark.parametrize("rule,lam", BRANCHED)
+def test_single_pass_restrictions_are_the_repeated_max_peel(rule, lam):
+    rule = charring.NAMED_BRANCHINGS[rule]()
+    _assert_peels_agree(rule.target, rule.restrict_character(
+        irrep_character(rule.source, lam)))
+
+
+@pytest.mark.parametrize("name,lam", SQUARED)
+def test_single_pass_squares_are_the_repeated_max_peel(name, lam):
+    v = irrep_character(rs(name), lam)
+    _assert_peels_agree(rs(name), v * v)
+
+
+def test_decompose_refuses_a_residue_left_over():
+    # V(1,1) of A2 without both copies of the weight (0,0), plus (5,-7)
+    # twice, still has dimension 8, so _checked alone would take it for
+    # V(1,1): the residue -2 left at (0,0) must refuse it
+    a2 = rs("A2")
+    char = (irrep_character(a2, (1, 1))
+            - FormalCharacter({(0, 0): 2}) + FormalCharacter({(5, -7): 2}))
+    assert char.dimension() == 8
+    assert charring._checked(a2, {(1, 1): 1}, 8, "V(1,1)") == {(1, 1): 1}
+    with pytest.raises(ConsistencyError,
+                       match=r"^not a character: -2 left at \(0, 0\)$"):
+        decompose(a2, char)
+
+
 def test_adams_and_powers():
     a2 = rs("A2")
     v = irrep_character(a2, (1, 0))
@@ -161,7 +234,6 @@ def test_adams_and_powers():
     assert exterior_power(w, 2).dimension() == 6
     with pytest.raises(RefusedError):
         symmetric_power(w, 6)
-    assert symmetric_power(w, 6, max_degree=6).dimension() == 84
 
 
 def test_power_series_holds_every_degree():
@@ -438,11 +510,14 @@ def test_klimyk_powers_are_the_peeled_powers(name, lam, k):
 
 
 def test_klimyk_triple_is_the_peeled_triple():
+    # V(w1) x V(w3) x V(w4) of D4 as two Klimyk products, never expanded
     d4 = rs("D4")
-    chars = [irrep_character(d4, lam)
-             for lam in ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-    dec = tensor_decomposition(
-        d4, ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    lams = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    chars = [irrep_character(d4, lam) for lam in lams]
+    dec = {lams[0]: 1}
+    for char in chars[1:]:
+        dec = charring._times(d4, dec, char.weights, {})
+    dec = charring._checked(d4, dec, 8 ** 3, "the triple")
     assert dec == decompose(d4, chars[0] * chars[1] * chars[2])
     assert dec[d4.zero()] == 1
 
@@ -454,17 +529,10 @@ def test_klimyk_triple_is_the_peeled_triple():
     # the exterior series runs after the symmetric one
     (1, 2, {(0, 0): 1}, r"^Lambda\^1 V is not a character of dimension 3$"),
     (2, 2, {(2, 0): 1}, r"multiplicity 3 at \(2, 0\) not divisible by 2$"),
-    # the tensor product V(1,0) x V(0,1) = V(1,1) + V(0,0) of dimension 9
-    (None, 1, {(0, 0): 1}, r"^the product up to V\(0, 1\) is not a "
-     r"character of dimension 9$"),
-    # 17 - 8 adds up to 9, with V(1,1) at -1
-    (None, 1, {(0, 0): 16, (1, 1): -2}, r"the product up to V\(0, 1\) is "
-     r"not a character"),
 ])
 def test_klimyk_recursion_checks_its_arithmetic(monkeypatch, k, call, extra,
                                                 message):
-    # S^2 of V(1,0) of A2 is V(2,0); one product of the recursion, or of
-    # the tensor product when k is None, is off
+    # S^2 of V(1,0) of A2 is V(2,0); one product of the recursion is off
     calls = 0
     times = charring._times
 
@@ -479,10 +547,7 @@ def test_klimyk_recursion_checks_its_arithmetic(monkeypatch, k, call, extra,
 
     monkeypatch.setattr(charring, "_times", perturbed)
     with pytest.raises(ConsistencyError, match=message):
-        if k is None:
-            tensor_decomposition(rs("A2"), ((1, 0), (0, 1)))
-        else:
-            power_decompositions(rs("A2"), (1, 0), k)
+        power_decompositions(rs("A2"), (1, 0), k)
 
 
 def test_dominant_character_refuses_before_its_recursion(monkeypatch):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weylgeom import ConsistencyError, RootSystem
+from weylgeom import RootSystem
 from weylgeom.charring import irrep_character, weyl_dimension
 from weylgeom.duality import (
     E6Duality,
@@ -345,10 +345,32 @@ def test_triality_factor_tables_are_the_fork_objects():
     assert all(len(ws) == 1 for ws in tri._factors.values())
     s3 = tri.geometry.delta_space(3).support
     s4 = tri.geometry.delta_space(4).support
-    with pytest.raises(ConsistencyError, match="left factor is not unique"):
+    # a fork object of the other type is bad input, refused before the
+    # factor tables are read
+    with pytest.raises(ValueError, match="^not an object of type 3$"):
         tri.psi(3, s4)
-    with pytest.raises(ConsistencyError, match="right factor is not unique"):
+    with pytest.raises(ValueError, match="^not an object of type 4$"):
         tri.psi(4, s3)
+
+
+def test_psi_refuses_a_support_of_another_type(dual, tri):
+    # each support is made of weights, but is no object of the type given
+    e1 = tri.label_weight["e1"]
+    for psi, delta, support in ((dual.psi, 3, dual.standard_support(2)),
+                                (tri.psi, 2, {e1}), (tri.psi, 3, {e1})):
+        with pytest.raises(ValueError,
+                           match="^not an object of type %d$" % delta):
+            psi(delta, support)
+
+
+def test_psi_and_the_diagram_op_refuse_a_delta_off_the_diagram(dual, tri):
+    for owner, deltas in ((dual, (0, 7)), (tri, (0, 5))):
+        rank = owner.rs.rank
+        op = diagram_duality(owner.geometry, tuple(range(1, rank + 1)))
+        for f in (owner.psi, op):
+            for delta in deltas:
+                with pytest.raises(ValueError, match="^delta out of range$"):
+                    f(delta, {owner.geometry.hw})
 
 
 @pytest.mark.parametrize("delta", [1, 2, 3, 4])

@@ -280,12 +280,16 @@ def irrep_character(rs, lam):
 
 def power_series(char, k, alternating=False):
     """Characters of the symmetric powers of degrees 0..k, or of the
-    exterior powers when alternating, by the Newton recursion
-    d*c_d = sum_{j=1}^{d} s^(j-1) p_j c_{d-j} with s = -1 if alternating
-    else 1.
+    exterior powers when alternating."""
+    c, unpack = _packed_powers(char, k, alternating)
+    return [unpack(cd) for cd in c]
 
-    Runs on packed weights: every weight of c_d, and of p_j c_{d-j}, is a
-    sum of d <= k weights of char, so k times the bound of char bounds
+
+def _packed_powers(char, k, alternating):
+    """power_series packed, and the function that unpacks one degree, by
+    the Newton recursion d*c_d = sum_{j=1}^{d} s^(j-1) p_j c_{d-j} with
+    s = -1 if alternating else 1.  Every weight of c_d, and of p_j c_{d-j},
+    is a sum of d <= k weights of char, so k times the bound of char bounds
     them all.  Degrees above DEFAULT_MAX_POWER are refused."""
     if not char.weights:
         raise ValueError("empty character")
@@ -302,7 +306,7 @@ def power_series(char, k, alternating=False):
                   for j in range(1, k + 1)]
     c = _newton(p, k, _convolve, {0: 1},
                 lambda key: next(iter(_unpack({key: 0}, rank, width))))
-    return [FormalCharacter(_unpack(cd, rank, width)) for cd in c]
+    return c, lambda cd: FormalCharacter(_unpack(cd, rank, width))
 
 
 def _newton(p, k, times, one, weight):
@@ -326,13 +330,15 @@ def _newton(p, k, times, one, weight):
 
 
 def symmetric_power(char, k):
-    """Character of the k-th symmetric power."""
-    return power_series(char, k)[k]
+    """Character of the k-th symmetric power; only c_k is unpacked."""
+    c, unpack = _packed_powers(char, k, False)
+    return unpack(c[k])
 
 
 def exterior_power(char, k):
-    """Character of the k-th exterior power."""
-    return power_series(char, k, True)[k]
+    """Character of the k-th exterior power; only c_k is unpacked."""
+    c, unpack = _packed_powers(char, k, True)
+    return unpack(c[k])
 
 
 # -- decomposition ------------------------------------------------------------

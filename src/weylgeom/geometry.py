@@ -155,11 +155,14 @@ def apartment_objects(geometry, delta):
     incidence), so objects and barycenters correspond one to one and the
     correspondence commutes with each s_i.  The barycenters form the orbit
     of the dominant standard one, which orbit_steps walks as a tree: each
-    support is translated once, from its parent's, through s_i tabulated on
-    the weights of V, and its level is the length of the shortest word
-    carrying the standard object there.  An apartment of |W.omega_delta|
-    objects of |support| weights each is refused above MAX_WEIGHTS weights,
-    before the walk.
+    support is translated once, from its parent's, and its level is the
+    length of the shortest word carrying the standard object there.  A
+    support travels as the descending tuple of its weights' positions in
+    V's ascending weight list, on which each s_i is tabulated; positions
+    keep order and supports have one size, so (level, tuple) sorts as
+    (level, support sorted descending) does.  An apartment of
+    |W.omega_delta| objects of |support| weights each is refused above
+    MAX_WEIGHTS weights, before the walk.
     """
     rs = geometry.rs
     std = geometry.delta_space(delta).support
@@ -167,17 +170,20 @@ def apartment_objects(geometry, delta):
     if size > MAX_WEIGHTS:
         raise RefusedError("apartment of %d weights, above the limit of %d"
                            % (size, MAX_WEIGHTS))
-    tables = {i: {w: rs.reflect(i, w) for w in geometry.weights}
-              for i in range(1, rs.rank + 1)}
+    weights = sorted(geometry.weights)
+    index = {w: k for k, w in enumerate(weights)}
+    tables = [[index[rs.reflect(i, w)] for w in weights]
+              for i in range(1, rs.rank + 1)]
     top = barycenter(std)
-    supports, levels = {top: std}, {top: 0}
+    key = tuple(sorted([index[w] for w in std], reverse=True))
+    keys, found = {top: key}, [(0, key)]
     for y, level, x, i in rs.orbit_steps(top):
-        t = tables[i]
-        supports[y] = frozenset([t[w] for w in supports[x]])
-        levels[y] = level
-    order = sorted(levels, key=lambda x: (levels[x],
-                                          sorted(supports[x], reverse=True)))
-    return [ApartmentObject(delta, supports[x]) for x in order]
+        t = tables[i - 1]
+        key = keys[y] = tuple(sorted([t[k] for k in keys[x]], reverse=True))
+        found.append((level, key))
+    found.sort()
+    return [ApartmentObject(delta, [weights[k] for k in key])
+            for _, key in found]
 
 
 def standard_chamber(geometry):

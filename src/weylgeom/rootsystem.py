@@ -295,16 +295,23 @@ class RootSystem:
         carrying top to y (Humphreys, Reflection Groups and Coxeter Groups,
         1.6-1.10).  From x, whose first negative coordinate f is where its
         parent stepped, s_i x (x_i > 0) is kept when i is its first negative
-        coordinate: at once when i < f, and never when s_i fixes x_f < 0."""
+        coordinate: at once when i < f, and never when s_i fixes x_f < 0.
+        s_i x differs from x only at i and at i's diagram neighbours."""
+        links = [[(j, r) for j, r in enumerate(row) if r and j != i]
+                 for i, row in enumerate(self.cartan)]
         frontier, level = [(tuple(top), self.rank)], 0
         while frontier:
             level += 1
             new = []
             for x, f in frontier:
-                for i, (c, row) in enumerate(zip(x, self.cartan)):
-                    if c > 0 and (i < f or row[f]):
-                        y = tuple([a - c * r for a, r in zip(x, row)])
+                for i, c in enumerate(x):
+                    if c > 0 and (i < f or self.cartan[i][f]):
+                        y = list(x)
+                        y[i] = -c
+                        for j, r in links[i]:
+                            y[j] -= c * r
                         if i < f or min(y[:i]) >= 0:
+                            y = tuple(y)
                             new.append((y, i))
                             yield y, level, x, i + 1
             frontier = new

@@ -655,6 +655,50 @@ def test_apartment_barycenters_are_distinct_and_fill_the_orbit(name, beta,
                 == rs.orbit_size(rs.fundamental_weight(delta))), delta
 
 
+# the walk on weight positions against the dict-table walk it replaced
+
+
+def _dict_table_walk(g, delta):
+    """apartment_objects as it was before supports travelled as tuples of
+    weight positions: s_i tabulated as a dict on the weights, and supports
+    carried as frozensets and sorted by (level, sorted(support,
+    reverse=True))."""
+    rs = g.rs
+    std = g.delta_space(delta).support
+    tables = {i: {w: rs.reflect(i, w) for w in g.weights}
+              for i in range(1, rs.rank + 1)}
+    top = barycenter(std)
+    supports, levels = {top: std}, {top: 0}
+    for y, level, x, i in rs.orbit_steps(top):
+        t = tables[i]
+        supports[y] = frozenset([t[w] for w in supports[x]])
+        levels[y] = level
+    order = sorted(levels, key=lambda x: (levels[x],
+                                          sorted(supports[x], reverse=True)))
+    return [ApartmentObject(delta, supports[x]) for x in order]
+
+
+# E6 renumbered so that its node 1 is node 4: beta = 4 there is the 27
+RELABELLED_E6 = (2, 6, 5, 1, 3, 4)
+TABLE_WALK_CASES = WALK_CASES + [("E7", 7, (3, 4, 5)), ("D8", 1, range(1, 9)),
+                                 ("E6 relabelled", 4, range(1, 7))]
+TABLE_WALK_IDS = (["%s-%d" % c[:2] for c in WALK_CASES]
+                  + ["E7-7 deltas 3-5", "D8-1", "E6 relabelled-4"])
+
+
+@pytest.mark.parametrize("name,beta,deltas", TABLE_WALK_CASES,
+                         ids=TABLE_WALK_IDS)
+def test_position_walk_is_the_dict_table_walk(name, beta, deltas):
+    if name == "E6 relabelled":
+        assert RELABELLED_E6[beta - 1] == 1
+        g = Geometry(_relabelled("E6", RELABELLED_E6), beta)
+        assert len(g.weights) == 27
+    else:
+        g = geom(name, beta)
+    for delta in deltas:
+        assert apartment_objects(g, delta) == _dict_table_walk(g, delta), delta
+
+
 # the descent walk against the depth filter it replaced
 
 

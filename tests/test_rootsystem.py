@@ -873,3 +873,68 @@ def test_named_accepts_what_the_old_pattern_accepted():
                 assert got == "refused", repr(text)
             elif got != "out of range":
                 assert got == "%s%d" % (m.group(1).upper(), int(m.group(2)))
+
+
+# the sparse orbit walk against the dense-row walk it replaced
+
+
+def _dense_orbit_steps(rs, top):
+    """orbit_steps as it was before it went sparse: every candidate s_i x
+    is built from the whole of row i."""
+    frontier, level = [(tuple(top), rs.rank)], 0
+    while frontier:
+        level += 1
+        new = []
+        for x, f in frontier:
+            for i, (c, row) in enumerate(zip(x, rs.cartan)):
+                if c > 0 and (i < f or row[f]):
+                    y = tuple([a - c * r for a, r in zip(x, row)])
+                    if i < f or min(y[:i]) >= 0:
+                        new.append((y, i))
+                        yield y, level, x, i + 1
+        frontier = new
+
+
+def _sparse_walk_cases():
+    for name, delta in LEVEL_CASES:
+        rs = RootSystem.named(name)
+        yield "%s-%d" % (name, delta), rs.cartan, rs.fundamental_weight(delta)
+    for name in SYSTEMS:
+        rs = RootSystem.named(name)
+        if rs.orbit_size(rs.rho) <= 2000:
+            yield "%s rho" % name, rs.cartan, rs.rho
+    rng = random.Random(23)
+    relabelled = []
+    for name in ("B4", "C4", "F4", "G2"):
+        cartan = RootSystem.named(name).cartan
+        perms = list(itertools.permutations(range(len(cartan))))[1:]
+        for perm in rng.sample(perms, min(2, len(perms))):
+            relabelled.append(("%s%r" % (name, perm),
+                               _relabelled(cartan, perm)))
+    relabelled.append(("A2+B2 reversed+A1", _block_sum(
+        family_cartan("A", 2), _relabelled(family_cartan("B", 2), [1, 0]),
+        family_cartan("A", 1))))
+    for name, cartan in relabelled:
+        rs = RootSystem(cartan)
+        tops = [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
+        for top in tops + [rs.rho]:
+            yield "%s %r" % (name, top), cartan, top
+
+
+SPARSE_WALK_CASES = list(_sparse_walk_cases())
+
+
+@pytest.mark.parametrize("cartan,top", [c[1:] for c in SPARSE_WALK_CASES],
+                         ids=[c[0] for c in SPARSE_WALK_CASES])
+def test_sparse_walk_is_the_dense_walk(cartan, top):
+    rs = RootSystem(cartan)
+    assert list(rs.orbit_steps(top)) == list(_dense_orbit_steps(rs, top))
+
+
+def test_sparse_walk_cases_cover_the_named_shapes():
+    # the level cases, 16 rho orbits, two relabellings each of B4, C4 and
+    # F4 and the one of G2 at every fundamental weight and rho, and the
+    # reducible system at its five fundamental weights and rho
+    ids = [c[0] for c in SPARSE_WALK_CASES]
+    assert len(ids) == len(set(ids)) == 162 + 16 + 3 * 2 * 5 + 3 + 6
+    assert "E7-4" in ids and "F4 rho" in ids and "E6 rho" not in ids

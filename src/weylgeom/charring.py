@@ -23,7 +23,7 @@ DEFAULT_MAX_POWER = 5
 class FormalCharacter:
     """A finite integer combination of weights.
 
-    Supports negative multiplicities, as the power-sum recursions need;
+    Supports negative multiplicities (virtual characters);
     decompose() reads only its dominant weights and its dimension.
     """
 
@@ -71,7 +71,12 @@ class FormalCharacter:
         width = _width(_bound(a) + _bound(b))
         if len(a) > len(b):
             a, b = b, a
-        out = _convolve(_pack(a, width), _pack(b, width), {})
+        a, b, out = _pack(a, width), _pack(b, width), {}
+        get = out.get
+        for k1, m1 in a.items():
+            for k2, m2 in b.items():
+                key = k1 + k2
+                out[key] = get(key, 0) + m1 * m2
         return FormalCharacter(_unpack(out, rank, width))
 
     def __repr__(self):
@@ -110,27 +115,30 @@ def _pack(weights, width):
 
 
 def _unpack(packed, rank, width):
-    """{int key: m} as {weight tuple: m}, in the same order."""
+    """{int key: m} as {weight tuple: m}, in the same order.  A key plus
+    half a field in every field has plain digits; it splits into its low
+    rank//2 fields and the rest, and each distinct half is decoded once."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
+    low = rank // 2
+    shift = low * width
+    lo_mask = (1 << shift) - 1
+    bias = sum(half << (width * i) for i in range(rank))
+
+    def decode(x, n):
+        return tuple(((x >> (width * i)) & mask) - half for i in range(n))
+
+    lows, highs = {}, {}
     out = {}
     for key, m in packed.items():
-        w = []
-        for _ in range(rank):
-            x = ((key + half) & mask) - half
-            w.append(x)
-            key = (key - x) >> width
-        out[tuple(w)] = m
-    return out
-
-
-def _convolve(a, b, out):
-    """Add the product of the packed characters a and b into out."""
-    get = out.get
-    for k1, m1 in a.items():
-        for k2, m2 in b.items():
-            key = k1 + k2
-            out[key] = get(key, 0) + m1 * m2
+        key += bias
+        a = key & lo_mask
+        b = key >> shift
+        if a not in lows:
+            lows[a] = decode(a, low)
+        if b not in highs:
+            highs[b] = decode(b, rank - low)
+        out[lows[a] + highs[b]] = m
     return out
 
 
@@ -286,11 +294,12 @@ def power_series(char, k, alternating=False):
 
 
 def _packed_powers(char, k, alternating):
-    """power_series packed, and the function that unpacks one degree, by
-    the Newton recursion d*c_d = sum_{j=1}^{d} s^(j-1) p_j c_{d-j} with
-    s = -1 if alternating else 1.  Every weight of c_d, and of p_j c_{d-j},
-    is a sum of d <= k weights of char, so k times the bound of char bounds
-    them all.  Degrees above DEFAULT_MAX_POWER are refused."""
+    """power_series packed, and the function that unpacks one degree, from
+    prod_nu (1 + s t e^nu)^(s m_nu) to t^k, s = 1 if alternating else -1
+    (Macdonald, Symmetric Functions, I.2): one falling pass per weight nu,
+    of any m_nu, c_d += sum_{n<=d} C(s m_nu, n) s^n e^(n nu) c_(d-n).  Every
+    weight of c_d is a sum of d <= k weights of char, so k times the bound
+    of char bounds them all.  Degrees above DEFAULT_MAX_POWER are refused."""
     if not char.weights:
         raise ValueError("empty character")
     if k < 0:
@@ -300,33 +309,23 @@ def _packed_powers(char, k, alternating):
                            % (k, DEFAULT_MAX_POWER))
     rank = len(next(iter(char.weights)))
     width = _width(k * _bound(char.weights))
-    base = _pack(char.weights, width)
-    s = -1 if alternating else 1
-    p = [None] + [{j * key: s ** (j - 1) * m for key, m in base.items()}
-                  for j in range(1, k + 1)]
-    c = _newton(p, k, _convolve, {0: 1},
-                lambda key: next(iter(_unpack({key: 0}, rank, width))))
+    s = 1 if alternating else -1
+    c = [{0: 1}] + [{} for _ in range(k)]
+    for nu, m in _pack(char.weights, width).items():
+        terms, e = [], 1
+        for n in range(1, k + 1):
+            e = e * s * (s * m - n + 1) // n
+            if not e:
+                break
+            terms.append((n * nu, e))
+        for d in range(k, 0, -1):
+            cd = c[d]
+            get = cd.get
+            for n, (shift, e) in enumerate(terms[:d], 1):
+                for key, mult in c[d - n].items():
+                    key += shift
+                    cd[key] = get(key, 0) + e * mult
     return c, lambda cd: FormalCharacter(_unpack(cd, rank, width))
-
-
-def _newton(p, k, times, one, weight):
-    """c_0 = one and d*c_d = sum_{j<=d} p[j] c_{d-j} for d <= k, times(a, b,
-    out) adding a*b into out; an inexact division names weight(key)."""
-    c = [one]
-    for d in range(1, k + 1):
-        acc = {}
-        for j in range(1, d + 1):
-            times(p[j], c[d - j], acc)
-        cd = {}
-        for key, m in acc.items():
-            q, r = divmod(m, d)
-            if r:
-                raise ConsistencyError("multiplicity %d at %r not divisible "
-                                       "by %d" % (m, weight(key), d))
-            if q:
-                cd[key] = q
-        c.append(cd)
-    return c
 
 
 def symmetric_power(char, k):
@@ -411,9 +410,10 @@ def _checked(rs, dec, dim, what):
 
 def power_decompositions(rs, lam, k):
     """(symmetric, exterior): the decompositions {hw: mult} of S^d V(lam)
-    and Lambda^d V(lam), d = 0..k, by power_series' recursion, psi^j V
-    having the weights j*nu.  Degree k costs about k*|wt V| terms per
-    dominant weight below k*lam, refused up front above MAX_WEIGHTS."""
+    and Lambda^d V(lam), d = 0..k, by Newton's recursion d*c_d = sum_j
+    s^(j-1) psi^j V c_(d-j), psi^j V having the weights j*nu.  Degree k
+    costs about k*|wt V| terms per dominant weight below k*lam, refused up
+    front above MAX_WEIGHTS."""
     lam = tuple(lam)
     wt = irrep_character(rs, lam).weights
     dominant_weights_below(rs, tuple(k * x for x in lam), k * len(wt))
@@ -422,8 +422,16 @@ def power_decompositions(rs, lam, k):
     for s, name in ((1, "S^%d V"), (-1, "Lambda^%d V")):
         psi = [None] + [{tuple(j * x for x in nu): s ** (j - 1) * m
                          for nu, m in wt.items()} for j in range(1, k + 1)]
-        c = _newton(psi, k, lambda chi, dec, out: _times(rs, dec, chi, out),
-                    {rs.zero(): 1}, tuple)
+        c = [{rs.zero(): 1}]
+        for d in range(1, k + 1):
+            acc = {}
+            for j in range(1, d + 1):
+                _times(rs, c[d - j], psi[j], acc)
+            for hw, m in acc.items():
+                if m % d:
+                    raise ConsistencyError("multiplicity %d at %r not "
+                                           "divisible by %d" % (m, hw, d))
+            c.append({hw: m // d for hw, m in acc.items() if m})
         series.append([_checked(rs, cd, comb(n + d - 1, d) if s == 1
                                 else comb(n, d), name % d)
                        for d, cd in enumerate(c)])

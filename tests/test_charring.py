@@ -1,11 +1,13 @@
 import collections
 import itertools
+import math
 import random
 
 import pytest
 
 from weylgeom import charring
 from weylgeom.charring import (
+    DEFAULT_MAX_POWER,
     BranchingRule,
     FormalCharacter,
     decompose,
@@ -310,14 +312,51 @@ def test_packed_product_matches_tuples(rank):
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
+def test_packed_weights_round_trip(rank):
+    # rank 1 has an empty low half; 2**41 makes every field wider than 40 bits
+    rng = random.Random(200 + rank)
+    for bound in BOUNDS:
+        char = _random_character(rng, rank, bound, 40)
+        width = charring._width(bound)
+        got = charring._unpack(charring._pack(char, width), rank, width)
+        assert list(got.items()) == list(char.items())
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
 def test_packed_power_series_matches_tuples(rank):
     rng = random.Random(100 + rank)
     for bound in BOUNDS:
         char = _random_character(rng, rank, bound, 5)
-        for alternating in (False, True):
-            series = power_series(FormalCharacter(char), 4, alternating)
-            want = _tuple_power_series(char, 4, alternating)
-            assert [c.weights for c in series] == want
+        for k in (0, 4, DEFAULT_MAX_POWER):
+            for alternating in (False, True):
+                series = power_series(FormalCharacter(char), k, alternating)
+                want = _tuple_power_series(char, k, alternating)
+                assert [c.weights for c in series] == want
+
+
+def _binomial(r, n):
+    """C(r, n) for any integer r, as r(r-1)...(r-n+1)/n!."""
+    num = 1
+    for i in range(n):
+        num *= r - i
+    return num // math.factorial(n)
+
+
+@pytest.mark.parametrize("m", [10 ** 6, -10 ** 6])
+def test_powers_of_a_huge_multiplicity_in_closed_form(m):
+    # V = m e^0 + e^w: S^d V = sum_n C(m+n-1, n) e^((d-n)w) and
+    # Lambda^d V = C(m, d) e^0 + C(m, d-1) e^w, from one pass per weight
+    # and not one per unit of m
+    zero, w = (0, 0), (1, -1)
+    v = FormalCharacter({zero: m, w: 1})
+    sym, alt = power_series(v, 5), power_series(v, 5, True)
+    for d in range(6):
+        assert sym[d].weights == {
+            (d - n, n - d): _binomial(m + n - 1, n) for n in range(d + 1)}
+        want = {zero: _binomial(m, d)}
+        if d:
+            want[w] = _binomial(m, d - 1)
+        assert alt[d].weights == want
 
 
 def test_product_rank_mismatch_and_empty():

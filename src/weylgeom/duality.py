@@ -11,26 +11,19 @@ arithmetic on a standard representation:
 
 The last two are explicit constructions of maps the first one also gives.
 All maps act on supports (finite sets of weights); every structural claim
-is re-verified on the spot and a mismatch raises ConsistencyError.
+is re-verified on the spot and a mismatch raises ConsistencyError.  Only
+geometry.object_point decides whether a support is an object of a type.
 """
 
-from .geometry import Geometry, barycenter, translate_support
+from .geometry import (Geometry, _require_weights, object_point,
+                       translate_support)
 from .rootsystem import ConsistencyError, RootSystem, cached_property, closure
 
 
-def _require_weights(weights, support):
-    """support as a frozenset; ValueError if a member is not in weights."""
+def _require_object(geometry, delta, support):
+    """support as a frozenset; ValueError unless a type-delta object."""
     support = frozenset(support)
-    for w in support - weights:
-        raise ValueError("%r is not a weight here" % (w,))
-    return support
-
-
-def _require_object(same, delta, support):
-    """support as a frozenset; ValueError unless same, an identity
-    diagram_duality op, fixes it as a type-delta object."""
-    support = frozenset(support)
-    if same(delta, support) != (delta, support):
+    if object_point(geometry, delta, support) is None:
         raise ValueError("not an object of type %d" % delta)
     return support
 
@@ -111,47 +104,31 @@ def chamber_automorphism_check(geometry, op):
 
 def diagram_duality(geometry, perm):
     """The op for chamber_automorphism_check induced by the diagram
-    automorphism i -> perm[i - 1].  A type-delta object is fixed by its
-    barycenter c_delta*u, u in W.omega_delta and c_delta the
-    delta-coordinate of the standard barycenter.  perm permutes fw
-    coordinates and intertwines s_i with s_perm(i), so op sends the object
-    to the type-perm(delta) object of barycenter c_perm(delta)*perm(u): the
-    standard one translated back along the reflections at negative
+    automorphism i -> perm[i - 1].  perm permutes fw coordinates and
+    intertwines s_i with s_perm(i), so op sends the type-delta object of
+    point u (object_point) to the type-perm(delta) object of point perm(u):
+    the standard one translated back along the reflections at negative
     coordinates that make perm(u) dominant, or support None when that
-    dominant weight is not omega_perm(delta), as when perm is no
-    automorphism, and when the support is no object's: its size is not
-    the standard delta-space's, or c_delta does not divide its barycenter.
-    Of the supports of the standard size, only the object sums to
-    c_delta*u, since the standard support is the face of V's weights on
-    which (., omega_delta) is greatest.  A non-weight, or a delta that is
-    no node, raises ValueError.
-    The image is a function of (perm(delta), perm(u)), so op keeps it for
-    every point a reduction passes: a later reduction that reaches one is
-    translated back along its new prefix only.
+    weight is not omega_perm(delta), as when perm is no automorphism, and
+    when the support is no object.  op keeps the image, a function of
+    (perm(delta), perm(u)), for every point a reduction passes, so a later
+    reduction stops at the first such point it reaches.
     """
     rs = geometry.rs
-    rng = range(1, rs.rank + 1)
-    std = {d: geometry.delta_space(d).support for d in rng}
-    scale = {d: barycenter(std[d])[d - 1] for d in rng}
     images = {}
 
     def op(delta, support):
-        if delta not in std:
-            raise ValueError("delta out of range")
-        support = _require_weights(geometry.weights, support)
-        d2 = perm[delta - 1]
-        x = barycenter(support)
-        if (len(support) != len(std[delta])
-                or any(a % scale[delta] for a in x)):
+        u, d2 = object_point(geometry, delta, support), perm[delta - 1]
+        if u is None:
             return d2, None
-        u = tuple(x[perm.index(i)] // scale[delta] for i in rng)
+        u = tuple(u[perm.index(i)] for i in range(1, rs.rank + 1))
         path = []
         while (d2, u) not in images and min(u) < 0:
             path.append(u)
             u = rs.reflect(u.index(min(u)) + 1, u)
         if (d2, u) not in images:
-            images[d2, u] = (std[d2] if u == rs.fundamental_weight(d2)
-                             else None)
+            images[d2, u] = (geometry.delta_space(d2).support
+                             if u == rs.fundamental_weight(d2) else None)
         image = images[d2, u]
         for v in reversed(path):
             if image is not None:
@@ -171,7 +148,6 @@ class E6Duality:
         self.rs = RootSystem.named("E6")
         self.geometry = Geometry(self.rs, 1)
         self.weights = self.geometry.weights
-        self._same = diagram_duality(self.geometry, tuple(range(1, 7)))
         self._hyperlines = {}
         self._reaches = {}
 
@@ -246,7 +222,7 @@ class E6Duality:
 
     def psi(self, delta, support):
         """The duality on an apartment object of type delta."""
-        support = _require_object(self._same, delta, support)
+        support = _require_object(self.geometry, delta, support)
         return self.PHI[delta], self.psi_support(support)
 
     @cached_property
@@ -336,7 +312,6 @@ class Triality:
         self.rs = RootSystem.named("D4")
         self.geometry = Geometry(self.rs, 1)
         self.weights = self.geometry.weights
-        self._same = diagram_duality(self.geometry, (1, 2, 3, 4))
         eps = {1: (1, 0, 0, 0), 2: (-1, 1, 0, 0), 3: (0, -1, 1, 1),
                4: (0, 0, -1, 1)}
         self.label_weight = {}
@@ -406,7 +381,7 @@ class Triality:
     def psi(self, delta, support):
         """One triality step on an apartment object, following the node
         rotation 1 -> 3 -> 4 -> 1 (node 2 objects map to node 2)."""
-        support = _require_object(self._same, delta, support)
+        support = _require_object(self.geometry, delta, support)
         if delta == 1:
             return 3, self.star_support(support, self.weights)
         if delta == 3:

@@ -5,8 +5,8 @@ omega_beta.  Each node delta of the diagram yields a delta-space: the sum of
 the weight spaces of V(omega_beta) at omega_beta - alpha, alpha running over
 nonnegative combinations of simple roots from the connected component of beta
 in the diagram with delta deleted.  Apartment objects are Weyl translates of
-the standard spaces; two objects are incident when some chamber holds both
-(Tits), which is decided from the barycenters of their supports.
+the standard spaces, each known by its barycenter (object_point); two are
+incident when some chamber holds both (Tits).
 """
 
 from .charring import irrep_character, minuscule_check
@@ -62,7 +62,7 @@ class DeltaSpace:
 
     def __init__(self, geometry, delta):
         rs = geometry.rs
-        if not 1 <= delta <= rs.rank:
+        if delta not in range(1, rs.rank + 1):
             raise ValueError("delta out of range")
         self.geometry = geometry
         self.delta = delta
@@ -70,8 +70,8 @@ class DeltaSpace:
         levels = descent(rs, geometry.weights, geometry.hw, self.component)
         self.support = frozenset(levels)
         self.dimension = sum(geometry.char.weights[w] for w in self.support)
-        # incidence rests on this: the support sums to c*omega_delta
-        x = barycenter(self.support)
+        # object_point rests on this: the support sums to c*omega_delta
+        x = self.barycenter = barycenter(self.support)
         if x[delta - 1] <= 0 or any(x[:delta - 1] + x[delta:]):
             raise ConsistencyError("barycenter of the standard support "
                                    "is not on the omega_delta ray")
@@ -152,7 +152,7 @@ def apartment_objects(geometry, delta):
     then by support descending.
 
     The walk runs on barycenters.  An object is fixed by its barycenter (see
-    incidence), so objects and barycenters correspond one to one and the
+    object_point), so objects and barycenters correspond one to one and the
     correspondence commutes with each s_i.  The barycenters form the orbit
     of the dominant standard one, which orbit_steps walks as a tree: each
     support is translated once, from its parent's, and its level is the
@@ -196,15 +196,42 @@ def barycenter(support):
     return tuple(map(sum, zip(*support)))
 
 
+def _require_weights(weights, support):
+    """support as a frozenset; ValueError if a member is not in weights."""
+    support = frozenset(support)
+    for w in support - weights:
+        raise ValueError("%r is not a weight here" % (w,))
+    return support
+
+
+def object_point(geometry, delta, support):
+    """u in W.omega_delta when support is a type-delta object, whose
+    barycenter is then c_delta*u, c_delta > 0 the standard one's delta
+    coordinate; else None.  A non-weight, or a delta that is no node, raises
+    ValueError.  Exact, since the standard support S is the face of V's
+    weights where (., omega_delta) is greatest: the stabilizer of omega_delta
+    fixes S, and a support T of |S| weights summing to c_delta*w(omega_delta)
+    has w^-1 T summing to S's sum, so pairing with omega_delta to |S| times
+    the greatest value: w^-1 T = S, and T = w S is the object of point u.
+    """
+    space = geometry.delta_space(delta)
+    support = _require_weights(geometry.weights, support)
+    c, x = space.barycenter[delta - 1], barycenter(support)
+    if len(support) != len(space.support) or any(a % c for a in x):
+        return None
+    u = tuple(a // c for a in x)
+    rs = geometry.rs
+    return u if rs.dominant_rep(u) == rs.fundamental_weight(delta) else None
+
+
 def incidence(geometry, a, b):
     """Incidence of two apartment objects: equal supports for one type, and
     for two types, that some chamber holds both (Tits).  Why the norm test
-    below decides that, for x and y the barycenters of the supports and x+,
-    y+ their dominant forms:
+    below decides that, for x and y the barycenters of the supports and x+
+    = c_a*omega_a, y+ = c_b*omega_b those of the standard spaces:
 
-    1. An object is fixed by its barycenter, which lies in W.c*omega_delta
-       with c > 0 (DeltaSpace checks this on the standard support), so the
-       objects of type delta are the cosets of the stabilizer of omega_delta.
+    1. An object is fixed by its barycenter, in W.x+ (see object_point), so
+       the objects of type a are the cosets of the stabilizer of omega_a.
     2. So two objects share a chamber iff x and y lie in one closed Weyl
        chamber.
     3. That holds iff (x, y) = (x+, y+).  Write x = w x+; (x, y) <= (x+, y+)
@@ -212,22 +239,19 @@ def incidence(geometry, a, b):
        roots orthogonal to x+.  Some element of their Weyl group, which
        fixes x+, makes w^-1 y dominant, that is equal to y+.
 
-    |x + y|^2 = |x|^2 + |y|^2 + 2(x, y), so step 3 compares two norms.
+    |x + y|^2 = |x|^2 + |y|^2 + 2(x, y), so step 3 compares two norms.  a
+    and b must be objects: a support that is no object is not detected.
     """
     if a.delta == b.delta:
         return a.support == b.support
-    rs = geometry.rs
-    x, y = barycenter(a.support), barycenter(b.support)
-    xd, yd = rs.dominant_rep(x), rs.dominant_rep(y)
-    return (rs.scaled_norm2(tuple(p + q for p, q in zip(x, y)))
-            == rs.scaled_norm2(tuple(p + q for p, q in zip(xd, yd))))
+    norm2 = geometry.rs.scaled_norm2
+    return (norm2(barycenter([barycenter(o.support) for o in (a, b)]))
+            == norm2(barycenter([geometry.delta_space(o.delta).barycenter
+                                 for o in (a, b)])))
 
 
 def chamber_pairwise_incident(geometry):
     """Check that the standard delta-spaces are pairwise incident."""
     chamber = standard_chamber(geometry)
-    for i, a in enumerate(chamber):
-        for b in chamber[i + 1:]:
-            if not incidence(geometry, a, b):
-                return False
-    return True
+    return all(incidence(geometry, a, b)
+               for i, a in enumerate(chamber) for b in chamber[i + 1:])

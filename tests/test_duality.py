@@ -363,6 +363,25 @@ def test_psi_refuses_a_support_of_another_type(dual, tri):
             psi(delta, support)
 
 
+def test_the_dualities_build_no_diagram_op(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a diagram_duality op was built")
+
+    monkeypatch.setattr(duality, "diagram_duality", forbidden)
+    dual, tri = E6Duality(), Triality()
+    e1 = tri.label_weight["e1"]
+    for psi, delta, support in ((dual.psi, 3, dual.standard_support(2)),
+                                (tri.psi, 2, {e1}), (tri.psi, 3, {e1})):
+        with pytest.raises(ValueError,
+                           match="^not an object of type %d$" % delta):
+            psi(delta, support)
+    assert dual.psi(1, dual.standard_support(1)) == (
+        6, dual.standard_support(6))
+    g = tri.geometry
+    assert tri.psi(1, g.delta_space(1).support) == (
+        3, g.delta_space(3).support)
+
+
 def test_psi_and_the_diagram_op_refuse_a_delta_off_the_diagram(dual, tri):
     for owner, deltas in ((dual, (0, 7)), (tri, (0, 5))):
         rank = owner.rs.rank

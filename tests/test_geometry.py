@@ -14,6 +14,7 @@ from weylgeom.geometry import (
     dimension_diagram,
     hasse_diagram,
     incidence,
+    object_point,
     standard_chamber,
     translate_support,
 )
@@ -557,6 +558,56 @@ def test_incident_objects_count_parabolic_cosets(name, beta):
         assert sum(incidence(g, a, b) for b in objects) == want, (a.delta, db)
 
 
+def _dominant_pair_incidence(g, a, b):
+    """incidence by the earlier rule, as an oracle: the norm of x + y
+    against that of the sum of the dominant forms of x and y, each reduced
+    by dominant_rep."""
+    if a.delta == b.delta:
+        return a.support == b.support
+    rs = g.rs
+    x, y = barycenter(a.support), barycenter(b.support)
+    xd, yd = rs.dominant_rep(x), rs.dominant_rep(y)
+    return (rs.scaled_norm2(tuple(p + q for p, q in zip(x, y)))
+            == rs.scaled_norm2(tuple(p + q for p, q in zip(xd, yd))))
+
+
+ORACLE_CASES = [("A4", 1), ("B4", 1), ("C4", 1), ("D5", 1), ("D4", 2),
+                ("E6", 1), ("F4", 4), ("G2", 1), ("G2", 2), ("B3", 2)]
+
+
+@pytest.mark.parametrize("name,beta", ORACLE_CASES,
+                         ids=["%s-%d" % c for c in ORACLE_CASES])
+def test_incidence_agrees_with_the_dominant_pair_rule(name, beta):
+    # seeded samples of cross-type pairs, with the standard object of the
+    # first type in half of them so that incident pairs come up
+    g = geom(name, beta)
+    rng = random.Random("%s-%d" % (name, beta))
+    objs = {d: apartment_objects(g, d) for d in range(1, g.rs.rank + 1)}
+    seen = set()
+    for da, db in itertools.permutations(objs, 2):
+        for k in range(100):
+            a = objs[da][0] if k % 2 else rng.choice(objs[da])
+            b = rng.choice(objs[db])
+            want = _dominant_pair_incidence(g, a, b)
+            assert incidence(g, a, b) == want, (da, db)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_incidence_reduces_no_barycenter(monkeypatch):
+    g = geom("E6", 1)
+    objs = [o for d in (1, 2, 6) for o in apartment_objects(g, d)]
+    pairs = [(a, b) for a in objs for b in objs if a.delta != b.delta]
+    want = [_dominant_pair_incidence(g, a, b) for a, b in pairs]
+    assert True in want and False in want
+
+    def forbidden(self, w):
+        raise AssertionError("dominant_rep called")
+
+    monkeypatch.setattr(RootSystem, "dominant_rep", forbidden)
+    assert [incidence(g, a, b) for a, b in pairs] == want
+
+
 MINUSCULE = ([("A%d" % n, beta) for n in range(1, 9)
               for beta in range(1, n + 1)]
              + [("B%d" % n, n) for n in range(2, 9)]
@@ -653,6 +704,64 @@ def test_apartment_barycenters_are_distinct_and_fill_the_orbit(name, beta,
         centers = {barycenter(o.support) for o in objs}
         assert (len(centers) == len(objs)
                 == rs.orbit_size(rs.fundamental_weight(delta))), delta
+
+
+@pytest.mark.parametrize("name,beta,deltas", WALK_CASES,
+                         ids=["%s-%d" % c[:2] for c in WALK_CASES])
+def test_object_point_names_every_apartment_object(name, beta, deltas):
+    # one seeded swap per object: a weight of it for one outside it gives
+    # None, unless the swapped support is itself an object
+    g = geom(name, beta)
+    rs = g.rs
+    rng = random.Random("%s-%d" % (name, beta))
+    weights = sorted(g.weights)
+    for delta in deltas:
+        c = g.delta_space(delta).barycenter[delta - 1]
+        objs = [o.support for o in apartment_objects(g, delta)]
+        points = {s: object_point(g, delta, s) for s in objs}
+        for s, u in points.items():
+            assert barycenter(s) == tuple(c * x for x in u), delta
+            assert rs.dominant_rep(u) == rs.fundamental_weight(delta), delta
+            out = rng.choice([w for w in weights if w not in s])
+            swapped = s - {rng.choice(sorted(s))} | {out}
+            assert object_point(g, delta, swapped) == points.get(swapped)
+
+
+@pytest.mark.parametrize("name,beta", [("E6", 1), ("D4", 2), ("F4", 4),
+                                       ("G2", 2)])
+def test_every_swap_of_a_standard_weight_is_an_object_or_none(name, beta):
+    # each weight of the standard support swapped for each weight outside
+    # it: object_point gives the swapped object's point, or None for the
+    # swaps that are no object, which every type of more than one weight has;
+    # the zero weight adds nothing to a barycenter but one to the size
+    g = geom(name, beta)
+    zero = g.rs.zero()
+    for delta in range(1, g.rs.rank + 1):
+        std = g.delta_space(delta).support
+        if zero in g.weights - std:
+            assert object_point(g, delta, std | {zero}) is None, delta
+        points = {o.support: object_point(g, delta, o.support)
+                  for o in apartment_objects(g, delta)}
+        misses = 0
+        for w in std:
+            for out in g.weights - std:
+                swapped = std - {w} | {out}
+                misses += swapped not in points
+                assert object_point(g, delta, swapped) == points.get(swapped)
+        assert misses or len(std) == 1, delta
+
+
+def test_object_point_refuses_a_non_weight_and_a_delta_off_the_diagram():
+    for name in ("E6", "G2"):
+        g = geom(name, 1)
+        n = g.rs.rank
+        std = g.delta_space(1).support
+        with pytest.raises(ValueError, match=r"^\(9, 9(, 9)*\) is not a "
+                           "weight here$"):
+            object_point(g, 1, std | {(9,) * n})
+        for delta in (0, n + 1, 1.5):
+            with pytest.raises(ValueError, match="^delta out of range$"):
+                object_point(g, delta, std)
 
 
 # the walk on weight positions against the dict-table walk it replaced

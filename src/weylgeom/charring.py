@@ -219,7 +219,7 @@ def dominant_character(rs, lam):
     if order[0] != lam:
         raise ConsistencyError("highest weight is not maximal")
 
-    roots = [(fw, tuple(map(int.__mul__, rs.d, alpha)), rs.root_norm2(alpha))
+    roots = [(fw, tuple(map(int.__mul__, rs.d, alpha)), rs.pair_root(fw, alpha))
              for alpha, fw in zip(rs.positive_roots, rs.positive_roots_fw)]
     orders, reps = {}, {}
 

@@ -37,7 +37,7 @@ class Geometry:
     """A root system with a chosen standard representation V(omega_beta)."""
 
     def __init__(self, rs, beta):
-        if not 1 <= beta <= rs.rank:
+        if beta not in range(1, rs.rank + 1):
             raise ValueError("beta out of range")
         self.rs = rs
         self.beta = beta
@@ -148,42 +148,28 @@ def translate_support(rs, i, support):
 
 
 def apartment_objects(geometry, delta):
-    """All Weyl translates of the standard delta-space, sorted by level,
-    then by support descending.
+    """All Weyl translates of the standard delta-space, by level, the
+    standard object first, then in the order orbit_steps walks W.omega_delta.
 
-    The walk runs on barycenters.  An object is fixed by its barycenter (see
-    object_point), so objects and barycenters correspond one to one and the
-    correspondence commutes with each s_i.  The barycenters form the orbit
-    of the dominant standard one, which orbit_steps walks as a tree: each
-    support is translated once, from its parent's, and its level is the
-    length of the shortest word carrying the standard object there.  A
-    support travels as the descending tuple of its weights' positions in
-    V's ascending weight list, on which each s_i is tabulated; positions
-    keep order and supports have one size, so (level, tuple) sorts as
-    (level, support sorted descending) does.  An apartment of
-    |W.omega_delta| objects of |support| weights each is refused above
-    MAX_WEIGHTS weights, before the walk.
+    An object is fixed by its point u in W.omega_delta (see object_point),
+    so objects and points correspond one to one, commuting with each s_i.
+    Walking the points as a tree, each support is built at once as the
+    frozenset of its parent's under s_i, tabulated on V's weights.  An
+    apartment of more than MAX_WEIGHTS weights is refused before the walk.
     """
     rs = geometry.rs
     std = geometry.delta_space(delta).support
-    size = rs.orbit_size(rs.fundamental_weight(delta)) * len(std)
+    top = rs.fundamental_weight(delta)
+    size = rs.orbit_size(top) * len(std)
     if size > MAX_WEIGHTS:
         raise RefusedError("apartment of %d weights, above the limit of %d"
                            % (size, MAX_WEIGHTS))
-    weights = sorted(geometry.weights)
-    index = {w: k for k, w in enumerate(weights)}
-    tables = [[index[rs.reflect(i, w)] for w in weights]
+    tables = [{w: rs.reflect(i, w) for w in geometry.weights}.__getitem__
               for i in range(1, rs.rank + 1)]
-    top = barycenter(std)
-    key = tuple(sorted([index[w] for w in std], reverse=True))
-    keys, found = {top: key}, [(0, key)]
-    for y, level, x, i in rs.orbit_steps(top):
-        t = tables[i - 1]
-        key = keys[y] = tuple(sorted([t[k] for k in keys[x]], reverse=True))
-        found.append((level, key))
-    found.sort()
-    return [ApartmentObject(delta, [weights[k] for k in key])
-            for _, key in found]
+    supports = {top: std}
+    for y, _, x, i in rs.orbit_steps(top):
+        supports[y] = frozenset(map(tables[i - 1], supports[x]))
+    return [ApartmentObject(delta, s) for s in supports.values()]
 
 
 def standard_chamber(geometry):

@@ -223,7 +223,8 @@ class RootSystem:
         """The system of a letter A-G and a rank: E6, " e6" or "E 6"."""
         text = name.strip()
         digits = text[1:].lstrip()
-        if not (digits.isdecimal() and text[0] in "ABCDEFGabcdefg"):
+        if not (digits.isascii() and digits.isdecimal()
+                and text[0] in "ABCDEFGabcdefg"):
             raise ValueError("expected a family name like E6 or D5, got %r" % name)
         family, rank = text[0].upper(), int(digits)
         return cls(family_cartan(family, rank), label="%s%d" % (family, rank))
@@ -241,6 +242,8 @@ class RootSystem:
         return (0,) * self.rank
 
     def fundamental_weight(self, i):
+        if i not in range(1, self.rank + 1):
+            raise ValueError("node %r out of range" % (i,))
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
     def alpha_fw(self, i):
@@ -295,17 +298,22 @@ class RootSystem:
         carrying top to y (Humphreys, Reflection Groups and Coxeter Groups,
         1.6-1.10).  From x, whose first negative coordinate f is where its
         parent stepped, s_i x (x_i > 0) is kept when i is its first negative
-        coordinate: at once when i < f, and never when s_i fixes x_f < 0.
-        s_i x differs from x only at i and at i's diagram neighbours."""
+        coordinate: at once when i < f, and never when s_i fixes x_f < 0,
+        so moves[f] lists the i < f and the neighbours i > f of f.  s_i x
+        differs from x only at i and at i's diagram neighbours."""
+        n = self.rank
         links = [[(j, r) for j, r in enumerate(row) if r and j != i]
                  for i, row in enumerate(self.cartan)]
-        frontier, level = [(tuple(top), self.rank)], 0
+        moves = [list(range(f)) + [i for i in range(f + 1, n)
+                                   if self.cartan[i][f]] for f in range(n + 1)]
+        frontier, level = [(tuple(top), n)], 0
         while frontier:
             level += 1
             new = []
             for x, f in frontier:
-                for i, c in enumerate(x):
-                    if c > 0 and (i < f or self.cartan[i][f]):
+                for i in moves[f]:
+                    c = x[i]
+                    if c > 0:
                         y = list(x)
                         y[i] = -c
                         for j, r in links[i]:
@@ -345,27 +353,37 @@ class RootSystem:
 
     @cached_property
     def positive_roots(self):
-        """Positive roots in simple-root coordinates, sorted by (height, lex).
-        No finite system has a coefficient above 6 (E8's highest root is
-        (2,3,4,6,5,4,3,2)), so a larger one refuses an infinite root system."""
-        n = self.rank
-
-        def step(q):
-            for i in range(n):
-                # <beta, alpha_i^vee> = (q . C)_i
-                p = sum(q[k] * self.cartan[k][i] for k in range(n))
-                r = tuple(q[j] - (p if j == i else 0) for j in range(n))
-                if all(x >= 0 for x in r):
-                    if r[i] > 6:
-                        raise ValueError("Cartan matrix is not of finite type")
-                    yield r
-
-        seeds = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        return sorted(closure(seeds, step), key=lambda q: (sum(q), q))
+        """Positive roots in simple-root coordinates, sorted by (height, lex)."""
+        return list(self._root_table)
 
     @cached_property
     def positive_roots_fw(self):
-        return [self.root_fw(q) for q in self.positive_roots]
+        return list(self._root_table.values())
+
+    @cached_property
+    def _root_table(self):
+        """{positive root q: its fw coordinates b}, sorted by (height, lex).
+        s_j q = q - b_j*alpha_j, kept when q_j >= b_j, has fw coordinates
+        b - b_j*row_j.  No finite system has a coefficient above 6 (E8's
+        highest root is (2,3,4,6,5,4,3,2)), so a larger one refuses an
+        infinite root system."""
+        rows = self.cartan
+        fw = {tuple(int(i == j) for j in range(self.rank)): row
+              for i, row in enumerate(rows)}
+
+        def step(q):
+            b = fw[q]
+            for j, (p, row) in enumerate(zip(b, rows)):
+                if p and q[j] >= p:
+                    r = q[:j] + (q[j] - p,) + q[j + 1:]
+                    if r[j] > 6:
+                        raise ValueError("Cartan matrix is not of finite type")
+                    if r not in fw:
+                        fw[r] = tuple([x - p * y for x, y in zip(b, row)])
+                    yield r
+
+        return {q: fw[q] for q in sorted(closure(list(fw), step),
+                                         key=lambda q: (sum(q), q))}
 
     @cached_property
     def highest_root(self):

@@ -102,6 +102,13 @@ def test_usage_error_unknown_command(capsys):
     ["invariants", "A2", "1,0", "--max", "2"],
     ["dims", "E6", "--be\nta", "2"],
     ["frob\nnicate"],
+    # A and ARABIC-INDIC DIGIT THREE: no system name, as the JSON output
+    # could not echo it
+    ["dims", "A\u0663"],
+    ["hasse", "A\u0663", "1"],
+    ["orbit", "A\u0663", "1,0,0"],
+    ["invariants", "A\u0663", "1,0,0"],
+    ["incidence", "A\u0663"],
 ])
 def test_usage_error_is_one_line(capsys, argv):
     assert cli.main(argv) == 2

@@ -686,11 +686,22 @@ def test_barycenter_walk_matches_the_support_walk(name, beta, deltas):
     g = geom(name, beta)
     for delta in deltas:
         walk = _support_walk(g, delta)
-        got = [(o.delta, o.support) for o in apartment_objects(g, delta)]
-        assert got == [(d, s) for d, s, _ in walk], delta
         levels = [_negative_roots(g.rs, barycenter(s)) for _, s, _ in walk]
         assert levels == [level for _, _, level in walk], delta
-        assert levels == sorted(levels), delta
+        _assert_walk_order(g, delta, {s: level for _, s, level in walk})
+
+
+def _assert_walk_order(g, delta, levels):
+    """apartment_objects(g, delta) in walk order against an oracle walk's
+    {support: level}: the same objects, none twice, the standard one first,
+    and the oracle's levels never decreasing along the walk."""
+    objs = apartment_objects(g, delta)
+    got = [o.support for o in objs]
+    assert {o.delta for o in objs} == {delta}, delta
+    assert len(set(got)) == len(got) and set(got) == set(levels), delta
+    assert got[0] == g.delta_space(delta).support, delta
+    walked = [levels[s] for s in got]
+    assert walked == sorted(walked), delta
 
 
 @pytest.mark.parametrize("name,beta,deltas", WALK_CASES,
@@ -771,7 +782,7 @@ def _dict_table_walk(g, delta):
     """apartment_objects as it was before supports travelled as tuples of
     weight positions: s_i tabulated as a dict on the weights, and supports
     carried as frozensets and sorted by (level, sorted(support,
-    reverse=True))."""
+    reverse=True)); each object comes with its level."""
     rs = g.rs
     std = g.delta_space(delta).support
     tables = {i: {w: rs.reflect(i, w) for w in g.weights}
@@ -784,7 +795,7 @@ def _dict_table_walk(g, delta):
         levels[y] = level
     order = sorted(levels, key=lambda x: (levels[x],
                                           sorted(supports[x], reverse=True)))
-    return [ApartmentObject(delta, supports[x]) for x in order]
+    return [(ApartmentObject(delta, supports[x]), levels[x]) for x in order]
 
 
 # E6 renumbered so that its node 1 is node 4: beta = 4 there is the 27
@@ -805,7 +816,8 @@ def test_position_walk_is_the_dict_table_walk(name, beta, deltas):
     else:
         g = geom(name, beta)
     for delta in deltas:
-        assert apartment_objects(g, delta) == _dict_table_walk(g, delta), delta
+        _assert_walk_order(g, delta, {o.support: level for o, level
+                                      in _dict_table_walk(g, delta)})
 
 
 # the descent walk against the depth filter it replaced
@@ -881,3 +893,9 @@ def test_hasse_refuses_a_weight_off_the_descent(monkeypatch):
     monkeypatch.setattr(geometry, "irrep_character", padded)
     with pytest.raises(ConsistencyError, match="not reached"):
         hasse_diagram(RootSystem.named("A2"), (1, 0))
+
+
+@pytest.mark.parametrize("beta", [0, 4, -1, 1.5])
+def test_geometry_refuses_a_beta_off_the_diagram(beta):
+    with pytest.raises(ValueError, match="^beta out of range$"):
+        geom("A3", beta)

@@ -841,9 +841,9 @@ NAME_CASES = {
     "D04": "D4", "E6x": None, "6": None, "": None, "Z3": None, "E": None,
     "E-6": None, "E+6": None, "E6 6": None, "EE6": None, "H4": None,
     " ": None, "E 6 ": "E6", "e\x0b7": "E7", "B2.": None,
-    # non-ASCII: decimal digits and whitespace count, as they did for \d
-    # and \s; other letters do not
-    "E\u0666": "E6", "E\u00a06": "E6", "\u0395" "6": None,
+    # non-ASCII: whitespace counts, as it did for \s; letters do not, nor
+    # digits, which the CLI could not echo
+    "E\u0666": None, "E\u00a06": "E6", "\u0395" "6": None,
 }
 
 
@@ -938,3 +938,49 @@ def test_sparse_walk_cases_cover_the_named_shapes():
     ids = [c[0] for c in SPARSE_WALK_CASES]
     assert len(ids) == len(set(ids)) == 162 + 16 + 3 * 2 * 5 + 3 + 6
     assert "E7-4" in ids and "F4 rho" in ids and "E6 rho" not in ids
+
+
+# the root walk on fw coordinates against the dense root step it replaced
+
+
+def _dense_positive_roots(rs):
+    """positive_roots as it was before the walk carried fw coordinates:
+    <q, alpha_i^vee> summed down column i of C for every i at every root."""
+    n = rs.rank
+
+    def step(q):
+        for i in range(n):
+            p = sum(q[k] * rs.cartan[k][i] for k in range(n))
+            r = tuple(q[j] - (p if j == i else 0) for j in range(n))
+            if all(x >= 0 for x in r):
+                if r[i] > 6:
+                    raise ValueError("Cartan matrix is not of finite type")
+                yield r
+
+    seeds = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    return sorted(closure(seeds, step), key=lambda q: (sum(q), q))
+
+
+ROOT_CASES = ([(name, RootSystem.named(name).cartan)
+               for name in SYSTEMS + ["A30"]]
+              + [("%s%r" % (name, perm),
+                  _relabelled(RootSystem.named(name).cartan, perm))
+                 for name, perm in [("E6", (5, 3, 1, 0, 4, 2)),
+                                    ("F4", (2, 0, 3, 1)), ("G2", (1, 0)),
+                                    ("B4", (3, 1, 0, 2))]])
+
+
+@pytest.mark.parametrize("cartan", [c for _, c in ROOT_CASES],
+                         ids=[n for n, _ in ROOT_CASES])
+def test_root_walk_is_the_dense_root_step(cartan):
+    rs = RootSystem(cartan)
+    assert rs.positive_roots == _dense_positive_roots(RootSystem(cartan))
+    assert rs.positive_roots_fw == [rs.root_fw(q) for q in rs.positive_roots]
+
+
+def test_fundamental_weight_refuses_a_node_off_the_diagram():
+    a3 = RootSystem.named("A3")
+    assert a3.fundamental_weight(3) == (0, 0, 1)
+    for i in (0, 4, -1, 1.5, None):
+        with pytest.raises(ValueError, match=r"^node .* out of range$"):
+            a3.fundamental_weight(i)

@@ -7,7 +7,7 @@ the root orbits of each weight's stabiliser (Moody-Patera); decompose() peels
 any character in one pass over its dominant weights, highest first.
 """
 
-from math import comb
+from math import comb, prod
 
 from .rootsystem import (
     MAX_WEIGHTS,
@@ -30,8 +30,10 @@ class FormalCharacter:
     __slots__ = ("weights",)
 
     def __init__(self, weights=None):
-        """weights: {weight tuple: multiplicity}; zeros are dropped."""
-        self.weights = {w: m for w, m in (weights or {}).items() if m}
+        """weights: {weight tuple: multiplicity}, copied; zeros dropped."""
+        self.weights = dict(weights or ())
+        if not all(self.weights.values()):
+            self.weights = {w: m for w, m in self.weights.items() if m}
 
     def items(self):
         return self.weights.items()
@@ -146,17 +148,15 @@ def _unpack(packed, rank, width):
 
 
 def weyl_dimension(rs, lam):
-    """Dimension of V(lam): the product of (lam+rho, alpha)/(rho, alpha)
-    over alpha > 0, rho = (1, ..., 1), checked to be an integer."""
+    """Dimension of V(lam): prod (lam+rho, alpha) over alpha > 0, rho = (1,
+    ..., 1), divided by the system's prod (rho, alpha), checked exact."""
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
-    rho_shift = tuple(x + 1 for x in lam)
-    num = 1
-    den = 1
-    for alpha in rs.positive_roots:
-        num *= sum(d * a * x for d, a, x in zip(rs.d, alpha, rho_shift))
-        den *= sum(d * a for d, a in zip(rs.d, alpha))
+    rho_shift = tuple([x + 1 for x in lam])
+    rows, den = rs.root_rows
+    num = prod(sum(map(int.__mul__, row, rho_shift))
+               for _, _, _, row in rows)
     if num % den:
         raise ConsistencyError("Weyl dimension is not an integer")
     return num // den
@@ -165,8 +165,8 @@ def weyl_dimension(rs, lam):
 def _covers(rs, w):
     """The dominant weights w - alpha, alpha a positive root."""
     for alpha in rs.positive_roots_fw:
-        v = tuple(a - b for a, b in zip(w, alpha))
-        if all(x >= 0 for x in v):
+        v = tuple(map(int.__sub__, w, alpha))
+        if min(v) >= 0:
             yield v
 
 
@@ -212,15 +212,15 @@ def dominant_character(rs, lam):
         return dict(TABLES[key])
 
     # n*|mu+rho|^2 for each dominant mu, n as in cartan_inverse
+    rows = rs.root_rows[0]
     norms = {mu: rs.scaled_norm2(tuple(a + 1 for a in mu))
-             for mu in dominant_weights_below(rs, lam,
-                                              len(rs.positive_roots))}
+             for mu in dominant_weights_below(rs, lam, len(rows))}
     order = sorted(norms, key=lambda mu: (-norms[mu], tuple(-x for x in mu)))
     if order[0] != lam:
         raise ConsistencyError("highest weight is not maximal")
 
-    roots = [(fw, tuple(map(int.__mul__, rs.d, alpha)), rs.pair_root(fw, alpha))
-             for alpha, fw in zip(rs.positive_roots, rs.positive_roots_fw)]
+    roots = [(fw, pairvec, sum(map(int.__mul__, pairvec, fw)))
+             for _, _, fw, pairvec in rows]
     orders, reps = {}, {}
 
     def size(nodes):

@@ -549,7 +549,7 @@ def _geometry(args):
     rs = _system(args.system)
     beta = args.beta if args.beta is not None else default_beta(rs)
     if beta is None:
-        raise UsageError("no default node for %s; pass --beta" % args.system)
+        raise UsageError("no default node for %s; pass --beta" % rs.label)
     if not 1 <= beta <= rs.rank:
         raise UsageError("--beta must lie between 1 and %d" % rs.rank)
     return Geometry(rs, beta)
@@ -559,7 +559,7 @@ def cmd_dims(args):
     g = _geometry(args)
     rs, beta = g.rs, g.beta
     payload = {
-        "system": args.system,
+        "system": rs.label,
         "beta": beta,
         "minuscule": g.minuscule,
         "dimensions": {str(d): g.delta_space(d).dimension
@@ -581,7 +581,7 @@ def cmd_hasse(args):
     lam = rs.fundamental_weight(args.index)
     nodes, edges = hasse_diagram(rs, lam)
     payload = {
-        "system": args.system,
+        "system": rs.label,
         "weight": list(lam),
         "nodes": [list(w) for w in nodes],
         "edges": [[list(u), list(v), i] for u, v, i in edges],
@@ -599,7 +599,7 @@ def cmd_orbit(args):
     w = parse_weight(args.weight, rs.rank)
     orbit = rs.weyl_orbit(w)
     payload = {
-        "system": args.system,
+        "system": rs.label,
         "weight": list(w),
         "size": len(orbit),
         "orbit": [list(v) for v in orbit],
@@ -619,7 +619,7 @@ def cmd_invariants(args):
                 for s in power_decompositions(rs, w, args.max_degree))
 
     payload = {
-        "system": args.system,
+        "system": rs.label,
         "weight": list(w),
         "dimension": weyl_dimension(rs, w),
         "bilinear": invariant_bilinear_type(rs, w),
@@ -664,7 +664,7 @@ def cmd_incidence(args):
             pairs.append({"a": a, "b": b, "incident": ok})
             counts["incident" if ok else "not_incident"] += 1
     payload = {
-        "system": args.system,
+        "system": rs.label,
         "beta": beta,
         "pairs": pairs,
         "counts": counts,

@@ -331,11 +331,16 @@ class RootSystem:
 
     def parabolic_order(self, nodes):
         """|W_J| for the nodes J: the product of the e + 1 over the
-        exponents e of W_J, whose positive roots are those supported on J."""
+        exponents e of W_J, whose positive roots are those supported on J;
+        a node off the diagram raises ValueError."""
         nodes = set(nodes)
+        mask = sum(1 << j for j in range(self.rank) if j + 1 in nodes)
+        if mask.bit_count() < len(nodes):
+            raise ValueError("node %r out of range" % next(
+                i for i in nodes if i not in range(1, self.rank + 1)))
         return math.prod((e + 1) ** m for e, m in _exponents(
-            [q for q in self.positive_roots
-             if all(i in nodes for i, x in enumerate(q, 1) if x)]).items())
+            [q for bits, q, _, _ in self.root_rows[0]
+             if not bits & ~mask]).items())
 
     @cached_property
     def exponents(self):
@@ -384,6 +389,15 @@ class RootSystem:
 
         return {q: fw[q] for q in sorted(closure(list(fw), step),
                                          key=lambda q: (sum(q), q))}
+
+    @cached_property
+    def root_rows(self):
+        """(rows, prod (rho, q)): a row (support bitmask, q, fw, d*q) per
+        positive root q, in order; (x, q) = sum(d*q . x) for x in fw."""
+        rows = [(sum(1 << j for j, x in enumerate(q) if x), q, fw,
+                 tuple(map(int.__mul__, self.d, q)))
+                for q, fw in self._root_table.items()]
+        return rows, math.prod(sum(row[3]) for row in rows)
 
     @cached_property
     def highest_root(self):

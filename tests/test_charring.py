@@ -846,3 +846,83 @@ def test_strings_stop_at_the_norm_of_the_highest_weight(monkeypatch, name,
     monkeypatch.setattr(charring, "TABLES", {})
     dominant_character(system, lam)
     assert asked and max(asked) <= top
+
+
+# every named system of rank at most 8
+SYSTEMS = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+           + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
+           + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def _weyl_dimension_per_root(system, lam):
+    """Weyl's dimension formula with the numerator and the denominator
+    rebuilt per root from the symmetrizer, as before the root rows."""
+    rho_shift = tuple(x + 1 for x in lam)
+    num = den = 1
+    for alpha in system.positive_roots:
+        num *= sum(d * a * x for d, a, x in zip(system.d, alpha, rho_shift))
+        den *= sum(d * a for d, a in zip(system.d, alpha))
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize("name", SYSTEMS + ["E6 relabelled", "F4 relabelled",
+                                            "G2 relabelled", "B4 relabelled"])
+def test_weyl_dimension_is_the_per_root_formula(name):
+    rng = random.Random(name)
+    system = rs(name.split()[0])
+    if name.endswith("relabelled"):
+        p = list(range(system.rank))
+        rng.shuffle(p)
+        system = RootSystem([[system.cartan[a][b] for b in p] for a in p])
+    weights = [system.zero(), system.rho]
+    weights += [tuple(rng.choice((0, 0, 0, 1, 1, 2, 3, 7)) for _ in range(
+        system.rank)) for _ in range(30)]
+    for lam in weights:
+        assert weyl_dimension(system, lam) == _weyl_dimension_per_root(
+            system, lam), lam
+
+
+def test_formal_character_drops_zeros_and_copies_its_input():
+    rng = random.Random(27)
+    for trial in range(200):
+        weights = {tuple(rng.randint(-2, 2) for _ in range(3)):
+                   rng.choice((-3, -1, 0, 1, 2, 5) if trial % 2 else (-1, 1, 4))
+                   for _ in range(rng.randint(0, 12))}
+        char = FormalCharacter(weights)
+        want = {w: m for w, m in weights.items() if m}
+        assert char.weights == want and list(char.weights) == list(want)
+        assert char == FormalCharacter(want)
+        weights[(9, 9, 9)] = 1
+        for w in list(weights)[:2]:
+            weights[w] += 10
+        assert char.weights == want
+    assert FormalCharacter().weights == FormalCharacter({}).weights == {}
+    assert FormalCharacter({(0, 1): 0}).weights == {}
+
+
+class _Unreadable:
+    """An iterable that fails when read."""
+
+    def __iter__(self):
+        raise AssertionError("positive_roots read")
+
+    def __len__(self):
+        raise AssertionError("positive_roots read")
+
+
+def test_dimensions_orders_and_cached_decompositions_read_the_root_rows(
+        monkeypatch):
+    system = rs("E6")
+    monkeypatch.setattr(charring, "TABLES", {})
+    char = irrep_character(system, (1, 0, 0, 0, 0, 0)) * irrep_character(
+        system, (0, 0, 0, 0, 0, 1))
+    want = decompose(system, char)
+    assert want == {(1, 0, 0, 0, 0, 1): 1, (0, 1, 0, 0, 0, 0): 1,
+                    (0, 0, 0, 0, 0, 0): 1}
+    orders = [system.parabolic_order(J) for J in ((), (1, 3), (2, 3, 4, 5))]
+    monkeypatch.setitem(system.__dict__, "positive_roots", _Unreadable())
+    assert decompose(system, char) == want
+    assert weyl_dimension(system, (1, 0, 0, 0, 0, 1)) == 650
+    assert [system.parabolic_order(J)
+            for J in ((), (1, 3), (2, 3, 4, 5))] == orders == [1, 6, 192]

@@ -423,3 +423,27 @@ def test_src_imports_only_sys_and_math():
                 "%s:%d imports %s" % (path.name, node.lineno, names))
             found.update(names)
     assert found == {"sys", "math"}
+
+
+@pytest.mark.parametrize("argv,system", [
+    (["dims", "E\t6"], "E6"),
+    (["dims", "E 6"], "E6"),
+    (["dims", "e6"], "E6"),
+    (["orbit", "B\t3", "1,0,0"], "B3"),
+    (["hasse", " a 2\n", "1"], "A2"),
+    (["invariants", "A\t2", "1,0"], "A2"),
+    (["incidence", "f\t4"], "F4"),
+], ids=repr)
+def test_commands_echo_the_canonical_system_name(capsys, argv, system):
+    # any spelling RootSystem.named accepts prints as its canonical name
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["system"] == system
+    assert cli.main([argv[0], system] + argv[2:]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_no_default_node_names_the_canonical_system(capsys):
+    assert cli.main(["dims", "e\t8"]) == 2
+    assert _one_line_error(capsys) == (
+        "error: no default node for E8; pass --beta\n")

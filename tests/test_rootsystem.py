@@ -984,3 +984,49 @@ def test_fundamental_weight_refuses_a_node_off_the_diagram():
     for i in (0, 4, -1, 1.5, None):
         with pytest.raises(ValueError, match=r"^node .* out of range$"):
             a3.fundamental_weight(i)
+
+
+def _parabolic_order_by_filter(rs, nodes):
+    """|W_J| from the roots supported on J, each root's support tested one
+    coordinate at a time: the filter before the support bitmasks."""
+    nodes = set(nodes)
+    return math.prod((e + 1) ** m for e, m in rootsystem._exponents(
+        [q for q in rs.positive_roots
+         if all(i in nodes for i, x in enumerate(q, 1) if x)]).items())
+
+
+def _relabelled_system(name, rng):
+    """The named system renumbered by a seeded permutation p: node i of
+    the copy is node p[i - 1] + 1 of the named system."""
+    named = RootSystem.named(name)
+    p = list(range(named.rank))
+    rng.shuffle(p)
+    return named, RootSystem([[named.cartan[a][b] for b in p] for a in p]), p
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_parabolic_order_is_the_filtered_order_on_every_node_set(name):
+    rs = RootSystem.named(name)
+    for r in range(rs.rank + 1):
+        for J in itertools.combinations(range(1, rs.rank + 1), r):
+            assert rs.parabolic_order(J) == _parabolic_order_by_filter(rs, J), J
+
+
+@pytest.mark.parametrize("name", ["E6", "F4", "G2", "B4"])
+def test_parabolic_order_does_not_depend_on_the_node_numbering(name):
+    named, other, p = _relabelled_system(name, random.Random(name))
+    for r in range(other.rank + 1):
+        for J in itertools.combinations(range(1, other.rank + 1), r):
+            want = named.parabolic_order([p[i - 1] + 1 for i in J])
+            assert other.parabolic_order(J) == want, J
+            assert _parabolic_order_by_filter(other, J) == want, J
+
+
+def test_parabolic_order_refuses_a_node_off_the_diagram():
+    a3 = RootSystem.named("A3")
+    assert a3.parabolic_order([1, 2, 3]) == 24
+    # a node equal to an int node is that node, as in fundamental_weight
+    assert a3.parabolic_order([1.0]) == a3.parabolic_order([True]) == 2
+    for nodes in ([0], [4], [1.5], [1, 2, 4], (i for i in (2, 0))):
+        with pytest.raises(ValueError, match=r"^node .* out of range$"):
+            a3.parabolic_order(nodes)

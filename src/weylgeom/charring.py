@@ -150,13 +150,10 @@ def _unpack(packed, rank, width):
 def weyl_dimension(rs, lam):
     """Dimension of V(lam): prod (lam+rho, alpha) over alpha > 0, rho = (1,
     ..., 1), divided by the system's prod (rho, alpha), checked exact."""
-    lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError("highest weight must be dominant")
-    rho_shift = tuple([x + 1 for x in lam])
+    rho_shift = tuple([x + 1 for x in rs.check_weight(lam, dominant=True)])
     rows, den = rs.root_rows
     num = prod(sum(map(int.__mul__, row, rho_shift))
-               for _, _, _, row in rows)
+               for _, _, _, row, _ in rows)
     if num % den:
         raise ConsistencyError("Weyl dimension is not an integer")
     return num // den
@@ -164,7 +161,7 @@ def weyl_dimension(rs, lam):
 
 def _covers(rs, w):
     """The dominant weights w - alpha, alpha a positive root."""
-    for alpha in rs.positive_roots_fw:
+    for _, _, alpha, _, _ in rs.root_rows[0]:
         v = tuple(map(int.__sub__, w, alpha))
         if min(v) >= 0:
             yield v
@@ -174,9 +171,7 @@ def dominant_weights_below(rs, lam, cost=1):
     """All dominant weights mu <= lam (coset of the root lattice), found by
     walking covers: subtract positive roots, keep dominant results.  The
     walk stops, refused, once their number times cost passes MAX_WEIGHTS."""
-    lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError("need a dominant weight")
+    lam = rs.check_weight(lam, dominant=True)
     budget = iter(range(MAX_WEIGHTS // cost))
 
     def step(w):
@@ -206,7 +201,7 @@ def dominant_character(rs, lam):
     Divisions are checked exact and multiplicities positive; refused up
     front when #dominant weights * |positive roots| passes MAX_WEIGHTS.
     """
-    lam = tuple(lam)
+    lam = rs.check_weight(lam, dominant=True)
     key = (rs.key, lam)
     if key in TABLES:
         return dict(TABLES[key])
@@ -219,8 +214,6 @@ def dominant_character(rs, lam):
     if order[0] != lam:
         raise ConsistencyError("highest weight is not maximal")
 
-    roots = [(fw, pairvec, sum(map(int.__mul__, pairvec, fw)))
-             for _, _, fw, pairvec in rows]
     orders, reps = {}, {}
 
     def size(nodes):
@@ -237,7 +230,7 @@ def dominant_character(rs, lam):
         if J not in reps:
             reps[J] = [(alpha_fw, pairvec, norm2a, size(J) // size(
                 tuple(i for i in J if alpha_fw[i - 1] == 0)))
-                for alpha_fw, pairvec, norm2a in roots
+                for _, _, alpha_fw, pairvec, norm2a in rows
                 if all(alpha_fw[i - 1] >= 0 for i in J)]
         # mu + k alpha may be a weight while n*|mu + k alpha|^2 <= top
         room = (top - rs.scaled_norm2(mu)) // n
@@ -460,11 +453,11 @@ def invariant_bilinear_type(rs, lam):
     the sign of the invariant form being (-1)^<lam, 2 rho^vee> (Steinberg,
     Lectures on Chevalley Groups; Bourbaki, Lie VIII 7.5), where <lam,
     2 rho^vee> sums 2(lam, alpha)/(alpha, alpha) over the positive roots."""
-    lam = tuple(lam)
+    lam = rs.check_weight(lam)
     if rs.dual_weight(lam) != lam:
         return None
-    height = sum(2 * rs.pair_root(lam, alpha) // rs.root_norm2(alpha)
-                 for alpha in rs.positive_roots)
+    height = sum(2 * sum(map(int.__mul__, dq, lam)) // norm2
+                 for _, _, _, dq, norm2 in rs.root_rows[0])
     return "Skew" if height % 2 else "Symmetric"
 
 

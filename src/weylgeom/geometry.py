@@ -103,8 +103,9 @@ def hasse_diagram(rs, lam):
     """Weights of V(lam) ordered by root-lattice descent.
 
     Returns (nodes, edges): nodes sorted by (level, weight), the level of w
-    being the height of lam - w; edges are (upper, lower, i) with lower =
-    upper - alpha_i, both weights of V(lam).
+    being the height of lam - w; edges are (upper, lower, i), by upper in
+    node order and then by i, with lower = upper - alpha_i, both weights
+    of V(lam): the loops append them in that order.
     """
     weights = set(irrep_character(rs, tuple(lam)).weights)
     levels = descent(rs, weights, tuple(lam), range(1, rs.rank + 1))
@@ -118,7 +119,6 @@ def hasse_diagram(rs, lam):
             v = tuple(a - b for a, b in zip(u, rs.alpha_fw(i)))
             if v in weights:
                 edges.append((u, v, i))
-    edges.sort(key=lambda e: (levels[e[0]], tuple(-x for x in e[0]), e[2]))
     return nodes, edges
 
 

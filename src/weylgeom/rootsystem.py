@@ -264,6 +264,16 @@ class RootSystem:
     def is_dominant(self, w):
         return all(x >= 0 for x in w)
 
+    def check_weight(self, w, dominant=False):
+        """w as a tuple of rank ints (bools refused); ValueError naming w
+        when it is none, or when dominant and a coordinate is negative."""
+        w = tuple(w)
+        if len(w) != self.rank or not all(type(x) is int for x in w):
+            raise ValueError("%r is not a weight of rank %d" % (w, self.rank))
+        if dominant and min(w) < 0:
+            raise ValueError("%r is not dominant" % (w,))
+        return w
+
     def dominant_rep(self, w):
         """The dominant weight in the Weyl orbit of w."""
         cur = tuple(w)
@@ -326,8 +336,8 @@ class RootSystem:
 
     def orbit_size(self, w):
         """|W.w| = |W|/|W_J|, J the zeros of the dominant form of w."""
-        return self._order // self.parabolic_order(
-            i for i, x in enumerate(self.dominant_rep(w), 1) if x == 0)
+        return self._order // self.parabolic_order(i for i, x in enumerate(
+            self.dominant_rep(self.check_weight(w)), 1) if x == 0)
 
     def parabolic_order(self, nodes):
         """|W_J| for the nodes J: the product of the e + 1 over the
@@ -339,7 +349,7 @@ class RootSystem:
             raise ValueError("node %r out of range" % next(
                 i for i in nodes if i not in range(1, self.rank + 1)))
         return math.prod((e + 1) ** m for e, m in _exponents(
-            [q for bits, q, _, _ in self.root_rows[0]
+            [q for bits, q, _, _, _ in self.root_rows[0]
              if not bits & ~mask]).items())
 
     @cached_property
@@ -359,22 +369,21 @@ class RootSystem:
     @cached_property
     def positive_roots(self):
         """Positive roots in simple-root coordinates, sorted by (height, lex)."""
-        return list(self._root_table)
+        return [q for _, q, _, _, _ in self.root_rows[0]]
 
     @cached_property
-    def positive_roots_fw(self):
-        return list(self._root_table.values())
-
-    @cached_property
-    def _root_table(self):
-        """{positive root q: its fw coordinates b}, sorted by (height, lex).
-        s_j q = q - b_j*alpha_j, kept when q_j >= b_j, has fw coordinates
-        b - b_j*row_j.  No finite system has a coefficient above 6 (E8's
+    def root_rows(self):
+        """(rows, prod (rho, q)): a row (support bitmask, q, fw, d*q, |q|^2)
+        per positive root q, sorted by (height, lex); (x, q) = sum(d*q . x)
+        for x in fw.  The walk: s_j q = q - b_j*alpha_j, b the fw of q, is
+        kept when q_j >= b_j, has fw b - b_j*row_j and keeps |q|^2, which is
+        2*d_i at alpha_i.  No finite system has a coefficient above 6 (E8's
         highest root is (2,3,4,6,5,4,3,2)), so a larger one refuses an
         infinite root system."""
         rows = self.cartan
         fw = {tuple(int(i == j) for j in range(self.rank)): row
               for i, row in enumerate(rows)}
+        norm2 = dict(zip(fw, (2 * d for d in self.d)))
 
         def step(q):
             b = fw[q]
@@ -385,19 +394,14 @@ class RootSystem:
                         raise ValueError("Cartan matrix is not of finite type")
                     if r not in fw:
                         fw[r] = tuple([x - p * y for x, y in zip(b, row)])
+                        norm2[r] = norm2[q]
                     yield r
 
-        return {q: fw[q] for q in sorted(closure(list(fw), step),
-                                         key=lambda q: (sum(q), q))}
-
-    @cached_property
-    def root_rows(self):
-        """(rows, prod (rho, q)): a row (support bitmask, q, fw, d*q) per
-        positive root q, in order; (x, q) = sum(d*q . x) for x in fw."""
-        rows = [(sum(1 << j for j, x in enumerate(q) if x), q, fw,
-                 tuple(map(int.__mul__, self.d, q)))
-                for q, fw in self._root_table.items()]
-        return rows, math.prod(sum(row[3]) for row in rows)
+        table = [(sum(1 << j for j, x in enumerate(q) if x), q, fw[q],
+                  tuple(map(int.__mul__, self.d, q)), norm2[q])
+                 for q in sorted(closure(list(fw), step),
+                                 key=lambda q: (sum(q), q))]
+        return table, math.prod(sum(row[3]) for row in table)
 
     @cached_property
     def highest_root(self):

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -926,3 +927,97 @@ def test_dimensions_orders_and_cached_decompositions_read_the_root_rows(
     assert weyl_dimension(system, (1, 0, 0, 0, 0, 1)) == 650
     assert [system.parabolic_order(J)
             for J in ((), (1, 3), (2, 3, 4, 5))] == orders == [1, 6, 192]
+    assert invariant_bilinear_type(system, (0, 1, 0, 0, 0, 0)) == "Symmetric"
+
+
+def _root_reader_results():
+    """Every per-root reader's answer on fresh systems and empty tables."""
+    f4, c3, e6 = rs("F4"), rs("C3"), rs("E6")
+    char = irrep_character(f4, (0, 0, 0, 1))
+    return [
+        char.weights, decompose(f4, char * char),
+        weyl_dimension(e6, (1, 0, 0, 0, 0, 1)),
+        dominant_character(e6, (0, 1, 0, 0, 0, 0)),
+        dominant_weights_below(c3, (2, 0, 1)),
+        invariant_bilinear_type(c3, (1, 0, 0)),
+        invariant_bilinear_type(f4, (0, 0, 0, 1)),
+        [f4.parabolic_order(J) for J in ((), (2, 3), (1, 2, 3))],
+        f4.orbit_size((0, 1, -1, 0)), f4.exponents, e6.highest_root,
+        power_decompositions(c3, (1, 0, 0), 3),
+    ]
+
+
+def test_no_reader_converts_a_root_one_at_a_time(monkeypatch):
+    # the references root_fw, pair_root and root_norm2 stay for the tests;
+    # the library reads the root rows
+    monkeypatch.setattr(charring, "TABLES", {})
+    want = _root_reader_results()
+
+    def refused(*args):
+        raise AssertionError("a root was converted one at a time")
+
+    for name in ("root_fw", "pair_root", "root_norm2"):
+        monkeypatch.setattr(RootSystem, name, refused)
+    monkeypatch.setattr(charring, "TABLES", {})
+    assert _root_reader_results() == want
+
+
+# malformed weights at the library entry points
+
+ENTRY_POINTS = {
+    "weyl_dimension": weyl_dimension,
+    "dominant_weights_below": dominant_weights_below,
+    "dominant_character": dominant_character,
+    "irrep_character": irrep_character,
+    "invariant_bilinear_type": invariant_bilinear_type,
+    "orbit_size": lambda system, w: system.orbit_size(w),
+}
+DOMINANT_ENTRY_POINTS = ("weyl_dimension", "dominant_weights_below",
+                         "dominant_character", "irrep_character")
+
+
+@pytest.mark.parametrize("weight", [
+    (1,), (1, 0, 0), (1.0, 0), (0, 0.5), [2.0, 1], (1, True), ("1", 0),
+], ids=["short", "long", "float", "half", "float-list", "bool", "str"])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_entry_points_refuse_a_malformed_weight(entry, weight, monkeypatch):
+    monkeypatch.setattr(charring, "TABLES", {})
+    with pytest.raises(ValueError, match="^%s is not a weight of rank 2$"
+                       % re.escape(repr(tuple(weight)))):
+        ENTRY_POINTS[entry](rs("A2"), weight)
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_entry_points_take_a_list_and_the_dominant_ones_refuse_the_rest(
+        entry, monkeypatch):
+    monkeypatch.setattr(charring, "TABLES", {})
+    a2 = rs("A2")
+    call = ENTRY_POINTS[entry]
+    assert call(a2, [1, 1]) == call(a2, (1, 1))
+    if entry in DOMINANT_ENTRY_POINTS:
+        with pytest.raises(ValueError, match=r"^\(-1, 2\) is not dominant$"):
+            call(a2, (-1, 2))
+    else:
+        call(a2, (-1, 2))
+
+
+def test_dominant_character_checks_before_its_table_lookup(monkeypatch):
+    a2 = rs("A2")
+    monkeypatch.setattr(charring, "TABLES", {})
+    assert dominant_character(a2, (1, 0)) == {(1, 0): 1}
+    # (1.0, 0) == (1, 0) and hashes alike: only the check keeps it out of
+    # the warm table
+    assert (a2.key, (1.0, 0)) in charring.TABLES
+    with pytest.raises(ValueError, match=r"^\(1\.0, 0\) is not a weight"):
+        dominant_character(a2, (1.0, 0))
+
+
+def test_a_malformed_weight_is_refused_before_the_walk(monkeypatch):
+    def walked(system, w):
+        raise AssertionError("the walk took a step")
+
+    monkeypatch.setattr(charring, "_covers", walked)
+    with pytest.raises(ValueError, match=r"^\(1,\) is not a weight of rank 2$"):
+        dominant_weights_below(rs("A2"), (1,))
+    with pytest.raises(AssertionError, match="took a step"):
+        dominant_weights_below(rs("A2"), (1, 0))

@@ -205,7 +205,7 @@ def test_parabolic_orbits_of_roots(name):
     rng = random.Random(name)
     assert rs.parabolic_order(()) == 1
     assert rs.parabolic_order(range(1, rs.rank + 1)) == rs.orbit_size(rs.rho)
-    roots = list(zip(rs.positive_roots, rs.positive_roots_fw))
+    roots = [(q, fw) for _, q, fw, _, _ in rs.root_rows[0]]
     roots += [(tuple(-x for x in q), tuple(-x for x in fw))
               for q, fw in roots]
     for J in _node_sets(rs, rng):
@@ -975,7 +975,8 @@ ROOT_CASES = ([(name, RootSystem.named(name).cartan)
 def test_root_walk_is_the_dense_root_step(cartan):
     rs = RootSystem(cartan)
     assert rs.positive_roots == _dense_positive_roots(RootSystem(cartan))
-    assert rs.positive_roots_fw == [rs.root_fw(q) for q in rs.positive_roots]
+    assert [fw for _, _, fw, _, _ in rs.root_rows[0]] == [
+        rs.root_fw(q) for q in rs.positive_roots]
 
 
 def test_fundamental_weight_refuses_a_node_off_the_diagram():
@@ -1030,3 +1031,30 @@ def test_parabolic_order_refuses_a_node_off_the_diagram():
     for nodes in ([0], [4], [1.5], [1, 2, 4], (i for i in (2, 0))):
         with pytest.raises(ValueError, match=r"^node .* out of range$"):
             a3.parabolic_order(nodes)
+
+
+# the root rows against the one-root-at-a-time references
+
+
+ROW_CASES = ([(name, RootSystem.named(name)) for name in SYSTEMS]
+             + [("%s relabelled" % name,
+                 _relabelled_system(name, random.Random(name))[1])
+                for name in ("E6", "F4", "G2", "B4")])
+
+
+@pytest.mark.parametrize("rs", [r for _, r in ROW_CASES],
+                         ids=[n for n, _ in ROW_CASES])
+def test_root_rows_are_the_reference_conversions(rs):
+    # root_fw, pair_root and root_norm2 compute one root at a time from the
+    # Cartan matrix and the symmetrizer; the rows carry their values
+    rows, den = rs.root_rows
+    rng = random.Random(repr(rs.cartan))
+    xs = [tuple(rng.randint(-5, 5) for _ in range(rs.rank)) for _ in range(5)]
+    assert [q for _, q, _, _, _ in rows] == rs.positive_roots
+    for bits, q, fw, dq, norm2 in rows:
+        assert bits == sum(1 << j for j, x in enumerate(q) if x), q
+        assert fw == rs.root_fw(q), q
+        for x in xs:
+            assert sum(a * b for a, b in zip(dq, x)) == rs.pair_root(x, q), q
+        assert norm2 == rs.root_norm2(q), q
+    assert den == math.prod(rs.pair_root(rs.rho, q) for q in rs.positive_roots)

@@ -118,8 +118,8 @@ def check_e6_hasse():
     wts = set(nodes)
     brute = set()
     for u in wts:
-        for i in range(1, 7):
-            v = tuple(a - b for a, b in zip(u, rs.alpha_fw(i)))
+        for i in rs.nodes:
+            v = tuple(a - b for a, b in zip(u, rs.cartan[i - 1]))
             if v in wts:
                 brute.add((u, v, i))
     _expect(brute == set(edges), "brute edge recount")
@@ -323,8 +323,7 @@ def check_incidence():
                 "A3 type %d objects are the %d-subsets" % (d, d))
     # B4's vector geometry has the zero weight; incidence is containment too
     for gg in (g, Geometry(RootSystem.named("B4"), 1)):
-        objs = [o for d in range(1, gg.rs.rank + 1)
-                for o in apartment_objects(gg, d)]
+        objs = [o for d in gg.rs.nodes for o in apartment_objects(gg, d)]
         for a in objs:
             for b in objs:
                 want = (a.support == b.support if a.delta == b.delta
@@ -415,7 +414,7 @@ def check_properties():
 
     for name in ("A3", "B3", "C3", "D4", "D5", "E6", "E7"):
         rs = RootSystem.named(name)
-        for i in range(1, rs.rank + 1):
+        for i in rs.nodes:
             lam = rs.fundamental_weight(i)
             if minuscule_check(rs, lam):
                 ch = irrep_character(rs, lam)
@@ -527,9 +526,17 @@ def default_beta(rs):
     return {"E7": 7, "E8": None, "F4": 4}.get(rs.label, 1)
 
 
+def parse_int(text):
+    """An optional - and ASCII digits as an int; int() takes more."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError("%r is not an integer" % text)
+    return int(text)
+
+
 def parse_weight(text, rank):
     try:
-        w = tuple(int(x) for x in text.split(","))
+        w = tuple(parse_int(x) for x in text.split(","))
     except ValueError:
         raise UsageError("weight must be comma-separated integers")
     if len(w) != rank:
@@ -550,33 +557,30 @@ def _geometry(args):
     beta = args.beta if args.beta is not None else default_beta(rs)
     if beta is None:
         raise UsageError("no default node for %s; pass --beta" % rs.label)
-    if not 1 <= beta <= rs.rank:
+    if beta not in rs.nodes:
         raise UsageError("--beta must lie between 1 and %d" % rs.rank)
     return Geometry(rs, beta)
 
 
 def cmd_dims(args):
     g = _geometry(args)
-    rs, beta = g.rs, g.beta
+    spaces = {str(d): g.delta_space(d) for d in g.rs.nodes}
     payload = {
-        "system": rs.label,
-        "beta": beta,
+        "system": g.rs.label,
+        "beta": g.beta,
         "minuscule": g.minuscule,
-        "dimensions": {str(d): g.delta_space(d).dimension
-                       for d in range(1, rs.rank + 1)},
-        "levi_types": {str(d): g.delta_space(d).levi_type
-                       for d in range(1, rs.rank + 1)},
-        "support_sizes": {str(d): len(g.delta_space(d).support)
-                          for d in range(1, rs.rank + 1)},
-        "lowest_weights": {str(d): list(g.delta_space(d).lowest_weight)
-                           for d in range(1, rs.rank + 1)},
+        "dimensions": {d: s.dimension for d, s in spaces.items()},
+        "levi_types": {d: s.levi_type for d, s in spaces.items()},
+        "support_sizes": {d: len(s.support) for d, s in spaces.items()},
+        "lowest_weights": {d: list(s.lowest_weight)
+                           for d, s in spaces.items()},
     }
     return payload, {}
 
 
 def cmd_hasse(args):
     rs = _system(args.system)
-    if not 1 <= args.index <= rs.rank:
+    if args.index not in rs.nodes:
         raise UsageError("index out of range")
     lam = rs.fundamental_weight(args.index)
     nodes, edges = hasse_diagram(rs, lam)
@@ -658,8 +662,8 @@ def cmd_incidence(args):
     chamber = {o.delta: o for o in standard_chamber(g)}
     pairs = []
     counts = {"incident": 0, "not_incident": 0}
-    for a in range(1, rs.rank + 1):
-        for b in range(a + 1, rs.rank + 1):
+    for a in rs.nodes:
+        for b in rs.nodes[a:]:
             ok = incidence(g, chamber[a], chamber[b])
             pairs.append({"a": a, "b": b, "incident": ok})
             counts["incident" if ok else "not_incident"] += 1
@@ -782,20 +786,21 @@ def cmd_verify(args):
 
 
 # command: (positionals, specs, choices).  specs maps each option, and
-# each positional that is not a required string, to (type, default);
+# each positional that is not a required string, to (parser, default text);
 # choices maps a name to its allowed values.  The entry None holds the
 # global options, which come before the command; --cache-dir is accepted and
 # ignored, as there is no disk cache.
 SYNTAX = {
     None: ((), {"--format": (str, "json"), "--cache-dir": (str, None)},
            {"--format": ("json", "ascii", "dot")}),
-    "dims": (("system",), {"--beta": (int, None)}, {}),
-    "hasse": (("system", "index"), {"index": (int, None)}, {}),
+    "dims": (("system",), {"--beta": (parse_int, None)}, {}),
+    "hasse": (("system", "index"), {"index": (parse_int, None)}, {}),
     "orbit": (("system", "weight"), {}, {}),
-    "invariants": (("system", "weight"), {"--max-degree": (int, 3)}, {}),
+    "invariants": (("system", "weight"), {"--max-degree": (parse_int, "3")},
+                   {}),
     "branch": (("rule",), {"--weight": (str, None)},
                {"rule": tuple(sorted(NAMED_BRANCHINGS))}),
-    "incidence": (("system",), {"--beta": (int, None)}, {}),
+    "incidence": (("system",), {"--beta": (parse_int, None)}, {}),
     "triality": (("what",), {}, {"what": ("table", "psi", "triples")}),
     "duality": (("what",), {}, {"what": ("e6-chamber", "e6-extra",
                                          "e6-brace-dims", "e6-ln",

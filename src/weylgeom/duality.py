@@ -41,7 +41,8 @@ def wprime_orbits(rs, removed, weights):
     Returns a list of tuples, each sorted descending, the list sorted by
     (size, first element).
     """
-    gens = [i for i in range(1, rs.rank + 1) if i != removed]
+    removed = rs.check_node(removed)
+    gens = [i for i in rs.nodes if i != removed]
     left = set(weights)
     orbits = []
     while left:
@@ -68,7 +69,7 @@ def zero_sum_triple_orbits(rs, s1, s2, s3):
     orbits = []
     while left:
         orbit = closure([next(iter(left))], lambda t: (
-            tuple(rs.reflect(i, w) for w in t) for i in range(1, rs.rank + 1)))
+            tuple(rs.reflect(i, w) for w in t) for i in rs.nodes))
         if not orbit.keys() <= left:
             raise ConsistencyError("orbit left the triple set")
         left -= orbit.keys()
@@ -85,17 +86,16 @@ def chamber_automorphism_check(geometry, op):
     satisfy op(delta, s_i S) = s_{m(i)} op(delta, S).
     """
     rs = geometry.rs
-    rng = range(1, rs.rank + 1)
-    supp = {d: geometry.delta_space(d).support for d in rng}
-    images = {d: op(d, supp[d]) for d in rng}
-    index_map = {d: images[d][0] for d in rng}
-    if sorted(index_map.values()) != list(rng):
+    supp = {d: geometry.delta_space(d).support for d in rs.nodes}
+    images = {d: op(d, supp[d]) for d in rs.nodes}
+    index_map = {d: images[d][0] for d in rs.nodes}
+    if sorted(index_map.values()) != list(rs.nodes):
         return False
-    for d in rng:
+    for d in rs.nodes:
         d2 = index_map[d]
         if images[d] != (d2, supp[d2]):
             return False
-        for i in rng:
+        for i in rs.nodes:
             want = translate_support(rs, index_map[i], supp[d2])
             if op(d, translate_support(rs, i, supp[d])) != (d2, want):
                 return False
@@ -110,18 +110,21 @@ def diagram_duality(geometry, perm):
     the standard one translated back along the reflections at negative
     coordinates that make perm(u) dominant, or support None when that
     weight is not omega_perm(delta), as when perm is no automorphism, and
-    when the support is no object.  op keeps the image, a function of
+    when the support is no object; a perm of anything but the nodes is
+    refused when op is made.  op keeps the image, a function of
     (perm(delta), perm(u)), for every point a reduction passes, so a later
     reduction stops at the first such point it reaches.
     """
     rs = geometry.rs
+    if sorted(map(rs.check_node, perm)) != list(rs.nodes):
+        raise ValueError("%r is not a permutation of the nodes" % (perm,))
     images = {}
 
     def op(delta, support):
         u, d2 = object_point(geometry, delta, support), perm[delta - 1]
         if u is None:
             return d2, None
-        u = tuple(u[perm.index(i)] for i in range(1, rs.rank + 1))
+        u = tuple(u[perm.index(i)] for i in rs.nodes)
         path = []
         while (d2, u) not in images and min(u) < 0:
             path.append(u)

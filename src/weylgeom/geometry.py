@@ -22,7 +22,7 @@ def descent(rs, weights, top, nodes):
     those of the Levi module its highest weight generates on a set of
     nodes: from the highest weight this reaches every one of them.
     """
-    alphas = [rs.alpha_fw(i) for i in nodes]
+    alphas = [rs.cartan[rs.check_node(i) - 1] for i in nodes]
 
     def step(w):
         for a in alphas:
@@ -37,8 +37,6 @@ class Geometry:
     """A root system with a chosen standard representation V(omega_beta)."""
 
     def __init__(self, rs, beta):
-        if beta not in range(1, rs.rank + 1):
-            raise ValueError("beta out of range")
         self.rs = rs
         self.beta = beta
         self.hw = rs.fundamental_weight(beta)
@@ -51,7 +49,7 @@ class Geometry:
         return "Geometry(%s, beta=%d)" % (self.rs.label or "custom", self.beta)
 
     def delta_space(self, delta):
-        if delta not in self._spaces:
+        if self.rs.check_node(delta) not in self._spaces:
             self._spaces[delta] = DeltaSpace(self, delta)
         return self._spaces[delta]
 
@@ -62,8 +60,6 @@ class DeltaSpace:
 
     def __init__(self, geometry, delta):
         rs = geometry.rs
-        if delta not in range(1, rs.rank + 1):
-            raise ValueError("delta out of range")
         self.geometry = geometry
         self.delta = delta
         self.component = rs.delta_component(geometry.beta, delta)
@@ -95,8 +91,7 @@ class DeltaSpace:
 
 def dimension_diagram(geometry):
     """delta -> dim of the standard delta-space, for every node."""
-    return {delta: geometry.delta_space(delta).dimension
-            for delta in range(1, geometry.rs.rank + 1)}
+    return {d: geometry.delta_space(d).dimension for d in geometry.rs.nodes}
 
 
 def hasse_diagram(rs, lam):
@@ -108,15 +103,15 @@ def hasse_diagram(rs, lam):
     of V(lam): the loops append them in that order.
     """
     weights = set(irrep_character(rs, tuple(lam)).weights)
-    levels = descent(rs, weights, tuple(lam), range(1, rs.rank + 1))
+    levels = descent(rs, weights, tuple(lam), rs.nodes)
     if len(levels) != len(weights):
         raise ConsistencyError("a weight is not reached from the highest "
                                "weight")
     nodes = sorted(weights, key=lambda w: (levels[w], tuple(-x for x in w)))
     edges = []
     for u in nodes:
-        for i in range(1, rs.rank + 1):
-            v = tuple(a - b for a, b in zip(u, rs.alpha_fw(i)))
+        for i in rs.nodes:
+            v = tuple(a - b for a, b in zip(u, rs.cartan[i - 1]))
             if v in weights:
                 edges.append((u, v, i))
     return nodes, edges
@@ -165,7 +160,7 @@ def apartment_objects(geometry, delta):
         raise RefusedError("apartment of %d weights, above the limit of %d"
                            % (size, MAX_WEIGHTS))
     tables = [{w: rs.reflect(i, w) for w in geometry.weights}.__getitem__
-              for i in range(1, rs.rank + 1)]
+              for i in rs.nodes]
     supports = {top: std}
     for y, _, x, i in rs.orbit_steps(top):
         supports[y] = frozenset(map(tables[i - 1], supports[x]))
@@ -174,7 +169,7 @@ def apartment_objects(geometry, delta):
 
 def standard_chamber(geometry):
     return [ApartmentObject(d, geometry.delta_space(d).support)
-            for d in range(1, geometry.rs.rank + 1)]
+            for d in geometry.rs.nodes]
 
 
 def barycenter(support):

@@ -13,7 +13,7 @@ Conventions, fixed once and used by every other module:
   the invariant pairing (x, alpha) = sum_j d_j * alpha_j * x_j for x in fw
   coordinates and alpha in simple coordinates.
 
-Simple root indices are 1-based in the public interface.
+Nodes are 1-based: rs.nodes lists them and rs.check_node tests one.
 """
 
 import math
@@ -214,6 +214,7 @@ class RootSystem:
                     raise ValueError("zero pattern must be symmetric")
         self.cartan = cartan
         self.rank = n
+        self.nodes = range(1, self.rank + 1)
         self.d = symmetrizer(cartan)
         self.label = label
         self.key = repr((cartan, self.d))
@@ -241,14 +242,15 @@ class RootSystem:
     def zero(self):
         return (0,) * self.rank
 
-    def fundamental_weight(self, i):
-        if i not in range(1, self.rank + 1):
+    def check_node(self, i):
+        """i when it is an int in nodes (bools refused); else ValueError."""
+        if type(i) is not int or i not in self.nodes:
             raise ValueError("node %r out of range" % (i,))
-        return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
+        return i
 
-    def alpha_fw(self, i):
-        """Simple root alpha_i in fundamental-weight coordinates."""
-        return self.cartan[i - 1]
+    def fundamental_weight(self, i):
+        i = self.check_node(i)
+        return tuple(1 if j == i else 0 for j in self.nodes)
 
     def root_fw(self, simple):
         """Convert simple-root coordinates to fw coordinates."""
@@ -256,7 +258,7 @@ class RootSystem:
                      for j in range(self.rank))
 
     def reflect(self, i, w):
-        c = w[i - 1]
+        c = w[self.check_node(i) - 1]
         if c == 0:
             return tuple(w)
         return tuple([x - c * r for x, r in zip(w, self.cartan[i - 1])])
@@ -275,7 +277,8 @@ class RootSystem:
         return w
 
     def dominant_rep(self, w):
-        """The dominant weight in the Weyl orbit of w."""
+        """The dominant weight in the Weyl orbit of w.  Unchecked, as
+        dominant_character's inner step, on weights it has built."""
         cur = tuple(w)
         while True:
             for x, row in zip(cur, self.cartan):
@@ -287,7 +290,7 @@ class RootSystem:
 
     def dual_weight(self, w):
         """-w0(w), the highest weight of the dual of V(w)."""
-        return self.dominant_rep(tuple(-x for x in w))
+        return self.dominant_rep(tuple(-x for x in self.check_weight(w)))
 
     def weyl_orbit(self, w):
         """Weyl orbit of w as a lex-descending sorted list of weights;
@@ -341,13 +344,8 @@ class RootSystem:
 
     def parabolic_order(self, nodes):
         """|W_J| for the nodes J: the product of the e + 1 over the
-        exponents e of W_J, whose positive roots are those supported on J;
-        a node off the diagram raises ValueError."""
-        nodes = set(nodes)
-        mask = sum(1 << j for j in range(self.rank) if j + 1 in nodes)
-        if mask.bit_count() < len(nodes):
-            raise ValueError("node %r out of range" % next(
-                i for i in nodes if i not in range(1, self.rank + 1)))
+        exponents e of W_J, whose positive roots are those supported on J."""
+        mask = sum(1 << (i - 1) for i in set(map(self.check_node, nodes)))
         return math.prod((e + 1) ** m for e, m in _exponents(
             [q for bits, q, _, _, _ in self.root_rows[0]
              if not bits & ~mask]).items())
@@ -458,11 +456,12 @@ class RootSystem:
     # -- diagram combinatorics ----------------------------------------------
 
     def neighbors(self, i):
-        return [j + 1 for j in range(self.rank)
-                if j != i - 1 and self.cartan[i - 1][j] != 0]
+        row = self.cartan[self.check_node(i) - 1]
+        return [j for j in self.nodes if j != i and row[j - 1] != 0]
 
     def is_connected(self, nodes=None):
-        nodes = set(nodes) if nodes is not None else set(range(1, self.rank + 1))
+        nodes = set(self.nodes if nodes is None
+                    else map(self.check_node, nodes))
         if not nodes:
             return True
         start = next(iter(nodes))
@@ -471,24 +470,22 @@ class RootSystem:
 
     def component_of(self, node, removed):
         """Connected component of `node` in the diagram minus `removed`."""
-        removed = set(removed)
-        if node in removed:
+        removed = set(map(self.check_node, removed))
+        if self.check_node(node) in removed:
             raise ValueError("node %d was removed" % node)
         return frozenset(closure([node], lambda i: (
             j for j in self.neighbors(i) if j not in removed)))
 
     def delta_component(self, beta, delta):
         """Component of beta after deleting delta; empty when delta == beta."""
-        if not 1 <= beta <= self.rank or not 1 <= delta <= self.rank:
-            raise ValueError("node out of range")
-        if beta == delta:
+        if self.check_node(beta) == self.check_node(delta):
             return frozenset()
         return self.component_of(beta, {delta})
 
     def restricted(self, nodes):
         """Sub root system on the given nodes (sorted); returns
         (RootSystem, node tuple)."""
-        nodes = tuple(sorted(nodes))
+        nodes = tuple(sorted(map(self.check_node, nodes)))
         if not nodes:
             raise ValueError("empty node set")
         cartan = [[self.cartan[i - 1][j - 1] for j in nodes] for i in nodes]

@@ -971,6 +971,8 @@ ENTRY_POINTS = {
     "irrep_character": irrep_character,
     "invariant_bilinear_type": invariant_bilinear_type,
     "orbit_size": lambda system, w: system.orbit_size(w),
+    # checked too: zip would cut a long weight short
+    "dual_weight": lambda system, w: system.dual_weight(w),
 }
 DOMINANT_ENTRY_POINTS = ("weyl_dimension", "dominant_weights_below",
                          "dominant_character", "irrep_character")

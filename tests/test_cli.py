@@ -109,6 +109,19 @@ def test_usage_error_unknown_command(capsys):
     ["orbit", "A\u0663", "1,0,0"],
     ["invariants", "A\u0663", "1,0,0"],
     ["incidence", "A\u0663"],
+    # integers are an optional - and ASCII digits; int() takes more
+    ["orbit", "A2", "1_0,0"],
+    ["orbit", "A2", "\u0661,\u0660"],
+    ["orbit", "A2", "+1,0"],
+    ["orbit", "A2", " 1,0"],
+    ["orbit", "A2", "--1,0"],
+    ["dims", "E6", "--beta", "\u0665"],
+    ["dims", "E6", "--beta=+5"],
+    ["dims", "E6", "--beta", "5 "],
+    ["hasse", "A2", "+1"],
+    ["hasse", "A2", "\uff11"],
+    ["invariants", "A2", "1,0", "--max-degree", "\u0663"],
+    ["invariants", "A2", "1,0", "--max-degree", "1_0"],
 ])
 def test_usage_error_is_one_line(capsys, argv):
     assert cli.main(argv) == 2
@@ -423,6 +436,32 @@ def test_src_imports_only_sys_and_math():
                 "%s:%d imports %s" % (path.name, node.lineno, names))
             found.update(names)
     assert found == {"sys", "math"}
+
+
+def test_only_check_node_decides_a_node():
+    # static, so that no private node check or node range comes back: the
+    # node set is spelled once, as RootSystem.nodes, and refused once
+    files = sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+    ranges, refusals = [], []
+    for path in files:
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owner[child] = node if isinstance(
+                    node, ast.FunctionDef) else owner.get(node)
+        for node in ast.walk(tree):
+            where = (path.name, getattr(owner.get(node), "name", None))
+            text = ast.unparse(node) if isinstance(node, ast.Call) else ""
+            if text.startswith("range(") and text.endswith("rank + 1)"):
+                ranges.append(where)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = ast.unparse(node.exc)
+                if exc.startswith("ValueError(") and "out of range" in exc:
+                    refusals.append(where)
+    assert ranges == [("rootsystem.py", "__init__")]
+    assert refusals == [("rootsystem.py", "check_node")]
+    assert not hasattr(RootSystem, "alpha_fw")
 
 
 @pytest.mark.parametrize("argv,system", [

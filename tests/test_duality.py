@@ -388,7 +388,8 @@ def test_psi_and_the_diagram_op_refuse_a_delta_off_the_diagram(dual, tri):
         op = diagram_duality(owner.geometry, tuple(range(1, rank + 1)))
         for f in (owner.psi, op):
             for delta in deltas:
-                with pytest.raises(ValueError, match="^delta out of range$"):
+                with pytest.raises(ValueError,
+                                   match="^node %d out of range$" % delta):
                     f(delta, {owner.geometry.hw})
 
 

@@ -152,7 +152,6 @@ class E6Duality:
         self.geometry = Geometry(self.rs, 1)
         self.weights = self.geometry.weights
         self._hyperlines = {}
-        self._reaches = {}
 
     @staticmethod
     def phi_weight(c):
@@ -177,18 +176,25 @@ class E6Duality:
             self._hyperlines[mu] = h
         return h
 
+    @cached_property
+    def _reaches(self):
+        """{z - y: the weights z} over all pairs of weights y, z, in one
+        pass: the brace relation, built on first read."""
+        table = {}
+        for y in self.weights:
+            for z in self.weights:
+                table.setdefault(tuple([a - b for a, b in zip(z, y)]),
+                                 []).append(z)
+        return {s: frozenset(zs) for s, zs in table.items()}
+
     def _reach(self, s):
-        """The weights s + y with y a weight, memoised by s."""
-        r = self._reaches.get(s)
-        if r is None:
-            r = self._reaches[s] = self.weights.intersection(
-                tuple(a + b for a, b in zip(s, y)) for y in self.weights)
-        return r
+        """The weights s + y with y a weight."""
+        return self._reaches.get(s, frozenset())
 
     def _closed(self, support, phis):
         """Does every support weight + weight + phi-image that is a weight
         stay in the support?  Grouped as (x + z) + y, the weights reached
-        from each x + z are one memoised set."""
+        from each x + z are one set of the brace relation."""
         return all(self._reach(tuple(a + b for a, b in zip(x, z))) <= support
                    for x in support for z in phis)
 
@@ -269,19 +275,17 @@ class E6Duality:
         upper = self._reach(tuple(a + b for a, b in zip(hw, pm)))
         if len(upper) != 6:
             raise ConsistencyError("expected a 6-element brace support")
-        zero = (0,) * 6
+        # f certifies lam = hw + f + phi(my) when its two terms disagree:
+        # f + phi(my) = 0 (that is, lam = hw), against phi(hw + f) and lam
+        # both being weights; neither term holds at any other lam
+        certified = set()
+        for f in self.weights:
+            lam = tuple(a + b + c for a, b, c in zip(hw, f, pm))
+            if (lam == hw) != (lam in self.weights and self.phi_weight(
+                    tuple(a + b for a, b in zip(hw, f))) in self.weights):
+                certified.add(lam)
         for lam in upper:
-            found = False
-            for f in self.weights:
-                t1 = (tuple(a + b for a, b in zip(f, pm)) == zero
-                      and lam == hw)
-                s = tuple(a + b + c for a, b, c in zip(hw, f, pm))
-                t2 = (self.phi_weight(tuple(a + b for a, b in zip(hw, f)))
-                      in self.weights and s in self.weights and s == lam)
-                if t1 != t2:
-                    found = True
-                    break
-            if not found:
+            if lam not in certified:
                 raise ConsistencyError("no certificate at %r" % (lam,))
         return 6, upper
 

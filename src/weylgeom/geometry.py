@@ -48,6 +48,13 @@ class Geometry:
     def __repr__(self):
         return "Geometry(%s, beta=%d)" % (self.rs.label or "custom", self.beta)
 
+    @cached_property
+    def reflections(self):
+        """[{w: s_i w} for each node i] on V's weights, built on first read;
+        every apartment walk of this geometry reads these tables."""
+        return [{w: self.rs.reflect(i, w) for w in self.weights}
+                for i in self.rs.nodes]
+
     def delta_space(self, delta):
         if self.rs.check_node(delta) not in self._spaces:
             self._spaces[delta] = DeltaSpace(self, delta)
@@ -139,6 +146,7 @@ class ApartmentObject:
 
 
 def translate_support(rs, i, support):
+    i = rs.check_node(i)
     return frozenset(rs.reflect(i, w) for w in support)
 
 
@@ -149,7 +157,7 @@ def apartment_objects(geometry, delta):
     An object is fixed by its point u in W.omega_delta (see object_point),
     so objects and points correspond one to one, commuting with each s_i.
     Walking the points as a tree, each support is built at once as the
-    frozenset of its parent's under s_i, tabulated on V's weights.  An
+    frozenset of its parent's under s_i, read off geometry.reflections.  An
     apartment of more than MAX_WEIGHTS weights is refused before the walk.
     """
     rs = geometry.rs
@@ -159,8 +167,7 @@ def apartment_objects(geometry, delta):
     if size > MAX_WEIGHTS:
         raise RefusedError("apartment of %d weights, above the limit of %d"
                            % (size, MAX_WEIGHTS))
-    tables = [{w: rs.reflect(i, w) for w in geometry.weights}.__getitem__
-              for i in rs.nodes]
+    tables = [t.__getitem__ for t in geometry.reflections]
     supports = {top: std}
     for y, _, x, i in rs.orbit_steps(top):
         supports[y] = frozenset(map(tables[i - 1], supports[x]))

@@ -483,11 +483,14 @@ class RootSystem:
         return self.component_of(beta, {delta})
 
     def restricted(self, nodes):
-        """Sub root system on the given nodes (sorted); returns
+        """Sub root system on the given distinct nodes (sorted); returns
         (RootSystem, node tuple)."""
         nodes = tuple(sorted(map(self.check_node, nodes)))
         if not nodes:
             raise ValueError("empty node set")
+        for a, b in zip(nodes, nodes[1:]):
+            if a == b:
+                raise ValueError("node %d repeated" % a)
         cartan = [[self.cartan[i - 1][j - 1] for j in nodes] for i in nodes]
         return RootSystem(cartan), nodes
 

@@ -158,8 +158,8 @@ def _triple_sum_psi(dual, support):
 
 
 def test_psi_and_brace_closure_match_the_triple_sum_definition():
-    # one duality for every support, so later supports read what earlier
-    # ones memoised; the 6-objects come last, and bring closed 6-supports
+    # one duality, and so one brace relation table, for every support; the
+    # 6-objects come last, and bring closed 6-supports
     dual = E6Duality()
     objs = {o.support for d in range(1, 7)
             for o in apartment_objects(dual.geometry, d)}
@@ -195,8 +195,8 @@ def test_psi_and_brace_closure_match_the_triple_sum_definition():
 
 
 def test_psi_of_the_self_dual_type_sums_no_triples(monkeypatch):
-    # psi, brace closure and the brace dimensions read the memoised brace
-    # relation, one set per sum of a weight and a phi-image
+    # psi, brace closure and the brace dimensions read the brace relation
+    # table, one set per difference of two weights
     dual = E6Duality()
     objs = [o.support for o in apartment_objects(dual.geometry, 2)]
     assert len(objs) == 72
@@ -212,6 +212,26 @@ def test_psi_of_the_self_dual_type_sums_no_triples(monkeypatch):
     assert sorted(dual.dim_brace_vplus(my)[0] for my in dual.weights) \
         == [0] * 10 + [6] * 16 + [17]
     assert 0 < len(dual._reaches) <= 27 * 27
+
+
+def test_brace_relation_is_every_sum_shifted_by_a_weight(dual):
+    # the one-pass table against weights & {s + y}, on every sum of two
+    # weights and on ten seeded sums that are no difference of weights
+    def want(s):
+        return dual.weights & {tuple(a + b for a, b in zip(s, y))
+                               for y in dual.weights}
+
+    sums = {tuple(a + b for a, b in zip(x, y))
+            for x in dual.weights for y in dual.weights}
+    rng, far = random.Random(3030), []
+    while len(far) < 10:
+        s = tuple(rng.randint(-4, 4) for _ in range(6))
+        if s not in dual._reaches:
+            far.append(s)
+    for s in sorted(sums) + far:
+        assert dual._reach(s) == want(s), s
+    assert all(dual._reach(s) == frozenset() for s in far)
+    assert len(dual._reaches) == 343
 
 
 def test_wprime_orbit_sizes(dual):

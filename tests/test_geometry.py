@@ -252,6 +252,36 @@ def test_apartment_walk_reflects_only_to_fill_its_tables(monkeypatch):
     assert len(calls) == 56 * 7
 
 
+def _relabelled_e6():
+    e6, p = RootSystem.named("E6"), (1, 4, 6, 2, 5, 3)
+    return RootSystem([[e6.cartan[a - 1][b - 1] for b in p] for a in p])
+
+
+@pytest.mark.parametrize("rs, beta", [
+    (RootSystem.named("E7"), 7), (RootSystem.named("B4"), 1),
+    (RootSystem.named("G2"), 2), (_relabelled_e6(), 1)],
+    ids=["E7", "B4", "G2", "E6 relabelled"])
+def test_reflection_tables_are_the_reflections(rs, beta):
+    g = Geometry(rs, beta)
+    assert len(g.reflections) == rs.rank
+    for i in rs.nodes:
+        assert g.reflections[i - 1] == {w: rs.reflect(i, w)
+                                        for w in g.weights}, i
+
+
+def test_reflection_tables_are_built_once_per_geometry(monkeypatch):
+    # the first walk fills the tables; every other delta only reads them
+    g = geom("E7", 7)
+    first = len(apartment_objects(g, 7))
+    calls = []
+    monkeypatch.setattr(RootSystem, "reflect",
+                        lambda self, i, w: calls.append(i))
+    counts = [len(apartment_objects(g, d)) for d in range(1, 7)]
+    assert calls == []
+    assert [first] + counts == [g.rs.orbit_size(g.rs.fundamental_weight(d))
+                                for d in (7, 1, 2, 3, 4, 5, 6)]
+
+
 def test_d3_geometry_answers_alike_under_every_name():
     # D3 with beta = 1 is A3 with beta = 2, and an unlabelled D3 Cartan
     # matrix classifies as A3; D3 node 1 is A3 node 2

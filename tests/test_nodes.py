@@ -111,6 +111,9 @@ ENTRY_POINTS = {
     "translate_support": (
         lambda g, i: translate_support(g.rs, i, g.weights),
         lambda g, i: frozenset(_reflect(g.rs, i, w) for w in g.weights)),
+    "translate_support empty": (
+        lambda g, i: translate_support(g.rs, i, ()),
+        lambda g, i: frozenset()),
     "neighbors": (
         lambda g, i: g.rs.neighbors(i),
         lambda g, i: [j for j in _nodes(g.rs)
@@ -199,4 +202,13 @@ def test_node_zero_is_not_the_last_node():
              lambda: diagram_duality(g, (3, 2, 1, 4))]
     for case in cases:
         with pytest.raises(ValueError, match="out of range$"):
+            case()
+
+
+@pytest.mark.parametrize("nodes, node", [([1, 1], 1), ([2, 1, 2], 2)])
+def test_restriction_refuses_a_repeated_node(nodes, node):
+    a3 = RootSystem.named("A3")
+    for case in (lambda: a3.restricted(nodes),
+                 lambda: levi_restriction(a3, nodes)):
+        with pytest.raises(ValueError, match="^node %d repeated$" % node):
             case()

@@ -35,28 +35,33 @@ def triple_sums(xs, ys, zs):
             for x in xs for y in ys for z in zs)
 
 
-def wprime_orbits(rs, removed, weights):
-    """Orbits on `weights` of the reflections s_i with i != removed.
-
-    Returns a list of tuples, each sorted descending, the list sorted by
-    (size, first element).
-    """
-    removed = rs.check_node(removed)
-    gens = [i for i in rs.nodes if i != removed]
-    left = set(weights)
+def _orbit_partition(items, step, reverse=False):
+    """The orbits of step on items, each a sorted tuple (descending when
+    reverse), the list sorted by (size, first element); ConsistencyError
+    when an orbit leaves items."""
+    left = set(items)
     orbits = []
     while left:
-        orbit = closure([next(iter(left))],
-                        lambda w: (rs.reflect(i, w) for i in gens))
+        orbit = closure([next(iter(left))], step)
+        if not orbit.keys() <= left:
+            raise ConsistencyError("an orbit left the given set")
         left -= orbit.keys()
-        orbits.append(tuple(sorted(orbit, reverse=True)))
+        orbits.append(tuple(sorted(orbit, reverse=reverse)))
     orbits.sort(key=lambda o: (len(o), o[0]))
     return orbits
 
 
+def wprime_orbits(rs, removed, weights):
+    """Orbits on `weights` of the reflections s_i with i != removed, each
+    sorted descending."""
+    removed = rs.check_node(removed)
+    return _orbit_partition(weights, lambda w: (
+        rs.reflect(i, w) for i in rs.nodes if i != removed), reverse=True)
+
+
 def zero_sum_triple_orbits(rs, s1, s2, s3):
-    """All (w1, w2, w3) in s1 x s2 x s3 with w1 + w2 + w3 = 0, plus their
-    orbits under the diagonal Weyl action.  Returns (triples, orbits)."""
+    """All (w1, w2, w3) in s1 x s2 x s3 with w1 + w2 + w3 = 0, sorted, plus
+    their orbits under the diagonal Weyl action.  Returns (triples, orbits)."""
     set3 = set(s3)
     triples = []
     for a in s1:
@@ -65,17 +70,8 @@ def zero_sum_triple_orbits(rs, s1, s2, s3):
             if c in set3:
                 triples.append((a, b, c))
     triples.sort()
-    left = set(triples)
-    orbits = []
-    while left:
-        orbit = closure([next(iter(left))], lambda t: (
-            tuple(rs.reflect(i, w) for w in t) for i in rs.nodes))
-        if not orbit.keys() <= left:
-            raise ConsistencyError("orbit left the triple set")
-        left -= orbit.keys()
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda o: (len(o), o[0]))
-    return triples, orbits
+    return triples, _orbit_partition(triples, lambda t: (
+        tuple(rs.reflect(i, w) for w in t) for i in rs.nodes))
 
 
 def chamber_automorphism_check(geometry, op):
@@ -107,8 +103,8 @@ def diagram_duality(geometry, perm):
     automorphism i -> perm[i - 1].  perm permutes fw coordinates and
     intertwines s_i with s_perm(i), so op sends the type-delta object of
     point u (object_point) to the type-perm(delta) object of point perm(u):
-    the standard one translated back along the reflections at negative
-    coordinates that make perm(u) dominant, or support None when that
+    the standard one translated back along the reflections, each at the
+    first negative coordinate, that make perm(u) dominant, or None when that
     weight is not omega_perm(delta), as when perm is no automorphism, and
     when the support is no object; a perm of anything but the nodes is
     refused when op is made.  op keeps the image, a function of
@@ -127,15 +123,16 @@ def diagram_duality(geometry, perm):
         u = tuple(u[perm.index(i)] for i in rs.nodes)
         path = []
         while (d2, u) not in images and min(u) < 0:
-            path.append(u)
-            u = rs.reflect(u.index(min(u)) + 1, u)
+            i = next(j for j, x in enumerate(u, 1) if x < 0)
+            path.append((u, i))
+            u = rs.reflect(i, u)
         if (d2, u) not in images:
             images[d2, u] = (geometry.delta_space(d2).support
                              if u == rs.fundamental_weight(d2) else None)
         image = images[d2, u]
-        for v in reversed(path):
+        for v, i in reversed(path):
             if image is not None:
-                image = translate_support(rs, v.index(min(v)) + 1, image)
+                image = translate_support(rs, i, image)
             images[d2, v] = image
         return d2, image
 
@@ -151,7 +148,6 @@ class E6Duality:
         self.rs = RootSystem.named("E6")
         self.geometry = Geometry(self.rs, 1)
         self.weights = self.geometry.weights
-        self._hyperlines = {}
 
     @staticmethod
     def phi_weight(c):
@@ -160,21 +156,23 @@ class E6Duality:
     def standard_support(self, delta):
         return self.geometry.delta_space(delta).support
 
-    def sharp_support(self, s1, s2):
-        return self.weights.intersection(
-            self.phi_weight(tuple(x + y for x, y in zip(a, b)))
-            for a in s1 for b in s2)
-
-    def hyperline(self, mu):
-        h = self._hyperlines.get(mu)
-        if h is None:
-            _require_weights(self.weights, (mu,))
-            h = self.sharp_support((mu,), self.weights)
+    @cached_property
+    def _hyperlines(self):
+        """{mu: the weights phi(mu + y), y a weight} over the weights mu, in
+        one pass: the hyperlines, 10 weights each, built on first read."""
+        table = {}
+        for mu in self.weights:
+            h = table[mu] = self.weights.intersection(
+                self.phi_weight(tuple([a + b for a, b in zip(mu, y)]))
+                for y in self.weights)
             if len(h) != 10:
                 raise ConsistencyError("hyperline of %r has size %d"
                                        % (mu, len(h)))
-            self._hyperlines[mu] = h
-        return h
+        return table
+
+    def hyperline(self, mu):
+        _require_weights(self.weights, (mu,))
+        return self._hyperlines[mu]
 
     @cached_property
     def _reaches(self):
@@ -214,7 +212,7 @@ class E6Duality:
         if not support:
             raise ValueError("empty support")
         if len(support) != 6:
-            return frozenset.intersection(*map(self.hyperline, support))
+            return frozenset.intersection(*map(self._hyperlines.get, support))
         return frozenset(nu for nu in self.weights
                          if self._closed(support, (self.phi_weight(nu),)))
 

@@ -252,11 +252,6 @@ class RootSystem:
         i = self.check_node(i)
         return tuple(1 if j == i else 0 for j in self.nodes)
 
-    def root_fw(self, simple):
-        """Convert simple-root coordinates to fw coordinates."""
-        return tuple(sum(simple[k] * self.cartan[k][j] for k in range(self.rank))
-                     for j in range(self.rank))
-
     def reflect(self, i, w):
         c = w[self.check_node(i) - 1]
         if c == 0:
@@ -364,9 +359,9 @@ class RootSystem:
 
     # -- roots -------------------------------------------------------------
 
-    @cached_property
+    @property
     def positive_roots(self):
-        """Positive roots in simple-root coordinates, sorted by (height, lex)."""
+        """The q column of root_rows, read afresh: the positive roots."""
         return [q for _, q, _, _, _ in self.root_rows[0]]
 
     @cached_property
@@ -411,13 +406,6 @@ class RootSystem:
             if any(q[j] > best[j] for j in range(self.rank)):
                 raise ConsistencyError("no coefficientwise-highest root")
         return best
-
-    def pair_root(self, x_fw, alpha_simple):
-        """(x, alpha) for x in fw coordinates, alpha in simple coordinates."""
-        return sum(self.d[j] * alpha_simple[j] * x_fw[j] for j in range(self.rank))
-
-    def root_norm2(self, alpha_simple):
-        return self.pair_root(self.root_fw(alpha_simple), alpha_simple)
 
     @cached_property
     def cartan_inverse(self):

@@ -17,6 +17,8 @@ import pytest
 from weylgeom import charring, cli
 from weylgeom.rootsystem import RootSystem
 
+from root_reference import root_fw
+
 GOLDEN_CASES = [
     ("dims-e6.json", ["dims", "E6"]),
     ("dims-f4.txt", ["--format", "ascii", "dims", "F4"]),
@@ -27,12 +29,21 @@ GOLDEN_CASES = [
     ("invariants-e7-56.json",
      ["invariants", "E7", "0,0,0,0,0,0,1", "--max-degree", "4"]),
     ("branch-e6-levi-d5.json", ["branch", "e6-levi-d5"]),
+    ("branch-e6-fold-f4.json", ["branch", "e6-fold-f4"]),
+    ("branch-e7-levi-e6.json", ["branch", "e7-levi-e6"]),
     ("triality-table.json", ["triality", "table"]),
     ("triality-table.txt", ["--format", "ascii", "triality", "table"]),
     ("duality-e6-ln.json", ["duality", "e6-ln"]),
     ("incidence-e6.json", ["incidence", "E6"]),
     ("incidence-e7.json", ["incidence", "E7"]),
     ("incidence-f4.json", ["incidence", "F4"]),
+    ("hasse-a2-1.txt", ["--format", "ascii", "hasse", "A2", "1"]),
+    ("triality-psi.json", ["triality", "psi"]),
+    ("triality-triples.json", ["triality", "triples"]),
+    ("duality-e6-chamber.json", ["duality", "e6-chamber"]),
+    ("duality-e6-extra.json", ["duality", "e6-extra"]),
+    ("duality-e6-brace-dims.json", ["duality", "e6-brace-dims"]),
+    ("duality-automorphisms.json", ["duality", "automorphisms"]),
 ]
 
 
@@ -40,6 +51,19 @@ GOLDEN_CASES = [
 def test_golden_transcript(golden, capsys, name, argv):
     assert cli.main(argv) == 0
     golden(name, capsys.readouterr().out)
+
+
+def test_goldens_cover_every_command_and_choice():
+    # every command that prints a payload, and every value of its what or
+    # rule, has a transcript; verify prints PASS lines and has its own tests
+    assert set(cli.SYNTAX) - {None, "verify"} == set(cli.COMMANDS)
+    lines = [argv[2:] if argv[0] == "--format" else argv
+             for _, argv in GOLDEN_CASES]
+    assert {line[0] for line in lines} == set(cli.COMMANDS)
+    for command in cli.COMMANDS:
+        for values in cli.SYNTAX[command][2].values():
+            for value in values:
+                assert [command, value] in lines, (command, value)
 
 
 def test_json_output_parses(capsys):
@@ -122,6 +146,7 @@ def test_usage_error_unknown_command(capsys):
     ["hasse", "A2", "\uff11"],
     ["invariants", "A2", "1,0", "--max-degree", "\u0663"],
     ["invariants", "A2", "1,0", "--max-degree", "1_0"],
+    ["hasse", "E6", "0"],
 ])
 def test_usage_error_is_one_line(capsys, argv):
     assert cli.main(argv) == 2
@@ -198,6 +223,37 @@ def test_verify_single_check(capsys):
 def test_verify_unknown_name(capsys):
     assert cli.main(["verify", "no-such-check"]) == 2
     assert "no-such-check" in _one_line_error(capsys)
+
+
+def test_hasse_index_off_the_diagram(capsys):
+    assert cli.main(["hasse", "E6", "0"]) == 2
+    assert _one_line_error(capsys) == "error: index out of range\n"
+
+
+def test_verify_reports_a_failed_check(capsys, monkeypatch):
+    def fail():
+        raise cli.CheckFailure("planted")
+
+    checks = list(cli.ACCEPTANCE_CHECKS)
+    name = checks[3][0]
+    checks[3] = (name, fail)
+    monkeypatch.setattr(cli, "ACCEPTANCE_CHECKS", tuple(checks))
+    assert cli.main(["verify", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "FAIL %s: planted" % name
+    assert len(lines) == 10
+    assert [line.split()[0] for line in lines].count("PASS") == 9
+
+
+def test_inconsistency_exits_one(capsys, monkeypatch):
+    def inconsistent(*args):
+        raise cli.ConsistencyError("planted")
+
+    monkeypatch.setattr(cli, "hasse_diagram", inconsistent)
+    assert cli.main(["hasse", "A2", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "inconsistent: planted\n"
 
 
 def test_verify_lists_every_check(capsys):
@@ -328,7 +384,7 @@ def test_invariants_of_the_adjoint_are_chevalley_and_hks(name, top):
     sym = _product([dict.fromkeys(range(0, top + 1, d), 1) for d in degrees],
                    top)
     ext = _product([{0: 1, 2 * d - 1: 1} for d in degrees], top)
-    adjoint = ",".join(map(str, rs.root_fw(rs.highest_root)))
+    adjoint = ",".join(map(str, root_fw(rs, rs.highest_root)))
     args = cli.parse_args(["invariants", name, adjoint,
                            "--max-degree", str(top)])
     payload, _ = cli.COMMANDS["invariants"](args)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weylgeom import RootSystem
+from weylgeom import ConsistencyError, RootSystem
 from weylgeom.charring import irrep_character, weyl_dimension
 from weylgeom.duality import (
     E6Duality,
@@ -70,6 +70,22 @@ def test_hyperlines_have_ten_weights(dual):
     for w in dual.weights:
         assert len(dual.hyperline(w)) == 10
         assert dual.hyperline(w) <= dual.weights
+
+
+def test_hyperlines_are_one_table_built_once():
+    # every hyperline is read off one table, which is all the duality
+    # stores beside its geometry
+    dual = E6Duality()
+    sums = {dual.phi_weight(tuple(a + b for a, b in zip(W1, y)))
+            for y in dual.weights}
+    assert dual.hyperline(W1) == sums & dual.weights
+    table = vars(dual)["_hyperlines"]
+    assert set(vars(dual)) == {"rs", "geometry", "weights", "_hyperlines"}
+    assert table.keys() == dual.weights
+    for mu in dual.weights:
+        assert dual.hyperline(mu) is table[mu]
+    dual.psi_support(dual.standard_support(1))
+    assert vars(dual)["_hyperlines"] is table
 
 
 def test_standard_s2_support_frozen(dual):
@@ -675,6 +691,22 @@ def test_zero_sum_triples_d4():
     triples, orbits = zero_sum_triple_orbits(rs, w1, w3, w4)
     assert len(triples) == 32
     assert [len(o) for o in orbits] == [32]
+
+
+def test_orbit_partitions_refuse_a_set_an_orbit_leaves():
+    # D4's 8 vector weights minus the lowest: the W' orbit of the highest
+    # weight, and the diagonal orbit of the zero-sum triples, leave the set
+    rs = RootSystem.named("D4")
+    wts = set(irrep_character(rs, (1, 0, 0, 0)).weights)
+    cut = wts - {(-1, 0, 0, 0)}
+    with pytest.raises(ConsistencyError, match="^an orbit left the given "
+                                               "set$"):
+        wprime_orbits(rs, 4, cut)
+    w3 = set(irrep_character(rs, (0, 0, 1, 0)).weights)
+    w4 = set(irrep_character(rs, (0, 0, 0, 1)).weights)
+    with pytest.raises(ConsistencyError, match="^an orbit left the given "
+                                               "set$"):
+        zero_sum_triple_orbits(rs, cut, w3, w4)
 
 
 # the 56-weight system

@@ -19,6 +19,8 @@ from weylgeom.geometry import (
     translate_support,
 )
 
+from root_reference import pair_root
+
 W1 = (1, 0, 0, 0, 0, 0)
 L3 = (-1, 0, 1, 0, 0, 0)
 L4 = (0, 0, -1, 1, 0, 0)
@@ -700,7 +702,7 @@ def _negative_roots(rs, x):
     """#{alpha > 0 : (x, alpha) < 0}: for the barycenter x of an object, the
     length of the shortest Weyl element carrying the standard object to it
     (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7)."""
-    return sum(1 for q in rs.positive_roots if rs.pair_root(x, q) < 0)
+    return sum(1 for q in rs.positive_roots if pair_root(rs, x, q) < 0)
 
 
 WALK_CASES = ([(name, beta, range(1, int(name[1:]) + 1))

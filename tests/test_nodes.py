@@ -205,10 +205,14 @@ def test_node_zero_is_not_the_last_node():
             case()
 
 
-@pytest.mark.parametrize("nodes, node", [([1, 1], 1), ([2, 1, 2], 2)])
+@pytest.mark.parametrize("nodes, node",
+                         [([1, 1], 1), ([2, 1, 2], 2), ([1, 1, 3], 1)])
 def test_restriction_refuses_a_repeated_node(nodes, node):
     a3 = RootSystem.named("A3")
     for case in (lambda: a3.restricted(nodes),
                  lambda: levi_restriction(a3, nodes)):
         with pytest.raises(ValueError, match="^node %d repeated$" % node):
             case()
+    with pytest.raises(ValueError,
+                       match="is not a permutation of the nodes$"):
+        diagram_duality(Geometry(a3, 1), tuple(nodes))

@@ -23,6 +23,8 @@ from weylgeom.rootsystem import (
     symmetrizer,
 )
 
+from root_reference import pair_root, root_fw, root_norm2
+
 # every named system of rank at most 8
 SYSTEMS = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
            + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
@@ -86,6 +88,15 @@ def test_positive_root_counts(name, count):
     assert len(RootSystem.named(name).positive_roots) == count
 
 
+def test_positive_roots_are_read_off_the_root_rows():
+    # root_rows is the one per-root table: positive_roots reads its q
+    # column afresh and is not stored
+    rs = RootSystem.named("F4")
+    assert rs.positive_roots == [q for _, q, _, _, _ in rs.root_rows[0]]
+    assert rs.positive_roots is not rs.positive_roots
+    assert "positive_roots" not in vars(rs)
+
+
 @pytest.mark.parametrize("name,simple,fw", [
     ("E6", (1, 2, 2, 3, 2, 1), (0, 1, 0, 0, 0, 0)),
     ("E7", (2, 2, 3, 4, 3, 2, 1), (1, 0, 0, 0, 0, 0, 0)),
@@ -97,7 +108,7 @@ def test_positive_root_counts(name, count):
 def test_highest_root(name, simple, fw):
     rs = RootSystem.named(name)
     assert rs.highest_root == simple
-    assert rs.root_fw(simple) == fw
+    assert root_fw(rs, simple) == fw
 
 
 def test_reflection_fixture():
@@ -258,7 +269,7 @@ def _negative_roots(rs, w):
     """#{alpha > 0 : (w, alpha) < 0}, the length of the shortest x in W
     with w = x(w+) for w+ dominant (Humphreys, Reflection Groups and
     Coxeter Groups, 1.6-1.7)."""
-    return sum(1 for q in rs.positive_roots if rs.pair_root(w, q) < 0)
+    return sum(1 for q in rs.positive_roots if pair_root(rs, w, q) < 0)
 
 
 def _reflection_levels(rs, w):
@@ -583,7 +594,7 @@ def _simple_coords(rs, fw):
 
 def test_simple_coords():
     e6 = RootSystem.named("E6")
-    theta = e6.root_fw(e6.highest_root)
+    theta = root_fw(e6, e6.highest_root)
     assert _simple_coords(e6, theta) == (1, 2, 2, 3, 2, 1)
     # omega_1 is not in the E6 root lattice, but 3*omega_1 is
     n, _ = e6.cartan_inverse
@@ -602,8 +613,8 @@ def test_simple_coords_invert_root_fw(name):
                == (n if i == j else 0)
                for i in range(rs.rank) for j in range(rs.rank))
     for q in rs.positive_roots:
-        assert _simple_coords(rs, rs.root_fw(q)) == q
-        assert _simple_coords(rs, rs.root_fw([-x for x in q])) == \
+        assert _simple_coords(rs, root_fw(rs, q)) == q
+        assert _simple_coords(rs, root_fw(rs, [-x for x in q])) == \
             tuple(-x for x in q)
 
 
@@ -612,7 +623,7 @@ def test_scaled_norm_of_roots(name):
     rs = RootSystem.named(name)
     n, _ = rs.cartan_inverse
     for q in rs.positive_roots:
-        assert rs.scaled_norm2(rs.root_fw(q)) == n * rs.root_norm2(q)
+        assert rs.scaled_norm2(root_fw(rs, q)) == n * root_norm2(rs, q)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -643,11 +654,11 @@ def test_norms_and_pairings():
     g2 = RootSystem.named("G2")
     short = (1, 0)
     long_ = (0, 1)
-    assert g2.root_norm2(short) == 2
-    assert g2.root_norm2(long_) == 6
+    assert root_norm2(g2, short) == 2
+    assert root_norm2(g2, long_) == 6
     b2 = RootSystem.named("B2")
-    assert b2.root_norm2((0, 1)) == 2
-    assert b2.root_norm2((1, 0)) == 4
+    assert root_norm2(b2, (0, 1)) == 2
+    assert root_norm2(b2, (1, 0)) == 4
     # (rho, rho) = 2 for A2, and n = 3
     a2 = RootSystem.named("A2")
     assert a2.cartan_inverse == (3, ((2, 1), (1, 2)))
@@ -976,7 +987,7 @@ def test_root_walk_is_the_dense_root_step(cartan):
     rs = RootSystem(cartan)
     assert rs.positive_roots == _dense_positive_roots(RootSystem(cartan))
     assert [fw for _, _, fw, _, _ in rs.root_rows[0]] == [
-        rs.root_fw(q) for q in rs.positive_roots]
+        root_fw(rs, q) for q in rs.positive_roots]
 
 
 def test_fundamental_weight_refuses_a_node_off_the_diagram():
@@ -1045,7 +1056,7 @@ ROW_CASES = ([(name, RootSystem.named(name)) for name in SYSTEMS]
 @pytest.mark.parametrize("rs", [r for _, r in ROW_CASES],
                          ids=[n for n, _ in ROW_CASES])
 def test_root_rows_are_the_reference_conversions(rs):
-    # root_fw, pair_root and root_norm2 compute one root at a time from the
+    # root_reference computes one root at a time from the
     # Cartan matrix and the symmetrizer; the rows carry their values
     rows, den = rs.root_rows
     rng = random.Random(repr(rs.cartan))
@@ -1053,8 +1064,8 @@ def test_root_rows_are_the_reference_conversions(rs):
     assert [q for _, q, _, _, _ in rows] == rs.positive_roots
     for bits, q, fw, dq, norm2 in rows:
         assert bits == sum(1 << j for j, x in enumerate(q) if x), q
-        assert fw == rs.root_fw(q), q
+        assert fw == root_fw(rs, q), q
         for x in xs:
-            assert sum(a * b for a, b in zip(dq, x)) == rs.pair_root(x, q), q
-        assert norm2 == rs.root_norm2(q), q
-    assert den == math.prod(rs.pair_root(rs.rho, q) for q in rs.positive_roots)
+            assert sum(a * b for a, b in zip(dq, x)) == pair_root(rs, x, q), q
+        assert norm2 == root_norm2(rs, q), q
+    assert den == math.prod(pair_root(rs, rs.rho, q) for q in rs.positive_roots)

@@ -474,9 +474,12 @@ class BranchingRule:
         self._map = weight_map
 
     def restrict_character(self, char):
+        """char over the target; ValueError at a key that is no weight of
+        the source."""
+        check = self.source.check_weight
         out = {}
         for w, m in char.items():
-            key = self._map(w)
+            key = self._map(check(w))
             out[key] = out.get(key, 0) + m
         return FormalCharacter(out)
 

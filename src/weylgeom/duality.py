@@ -30,7 +30,7 @@ def _require_object(geometry, delta, support):
 
 def triple_sums(xs, ys, zs):
     """Every x + y + z over xs, ys and zs, lazily, so that all() and any()
-    stop early; the E6 brace relation reads E6Duality._reach instead."""
+    stop early; the E6 brace relation reads E6Duality._reaches instead."""
     return (tuple(a + b + c for a, b, c in zip(x, y, z))
             for x in xs for y in ys for z in zs)
 
@@ -176,25 +176,33 @@ class E6Duality:
 
     @cached_property
     def _reaches(self):
-        """{z - y: the weights z} over all pairs of weights y, z, in one
-        pass: the brace relation, built on first read."""
+        """{(x, z): the weights x + z + y, y a weight} over the weights x
+        and the phi-images z: the brace relation, built on first read in one
+        pass over the pairs of weights.  phi sends the weights onto their
+        negatives, so each z is -y for a weight y, and the weights
+        x + z + y' are the x' with x' - y' = x - y: the set at (x, -y) is
+        the first weight of every pair of weights with difference x - y."""
+        negs = {y: tuple([-a for a in y]) for y in self.weights}
+        if set(negs.values()) != set(map(self.phi_weight, self.weights)):
+            raise ConsistencyError("phi does not send the weights onto "
+                                   "their negatives")
+        diffs = {}
+        for y, z in negs.items():
+            for x in self.weights:
+                diffs.setdefault(tuple([a - b for a, b in zip(x, y)]),
+                                 []).append((x, z))
         table = {}
-        for y in self.weights:
-            for z in self.weights:
-                table.setdefault(tuple([a - b for a, b in zip(z, y)]),
-                                 []).append(z)
-        return {s: frozenset(zs) for s, zs in table.items()}
-
-    def _reach(self, s):
-        """The weights s + y with y a weight."""
-        return self._reaches.get(s, frozenset())
+        for pairs in diffs.values():
+            table.update(dict.fromkeys(pairs,
+                                       frozenset([p[0] for p in pairs])))
+        return table
 
     def _closed(self, support, phis):
         """Does every support weight + weight + phi-image that is a weight
         stay in the support?  Grouped as (x + z) + y, the weights reached
-        from each x + z are one set of the brace relation."""
-        return all(self._reach(tuple(a + b for a, b in zip(x, z))) <= support
-                   for x in support for z in phis)
+        from each x and z are one set of the brace relation."""
+        reach = self._reaches
+        return all(reach[x, z] <= support for x in support for z in phis)
 
     def brace_closed(self, support):
         """No brace built from two support weights escapes the support."""
@@ -270,7 +278,7 @@ class E6Duality:
         if hw in orbit:
             return 0, frozenset()
         pm = self.phi_weight(my)
-        upper = self._reach(tuple(a + b for a, b in zip(hw, pm)))
+        upper = self._reaches[hw, pm]
         if len(upper) != 6:
             raise ConsistencyError("expected a 6-element brace support")
         # f certifies lam = hw + f + phi(my) when its two terms disagree:
@@ -344,9 +352,19 @@ class Triality:
         w = self.star_weight(self.label_weight[a], self.label_weight[b])
         return None if w is None else self.weight_label[w]
 
+    @cached_property
+    def _stars(self):
+        """{(u, v): star_weight(u, v)} over the 8x8 pairs of weights: the
+        star product, built on first read."""
+        return {(u, v): self.star_weight(u, v)
+                for u in self.weights for v in self.weights}
+
     def star_support(self, s1, s2):
-        return frozenset(self.star_weight(u, v)
-                         for u in s1 for v in s2) - {None}
+        """The weights u * v, u in s1 and v in s2, read off the star table;
+        a pair off it is multiplied out."""
+        star = self._stars
+        return frozenset([star[p] if p in star else self.star_weight(*p)
+                          for p in ((u, v) for u in s1 for v in s2)]) - {None}
 
     def table(self):
         """The 8x8 product table in the printed layout: the column entry

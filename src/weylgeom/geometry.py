@@ -157,8 +157,9 @@ def apartment_objects(geometry, delta):
     An object is fixed by its point u in W.omega_delta (see object_point),
     so objects and points correspond one to one, commuting with each s_i.
     Walking the points as a tree, each support is built at once as the
-    frozenset of its parent's under s_i, read off geometry.reflections.  An
-    apartment of more than MAX_WEIGHTS weights is refused before the walk.
+    frozenset of its parent's under s_i, read off geometry.reflections, and
+    kept at its walk position.  An apartment of more than MAX_WEIGHTS
+    weights is refused before the walk.
     """
     rs = geometry.rs
     std = geometry.delta_space(delta).support
@@ -168,10 +169,10 @@ def apartment_objects(geometry, delta):
         raise RefusedError("apartment of %d weights, above the limit of %d"
                            % (size, MAX_WEIGHTS))
     tables = [t.__getitem__ for t in geometry.reflections]
-    supports = {top: std}
-    for y, _, x, i in rs.orbit_steps(top):
-        supports[y] = frozenset(map(tables[i - 1], supports[x]))
-    return [ApartmentObject(delta, s) for s in supports.values()]
+    supports = [std]
+    for _, _, p, i in rs.orbit_steps(top):
+        supports.append(frozenset(map(tables[i - 1], supports[p])))
+    return [ApartmentObject(delta, s) for s in supports]
 
 
 def standard_chamber(geometry):

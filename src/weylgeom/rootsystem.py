@@ -299,9 +299,11 @@ class RootSystem:
                       reverse=True)
 
     def orbit_steps(self, top):
-        """Walk W.top, top dominant, as a tree, level by level: yield
-        (y, level, x, i) with y = s_i x once for each y != top.  The parent
-        of y is s_j y, j its first negative coordinate, and its level is
+        """Walk W.top, top a dominant weight (checked once, ValueError
+        otherwise), as a tree, level by level: yield (y, level, p, i) with
+        y = s_i x once for each y != top, x the parent at walk position p
+        (top is 0, the k-th y yielded is k).  The parent of y is s_j y, j
+        its first negative coordinate, and its level is
         #{alpha > 0 : (y, alpha) < 0}, the length of the shortest element
         carrying top to y (Humphreys, Reflection Groups and Coxeter Groups,
         1.6-1.10).  From x, whose first negative coordinate f is where its
@@ -314,11 +316,12 @@ class RootSystem:
                  for i, row in enumerate(self.cartan)]
         moves = [list(range(f)) + [i for i in range(f + 1, n)
                                    if self.cartan[i][f]] for f in range(n + 1)]
-        frontier, level = [(tuple(top), n)], 0
+        top = self.check_weight(top, dominant=True)
+        frontier, level, pos = [(top, n, 0)], 0, 0
         while frontier:
             level += 1
             new = []
-            for x, f in frontier:
+            for x, f, p in frontier:
                 for i in moves[f]:
                     c = x[i]
                     if c > 0:
@@ -328,8 +331,9 @@ class RootSystem:
                             y[j] -= c * r
                         if i < f or min(y[:i]) >= 0:
                             y = tuple(y)
-                            new.append((y, i))
-                            yield y, level, x, i + 1
+                            pos += 1
+                            new.append((y, i, pos))
+                            yield y, level, p, i + 1
             frontier = new
 
     def orbit_size(self, w):

@@ -516,6 +516,29 @@ def test_generic_levi_e6_drop_node6():
     assert dims == [1, 10, 16]
 
 
+RESTRICTIONS = [e6_to_d5_levi, e6_to_f4_fold, e7_to_e6_levi,
+                lambda: levi_restriction(rs("A3"), [1, 2])]
+
+
+@pytest.mark.parametrize("make", RESTRICTIONS,
+                         ids=["e6-levi-d5", "e6-fold-f4", "e7-levi-e6",
+                              "A3 levi-12"])
+def test_restriction_refuses_a_key_that_is_no_source_weight(make):
+    # a weight of the target's rank, one too long and one with a float
+    # coordinate; each was once restricted as if it were a weight
+    rule = make()
+    n = rule.source.rank
+    good = rule.source.fundamental_weight(1)
+    for bad in ((1,) + (0,) * (rule.target.rank - 1), (0,) * (n + 1),
+                (1.5,) + (0,) * (n - 1)):
+        char = FormalCharacter({good: 1, bad: 1})
+        with pytest.raises(ValueError, match="^%s is not a weight of rank "
+                           "%d$" % (re.escape(repr(bad)), n)):
+            rule.restrict_character(char)
+    assert rule.restrict_character(FormalCharacter({good: 2})).weights \
+        == {rule._map(good): 2}
+
+
 def _no_computing(monkeypatch):
     def refuse(*args):
         raise AssertionError("table recomputed")

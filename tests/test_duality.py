@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -212,7 +213,7 @@ def test_psi_and_brace_closure_match_the_triple_sum_definition():
 
 def test_psi_of_the_self_dual_type_sums_no_triples(monkeypatch):
     # psi, brace closure and the brace dimensions read the brace relation
-    # table, one set per difference of two weights
+    # table, one set per weight and phi-image
     dual = E6Duality()
     objs = [o.support for o in apartment_objects(dual.geometry, 2)]
     assert len(objs) == 72
@@ -227,27 +228,62 @@ def test_psi_of_the_self_dual_type_sums_no_triples(monkeypatch):
     assert sum(dual.brace_closed(s) for s in objs) == 24
     assert sorted(dual.dim_brace_vplus(my)[0] for my in dual.weights) \
         == [0] * 10 + [6] * 16 + [17]
-    assert 0 < len(dual._reaches) <= 27 * 27
+    assert len(dual._reaches) == 27 * 27
 
 
 def test_brace_relation_is_every_sum_shifted_by_a_weight(dual):
-    # the one-pass table against weights & {s + y}, on every sum of two
-    # weights and on ten seeded sums that are no difference of weights
-    def want(s):
-        return dual.weights & {tuple(a + b for a, b in zip(s, y))
-                               for y in dual.weights}
+    # the table against weights & {x + z + y}, on every pair of a weight x
+    # and a phi-image z
+    phis = [dual.phi_weight(w) for w in dual.weights]
+    assert len(dual._reaches) == 27 * 27
+    for x in dual.weights:
+        for z in phis:
+            assert dual._reaches[x, z] == dual.weights & {
+                tuple(a + b + c for a, b, c in zip(x, z, y))
+                for y in dual.weights}, (x, z)
 
-    sums = {tuple(a + b for a, b in zip(x, y))
-            for x in dual.weights for y in dual.weights}
-    rng, far = random.Random(3030), []
-    while len(far) < 10:
-        s = tuple(rng.randint(-4, 4) for _ in range(6))
-        if s not in dual._reaches:
-            far.append(s)
-    for s in sorted(sums) + far:
-        assert dual._reach(s) == want(s), s
-    assert all(dual._reach(s) == frozenset() for s in far)
-    assert len(dual._reaches) == 343
+
+def test_brace_relation_refuses_a_phi_off_the_negatives():
+    # the table reads each phi-image as the negative of a weight
+    dual = E6Duality()
+    dual.phi_weight = lambda c: c
+    with pytest.raises(ConsistencyError, match="^phi does not send the "
+                       "weights onto their negatives$"):
+        dual._reaches
+
+
+def _digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# sha256 of the rows below, taken while the brace relation was keyed by
+# the sum x + z and triality multiplied every pair out
+PSI_E6_OBJECTS = ("2e03bd4440e481a2a56dac96908719f6"
+                  "d2cc5760399b459e485960329b56a208")
+TRIALITY_CUBED = ("a6ac4ef793a2b1bbc005484bbd3b4b59"
+                  "8b1bf412bcfe3e4bdb32934ccaa61bcc")
+
+
+def test_psi_on_every_e6_object_is_unchanged(dual):
+    rows = []
+    for delta in dual.rs.nodes:
+        for o in apartment_objects(dual.geometry, delta):
+            d2, image = dual.psi(delta, o.support)
+            rows.append((delta, sorted(o.support), d2, sorted(image)))
+    assert len(rows) == 27 + 72 + 216 + 720 + 216 + 27
+    assert _digest(rows) == PSI_E6_OBJECTS
+
+
+def test_triality_cubed_on_every_d4_object_is_unchanged(tri):
+    rows = []
+    for delta in tri.rs.nodes:
+        for o in apartment_objects(tri.geometry, delta):
+            d2, s = delta, o.support
+            for _ in range(3):
+                d2, s = tri.psi(d2, s)
+                rows.append((d2, sorted(s)))
+            assert (d2, s) == (delta, o.support)
+    assert _digest(rows) == TRIALITY_CUBED
 
 
 def test_wprime_orbit_sizes(dual):
@@ -342,6 +378,19 @@ def test_star_fixtures(tri):
         == tri.geometry.delta_space(3).support
     assert tri.star_support(tri.weights, (e1,)) \
         == tri.geometry.delta_space(4).support
+
+
+def test_star_table_is_the_star_product(tri):
+    assert len(tri._stars) == 64
+    for u in tri.weights:
+        for v in tri.weights:
+            assert tri._stars[u, v] == tri.star_weight(u, v), (u, v)
+            assert tri.star_support((u,), (v,)) \
+                == frozenset([tri.star_weight(u, v)]) - {None}
+    # a pair off the table is multiplied out, as before the table
+    e1, off = tri.label_weight["e1"], (0, 0, 0, 0)
+    assert tri.star_support((e1,), (off,)) \
+        == frozenset([tri.star_weight(e1, off)]) - {None}
 
 
 def test_d4_standard_supports(tri):

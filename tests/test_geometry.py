@@ -821,11 +821,14 @@ def _dict_table_walk(g, delta):
     tables = {i: {w: rs.reflect(i, w) for w in g.weights}
               for i in range(1, rs.rank + 1)}
     top = barycenter(std)
-    supports, levels = {top: std}, {top: 0}
-    for y, level, x, i in rs.orbit_steps(top):
+    supports, levels, walked = {top: std}, {top: 0}, [top]
+    for y, level, p, i in rs.orbit_steps(top):
+        x = walked[p]
+        assert levels[x] == level - 1 and y == rs.reflect(i, x)
         t = tables[i]
         supports[y] = frozenset([t[w] for w in supports[x]])
         levels[y] = level
+        walked.append(y)
     order = sorted(levels, key=lambda x: (levels[x],
                                           sorted(supports[x], reverse=True)))
     return [(ApartmentObject(delta, supports[x]), levels[x]) for x in order]
@@ -851,6 +854,38 @@ def test_position_walk_is_the_dict_table_walk(name, beta, deltas):
     for delta in deltas:
         _assert_walk_order(g, delta, {o.support: level for o, level
                                       in _dict_table_walk(g, delta)})
+
+
+# supports kept by walk position against the walk that kept them by point
+
+
+def _point_keyed_walk(g, delta):
+    """The supports of apartment_objects as they were while kept in a dict
+    keyed by point: the parent of y = s_i x is read as x = s_i y, and its
+    support reflected weight by weight; dict order is walk order."""
+    rs = g.rs
+    top = rs.fundamental_weight(delta)
+    supports = {top: g.delta_space(delta).support}
+    for y, _, _, i in rs.orbit_steps(top):
+        supports[y] = frozenset(rs.reflect(i, w)
+                                for w in supports[rs.reflect(i, y)])
+    return list(supports.values())
+
+
+POINT_WALK_CASES = [("E7", 7), ("B4", 1), ("G2", 2), ("D5", 5), ("F4", 4),
+                    ("E6 relabelled", 4)]
+
+
+@pytest.mark.parametrize("name,beta", POINT_WALK_CASES,
+                         ids=["%s-%d" % c for c in POINT_WALK_CASES])
+def test_position_walk_is_the_point_keyed_walk(name, beta):
+    if name == "E6 relabelled":
+        g = Geometry(_relabelled("E6", RELABELLED_E6), beta)
+    else:
+        g = geom(name, beta)
+    for delta in g.rs.nodes:
+        assert [o.support for o in apartment_objects(g, delta)] \
+            == _point_keyed_walk(g, delta), delta
 
 
 # the descent walk against the depth filter it replaced

@@ -298,11 +298,14 @@ def test_closure_words_are_reduced(name):
 
 
 def _walk_levels(rs, top):
-    levels = {top: 0}
-    for y, level, x, i in rs.orbit_steps(top):
+    # each parent is read back from its position among the weights walked
+    levels, walked = {top: 0}, [top]
+    for y, level, p, i in rs.orbit_steps(top):
+        x = walked[p]
         assert y not in levels and levels[x] == level - 1
         assert y == rs.reflect(i, x)
         levels[y] = level
+        walked.append(y)
     return levels
 
 
@@ -388,6 +391,30 @@ def test_walking_an_orbit_reflects_nothing_and_repeats_nothing(monkeypatch):
     walked = [y for y, _, _, _ in e7.orbit_steps(top)]
     assert len(walked) == e7.orbit_size(top) - 1 == 10_079
     assert len(set(walked)) == len(walked) and top not in walked
+
+
+@pytest.mark.parametrize("top,message", [
+    ((-1, 1), r"^\(-1, 1\) is not dominant$"),
+    ((1, 0, 0), r"^\(1, 0, 0\) is not a weight of rank 2$"),
+    ((1.5, 0), r"^\(1\.5, 0\) is not a weight of rank 2$")])
+def test_orbit_walk_refuses_a_top_that_is_no_dominant_weight(top, message):
+    # each of these once walked: one step of a 3-point orbit, rank-3
+    # tuples and floats
+    with pytest.raises(ValueError, match=message):
+        list(RootSystem.named("A2").orbit_steps(top))
+
+
+def test_orbit_walk_checks_its_top_once(monkeypatch):
+    e7 = RootSystem.named("E7")
+    calls = []
+    check = RootSystem.check_weight
+
+    def counted(self, w, dominant=False):
+        calls.append(dominant)
+        return check(self, w, dominant)
+    monkeypatch.setattr(RootSystem, "check_weight", counted)
+    assert sum(1 for _ in e7.orbit_steps(e7.fundamental_weight(4))) == 10_079
+    assert calls == [True]
 
 
 def test_closure_on_a_path():
@@ -891,7 +918,9 @@ def test_named_accepts_what_the_old_pattern_accepted():
 
 def _dense_orbit_steps(rs, top):
     """orbit_steps as it was before it went sparse: every candidate s_i x
-    is built from the whole of row i."""
+    is built from the whole of row i; the parent's walk position is looked
+    up by its point."""
+    position = {tuple(top): 0}
     frontier, level = [(tuple(top), rs.rank)], 0
     while frontier:
         level += 1
@@ -902,7 +931,8 @@ def _dense_orbit_steps(rs, top):
                     y = tuple([a - c * r for a, r in zip(x, row)])
                     if i < f or min(y[:i]) >= 0:
                         new.append((y, i))
-                        yield y, level, x, i + 1
+                        position[y] = len(position)
+                        yield y, level, position[x], i + 1
         frontier = new
 
 

@@ -361,10 +361,11 @@ class Triality:
 
     def star_support(self, s1, s2):
         """The weights u * v, u in s1 and v in s2, read off the star table;
-        a pair off it is multiplied out."""
+        ValueError if a member of s1 or s2 is not a weight."""
         star = self._stars
-        return frozenset([star[p] if p in star else self.star_weight(*p)
-                          for p in ((u, v) for u in s1 for v in s2)]) - {None}
+        s1 = _require_weights(self.weights, s1)
+        s2 = _require_weights(self.weights, s2)
+        return frozenset([star[u, v] for u in s1 for v in s2]) - {None}
 
     def table(self):
         """The 8x8 product table in the printed layout: the column entry

@@ -387,10 +387,13 @@ def test_star_table_is_the_star_product(tri):
             assert tri._stars[u, v] == tri.star_weight(u, v), (u, v)
             assert tri.star_support((u,), (v,)) \
                 == frozenset([tri.star_weight(u, v)]) - {None}
-    # a pair off the table is multiplied out, as before the table
+
+
+def test_star_support_refuses_a_non_weight(tri):
     e1, off = tri.label_weight["e1"], (0, 0, 0, 0)
-    assert tri.star_support((e1,), (off,)) \
-        == frozenset([tri.star_weight(e1, off)]) - {None}
+    for s1, s2 in (((e1,), (off,)), ((off,), tri.weights)):
+        with pytest.raises(ValueError, match="is not a weight here"):
+            tri.star_support(s1, s2)
 
 
 def test_d4_standard_supports(tri):

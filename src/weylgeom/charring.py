@@ -7,8 +7,6 @@ the root orbits of each weight's stabiliser (Moody-Patera); decompose() peels
 any character in one pass over its dominant weights, highest first.
 """
 
-from math import comb, prod
-
 from .rootsystem import (
     MAX_WEIGHTS,
     ConsistencyError,
@@ -152,8 +150,9 @@ def weyl_dimension(rs, lam):
     ..., 1), divided by the system's prod (rho, alpha), checked exact."""
     rho_shift = tuple([x + 1 for x in rs.check_weight(lam, dominant=True)])
     rows, den = rs.root_rows
-    num = prod(sum(map(int.__mul__, row, rho_shift))
-               for _, _, _, row, _ in rows)
+    num = 1
+    for _, _, _, row, _ in rows:
+        num *= sum(map(int.__mul__, row, rho_shift))
     if num % den:
         raise ConsistencyError("Weyl dimension is not an integer")
     return num // den
@@ -415,7 +414,7 @@ def power_decompositions(rs, lam, k):
     for s, name in ((1, "S^%d V"), (-1, "Lambda^%d V")):
         psi = [None] + [{tuple(j * x for x in nu): s ** (j - 1) * m
                          for nu, m in wt.items()} for j in range(1, k + 1)]
-        c = [{rs.zero(): 1}]
+        c, dim = [{rs.zero(): 1}], 1
         for d in range(1, k + 1):
             acc = {}
             for j in range(1, d + 1):
@@ -424,10 +423,10 @@ def power_decompositions(rs, lam, k):
                 if m % d:
                     raise ConsistencyError("multiplicity %d at %r not "
                                            "divisible by %d" % (m, hw, d))
-            c.append({hw: m // d for hw, m in acc.items() if m})
-        series.append([_checked(rs, cd, comb(n + d - 1, d) if s == 1
-                                else comb(n, d), name % d)
-                       for d, cd in enumerate(c)])
+            dim = dim * (n + s * (d - 1)) // d  # C(n + d - 1, d) or C(n, d)
+            c.append(_checked(rs, {hw: m // d for hw, m in acc.items() if m},
+                              dim, name % d))
+        series.append(c)
     return tuple(series)
 
 

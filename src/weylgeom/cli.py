@@ -22,16 +22,6 @@ from .charring import (
     symmetric_power,
     weyl_dimension,
 )
-from .duality import (
-    E6Duality,
-    Triality,
-    chamber_automorphism_check,
-    diagram_duality,
-    e7_inner_ideal_check,
-    e7_rank_one_check,
-    wprime_orbits,
-    zero_sum_triple_orbits,
-)
 from .geometry import (
     ApartmentObject,
     Geometry,
@@ -44,6 +34,7 @@ from .geometry import (
     translate_support,
 )
 from .rootsystem import ConsistencyError, RefusedError, RootSystem
+# .duality is imported inside its users, so other commands start without it
 
 
 class UsageError(Exception):
@@ -129,6 +120,7 @@ def check_e6_hasse():
         _expect((u, v, i) in brute, "top chain label %d" % i)
     _expect({i for u, v, i in edges if u == chain[3]} == {2, 5},
             "first branch labels")
+    from .duality import E6Duality
     dual = E6Duality()
     edge_set = set(edges)
     for u, v, i in edges:
@@ -201,6 +193,7 @@ def check_branchings():
 
 
 def check_orbits():
+    from .duality import wprime_orbits, zero_sum_triple_orbits
     rs = RootSystem.named("E6")
     wts = sorted(irrep_character(rs, (1, 0, 0, 0, 0, 0)).weights)
     orbits = wprime_orbits(rs, 6, wts)
@@ -244,6 +237,7 @@ TRIALITY_TABLE = (
 
 
 def check_triality():
+    from .duality import Triality, chamber_automorphism_check
     tri = Triality()
     rows = tri.table()
     _expect(len(rows) == 8 and all(len(r) == 8 for r in rows), "8x8 table")
@@ -272,6 +266,7 @@ def check_triality():
 
 
 def check_e6_duality():
+    from .duality import E6Duality, chamber_automorphism_check
     dual = E6Duality()
     for delta in range(1, 7):
         dual.psi_standard(delta)
@@ -310,6 +305,7 @@ def check_e6_duality():
 
 
 def check_incidence():
+    from .duality import e7_inner_ideal_check, e7_rank_one_check
     g = Geometry(RootSystem.named("A3"), 1)
     objs = {d: apartment_objects(g, d) for d in (1, 2, 3)}
     _expect([len(objs[d]) for d in (1, 2, 3)] == [4, 6, 4],
@@ -677,6 +673,7 @@ def cmd_incidence(args):
 
 
 def cmd_triality(args):
+    from .duality import Triality
     tri = Triality()
     if args.what == "table":
         rows = tri.table()
@@ -718,6 +715,8 @@ def cmd_triality(args):
 
 
 def cmd_duality(args):
+    from .duality import (E6Duality, Triality, chamber_automorphism_check,
+                          diagram_duality)
     dual = E6Duality()
     if args.what == "e6-chamber":
         spaces = []

@@ -22,11 +22,15 @@ def descent(rs, weights, top, nodes):
     those of the Levi module its highest weight generates on a set of
     nodes: from the highest weight this reaches every one of them.
     """
-    alphas = [rs.cartan[rs.check_node(i) - 1] for i in nodes]
+    alphas = [[(j, r) for j, r in enumerate(rs.cartan[rs.check_node(i) - 1])
+               if r] for i in nodes]
 
     def step(w):
         for a in alphas:
-            v = tuple([x - y for x, y in zip(w, a)])
+            v = list(w)
+            for j, r in a:
+                v[j] -= r
+            v = tuple(v)
             if v in weights:
                 yield v
 

@@ -16,8 +16,6 @@ Conventions, fixed once and used by every other module:
 Nodes are 1-based: rs.nodes lists them and rs.check_node tests one.
 """
 
-import math
-
 
 # the most weights one orbit or one irreducible character may hold; larger
 # ones are refused up front from their exact size
@@ -109,7 +107,9 @@ def symmetrizer(cartan):
     each connected component (in finite type, short roots get 1)."""
     n = len(cartan)
     # starting at the product of all entries makes every division exact
-    top = math.prod(abs(x) for row in cartan for x in row if x)
+    top = 1
+    for x in (x for row in cartan for x in row if x):
+        top *= abs(x)
     d = [None] * n
     for start in range(n):
         if d[start] is not None:
@@ -126,10 +126,19 @@ def symmetrizer(cartan):
                     yield j
 
         comp = closure([start], step)
-        gcd = math.gcd(*(d[i] for i in comp))
+        g = _gcd(*(d[i] for i in comp))
         for i in comp:
-            d[i] //= gcd
+            d[i] //= g
     return tuple(d)
+
+
+def _gcd(*xs):
+    """gcd of the ints xs by Euclid, never negative (0 if all are 0)."""
+    g = 0
+    for x in map(abs, xs):
+        while x:
+            g, x = x, g % x
+    return g
 
 
 def closure(seeds, step):
@@ -345,9 +354,11 @@ class RootSystem:
         """|W_J| for the nodes J: the product of the e + 1 over the
         exponents e of W_J, whose positive roots are those supported on J."""
         mask = sum(1 << (i - 1) for i in set(map(self.check_node, nodes)))
-        return math.prod((e + 1) ** m for e, m in _exponents(
-            [q for bits, q, _, _, _ in self.root_rows[0]
-             if not bits & ~mask]).items())
+        order = 1
+        for e, m in _exponents([q for bits, q, _, _, _ in self.root_rows[0]
+                                if not bits & ~mask]).items():
+            order *= (e + 1) ** m
+        return order
 
     @cached_property
     def exponents(self):
@@ -359,7 +370,7 @@ class RootSystem:
     @cached_property
     def _order(self):
         """|W|, computed once."""
-        return math.prod(e + 1 for e in self.exponents)
+        return self.parabolic_order(self.nodes)
 
     # -- roots -------------------------------------------------------------
 
@@ -398,7 +409,10 @@ class RootSystem:
                   tuple(map(int.__mul__, self.d, q)), norm2[q])
                  for q in sorted(closure(list(fw), step),
                                  key=lambda q: (sum(q), q))]
-        return table, math.prod(sum(row[3]) for row in table)
+        den = 1
+        for row in table:
+            den *= sum(row[3])
+        return table, den
 
     @cached_property
     def highest_root(self):
@@ -434,7 +448,7 @@ class RootSystem:
                     a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
             prev = p
         det = a[0][0]
-        n = abs(det) // math.gcd(det, *(x for row in a for x in row[k:]))
+        n = abs(det) // _gcd(det, *(x for row in a for x in row[k:]))
         return n, tuple(tuple(a[i][k + j] * n // det for i in range(k))
                         for j in range(k))
 

@@ -460,20 +460,26 @@ def _footprint(*argv):
 
 
 def test_cli_imports_no_heavy_stdlib_module(tmp_path):
+    # no standard-library module at all, at import or in main; duality is
+    # loaded only by the commands that use it
     cache = tmp_path / "cache"
     lines = [argv for _, argv in GOLDEN_CASES]
-    lines.append(["--cache-dir", str(cache), "dims", "E6"])
+    lines += [["--cache-dir", str(cache), "dims", "E6"], ["verify", "all"]]
     for argv in lines:
         code, at_import, in_main = _footprint(*argv)
         assert code == 0, argv
         assert "weylgeom.cli" in at_import
         stdlib = {m for m in at_import | in_main
                   if m != "weylgeom" and not m.startswith("weylgeom.")}
-        assert stdlib <= {"math"}, (argv, stdlib)
+        assert not stdlib, (argv, stdlib)
+        command = next(a for a in argv if a in cli.SYNTAX)
+        assert "weylgeom.duality" not in at_import, argv
+        assert ("weylgeom.duality" in in_main) == (
+            command in ("triality", "duality", "verify")), argv
     assert not cache.exists()
 
 
-def test_src_imports_only_sys_and_math():
+def test_src_imports_only_sys():
     # static, so an import in a branch no command reaches is caught too
     files = sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
     assert {p.name for p in files} >= {"__init__.py", "cli.py", "charring.py"}
@@ -488,10 +494,10 @@ def test_src_imports_only_sys_and_math():
                 names = [node.id]
             else:
                 continue
-            assert set(names) <= {"sys", "math"}, (
+            assert set(names) <= {"sys"}, (
                 "%s:%d imports %s" % (path.name, node.lineno, names))
             found.update(names)
-    assert found == {"sys", "math"}
+    assert found == {"sys"}
 
 
 def test_only_check_node_decides_a_node():

@@ -950,6 +950,35 @@ def test_descent_matches_the_depth_filter(name, beta):
     assert levels == {w: sum(q) for w, q in depths.items()}
 
 
+def _dense_descent(rs, weights, top, nodes):
+    """descent with the whole Cartan row of alpha_i subtracted at each step:
+    the reference for the sparse step of geometry.descent."""
+    alphas = [rs.cartan[i - 1] for i in nodes]
+
+    def step(w):
+        for a in alphas:
+            v = tuple([x - y for x, y in zip(w, a)])
+            if v in weights:
+                yield v
+
+    return closure([tuple(top)], step)
+
+
+DESCENTS = [("E6", 1), ("E7", 7), ("D8", 1), ("A8", 4), ("B4", 1)]
+
+
+@pytest.mark.parametrize("name,beta", DESCENTS,
+                         ids=["%s-%d" % c for c in DESCENTS])
+def test_sparse_descent_is_the_dense_descent(name, beta):
+    g = geom(name, beta)
+    rs = g.rs
+    comps = [rs.delta_component(beta, d) for d in rs.nodes] + [rs.nodes]
+    for nodes in comps:
+        got = geometry.descent(rs, g.weights, g.hw, nodes)
+        want = _dense_descent(rs, g.weights, g.hw, nodes)
+        assert list(got.items()) == list(want.items()), nodes
+
+
 def test_hasse_refuses_a_weight_off_the_descent(monkeypatch):
     real = geometry.irrep_character
 

@@ -69,21 +69,16 @@ def check_dimension_diagrams():
         ("D5", 5): {1: 8, 2: 4, 3: 2, 4: 5, 5: 1},
         ("D6", 6): {1: 16, 2: 8, 3: 4, 4: 2, 5: 6, 6: 1},
     }
-    out = {}
     for (name, beta), table in sorted(want.items()):
         got = dimension_diagram(Geometry(RootSystem.named(name), beta))
         _expect(got == table, "dimension diagram of %s with beta=%d: got %r"
                 % (name, beta, got))
-        out["%s beta=%d" % (name, beta)] = {str(k): v
-                                            for k, v in sorted(got.items())}
-    return out
 
 
 def check_standard_dimensions():
     cases = [("A4", 1, 5), ("B4", 1, 9), ("C4", 1, 8), ("D5", 1, 10),
              ("D4", 4, 8), ("E6", 1, 27), ("E7", 7, 56), ("F4", 4, 26),
              ("G2", 1, 7)]
-    out = {}
     for name, idx, dim in cases:
         rs = RootSystem.named(name)
         lam = rs.fundamental_weight(idx)
@@ -91,13 +86,10 @@ def check_standard_dimensions():
                 "dimension formula for %s node %d" % (name, idx))
         _expect(irrep_character(rs, lam).dimension() == dim,
                 "character dimension for %s node %d" % (name, idx))
-        out["%s:%d" % (name, idx)] = dim
     rs8 = RootSystem.named("E8")
     for idx, dim in ((8, 248), (1, 3875)):
         _expect(weyl_dimension(rs8, rs8.fundamental_weight(idx)) == dim,
                 "dimension formula for E8 node %d" % idx)
-        out["E8:%d" % idx] = dim
-    return out
 
 
 def check_e6_hasse():
@@ -122,26 +114,22 @@ def check_e6_hasse():
             "first branch labels")
     from .duality import E6Duality
     dual = E6Duality()
-    edge_set = set(edges)
     for u, v, i in edges:
         nu = tuple(-x for x in dual.phi_weight(u))
         nv = tuple(-x for x in dual.phi_weight(v))
-        _expect((nv, nu, dual.PHI[i]) in edge_set,
+        _expect((nv, nu, dual.PHI[i]) in brute,
                 "negated flip reverses edges")
-    return {"nodes": len(nodes), "edges": len(edges)}
 
 
 def check_invariant_forms():
-    rs6 = RootSystem.named("E6")
-    cubic = [c.get(rs6.zero(), 0) for c in
-             power_decompositions(rs6, (1, 0, 0, 0, 0, 0), 3)[0][1:]]
-    _expect(cubic == [0, 0, 1], "E6 cubic invariant: %r" % (cubic,))
+    e6 = invariants_payload(RootSystem.named("E6"), (1, 0, 0, 0, 0, 0), 3)
+    _expect(e6["symmetric_trivial"] == {"1": 0, "2": 0, "3": 1},
+            "E6 cubic invariant: %r" % (e6["symmetric_trivial"],))
 
-    rs7 = RootSystem.named("E7")
-    sym, ext = power_decompositions(rs7, (0, 0, 0, 0, 0, 0, 1), 4)
-    _expect(ext[2].get(rs7.zero()) == 1, "E7 symplectic form")
-    _expect(rs7.zero() not in sym[2], "E7 has no symmetric pairing")
-    _expect(sym[4].get(rs7.zero()) == 1, "E7 quartic invariant")
+    e7 = invariants_payload(RootSystem.named("E7"), (0, 0, 0, 0, 0, 0, 1), 4)
+    _expect(e7["exterior_trivial"]["2"] == 1, "E7 symplectic form")
+    _expect(e7["symmetric_trivial"]["2"] == 0, "E7 has no symmetric pairing")
+    _expect(e7["symmetric_trivial"]["4"] == 1, "E7 quartic invariant")
 
     rs4 = RootSystem.named("D4")
     v, s, c = (irrep_character(rs4, lam)
@@ -149,47 +137,33 @@ def check_invariant_forms():
     triple = decompose(rs4, v * s * c)
     _expect(triple.get(rs4.zero()) == 1, "D4 triple pairing")
 
-    kinds = {}
-    for name, lam, want in (("D4", (1, 0, 0, 0), "Symmetric"),
-                            ("D5", (1, 0, 0, 0, 0), "Symmetric"),
-                            ("E7", (0, 0, 0, 0, 0, 0, 1), "Skew"),
-                            ("E6", (1, 0, 0, 0, 0, 0), None)):
-        got = invariant_bilinear_type(RootSystem.named(name), lam)
-        _expect(got == want, "bilinear type of %s: %r" % (name, got))
-        kinds[name] = got
-    return {"e6_cubic": cubic, "bilinear": kinds}
+    for payload, want in (
+            (invariants_payload(rs4, (1, 0, 0, 0), 1), "Symmetric"),
+            (invariants_payload(RootSystem.named("D5"), (1, 0, 0, 0, 0), 1),
+             "Symmetric"), (e7, "Skew"), (e6, None)):
+        _expect(payload["bilinear"] == want, "bilinear type of %s: %r"
+                % (payload["system"], payload["bilinear"]))
 
 
 def check_branchings():
-    out = {}
-    rule = NAMED_BRANCHINGS["e6-levi-d5"]()
-    dec = rule.restrict_irrep((1, 0, 0, 0, 0, 0))
-    _expect(dec == {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): 1,
-                    (0, 0, 0, 0, 0): 1}, "27 under the D5 Levi: %r" % (dec,))
-    out["e6-levi-d5"] = sorted(weyl_dimension(rule.target, w)
-                               for w, m in dec.items() for _ in range(m))
-    _expect(out["e6-levi-d5"] == [1, 10, 16], "D5 Levi dimensions")
-
-    rule = NAMED_BRANCHINGS["e6-fold-f4"]()
-    dec = rule.restrict_irrep((1, 0, 0, 0, 0, 0))
-    _expect(dec == {(0, 0, 0, 1): 1, (0, 0, 0, 0): 1},
-            "27 under the fold: %r" % (dec,))
-    out["e6-fold-f4"] = sorted(weyl_dimension(rule.target, w)
-                               for w, m in dec.items() for _ in range(m))
-    _expect(out["e6-fold-f4"] == [1, 26], "fold dimensions")
-
-    rule = NAMED_BRANCHINGS["e7-levi-e6"]()
-    dec = rule.restrict_irrep((0, 0, 0, 0, 0, 0, 1))
-    _expect(dec == {(1, 0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0, 1): 1,
-                    (0, 0, 0, 0, 0, 0): 2}, "56 under the E6 Levi: %r"
-            % (dec,))
-    halves = [w for w in dec if any(w)]
+    for name, want, dims in (
+            ("e6-levi-d5", {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): 1,
+                            (0, 0, 0, 0, 0): 1}, [1, 10, 16]),
+            ("e6-fold-f4", {(0, 0, 0, 1): 1, (0, 0, 0, 0): 1}, [1, 26]),
+            ("e7-levi-e6", {(1, 0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0, 1): 1,
+                            (0, 0, 0, 0, 0, 0): 2}, [1, 1, 27, 27])):
+        rule = NAMED_BRANCHINGS[name]()
+        lam = rule.source.fundamental_weight(default_beta(rule.source))
+        pieces = branch_payload(name, rule, lam)["decomposition"]
+        got = {tuple(p["weight"]): p["multiplicity"] for p in pieces}
+        _expect(got == want, "%s of V%r: %r" % (name, lam, got))
+        _expect(sorted(p["dimension"] for p in pieces
+                       for _ in range(p["multiplicity"])) == dims,
+                "%s dimensions" % name)
+    # the last rule is E7's Levi E6: the two 27s in the 56 are dual
+    halves = [w for w in got if any(w)]
     _expect(rule.target.dual_weight(halves[0]) == halves[1],
             "the two 27s are dual")
-    out["e7-levi-e6"] = sorted(weyl_dimension(rule.target, w)
-                               for w, m in dec.items() for _ in range(m))
-    _expect(out["e7-levi-e6"] == [1, 1, 27, 27], "E6 Levi dimensions")
-    return out
 
 
 def check_orbits():
@@ -202,26 +176,19 @@ def check_orbits():
     _expect(orbits[0] == ((0, 0, 0, 0, 0, -1),), "lowest weight is alone")
     _expect((1, 0, 0, 0, 0, 0) in orbits[1], "highest weight sits in the 10")
 
-    count = 0
-    wset = set(wts)
-    for a in wts:
-        for b in wts:
-            for c in wts:
-                if all(x + y + z == 0 for x, y, z in zip(a, b, c)):
-                    count += 1
+    count = sum(all(x + y + z == 0 for x, y, z in zip(a, b, c))
+                for a in wts for b in wts for c in wts)
     triples, torbits = zero_sum_triple_orbits(rs, wts, wts, wts)
     _expect(count == 270 and len(triples) == 270,
             "270 zero-sum triples on the 27")
     _expect([len(o) for o in torbits] == [270], "one orbit of triples")
 
     rs4 = RootSystem.named("D4")
-    w1 = sorted(irrep_character(rs4, (1, 0, 0, 0)).weights)
-    w3 = sorted(irrep_character(rs4, (0, 0, 1, 0)).weights)
-    w4 = sorted(irrep_character(rs4, (0, 0, 0, 1)).weights)
-    triples4, torbits4 = zero_sum_triple_orbits(rs4, w1, w3, w4)
+    triples4, torbits4 = zero_sum_triple_orbits(rs4, *(
+        sorted(irrep_character(rs4, rs4.fundamental_weight(i)).weights)
+        for i in (1, 3, 4)))
     _expect(len(triples4) == 32, "32 mixed zero-sum triples on D4")
     _expect([len(o) for o in torbits4] == [32], "one orbit of D4 triples")
-    return {"parabolic": [1, 10, 16], "e6_triples": 270, "d4_triples": 32}
 
 
 TRIALITY_TABLE = (
@@ -237,71 +204,76 @@ TRIALITY_TABLE = (
 
 
 def check_triality():
-    from .duality import Triality, chamber_automorphism_check
+    from .duality import (Triality, chamber_automorphism_check,
+                          zero_sum_triple_orbits)
     tri = Triality()
-    rows = tri.table()
-    _expect(len(rows) == 8 and all(len(r) == 8 for r in rows), "8x8 table")
-    for a, (got, want) in enumerate(zip(rows, TRIALITY_TABLE)):
-        _expect(tuple(got) == want, "product table row %s" % tri.LABELS[a])
-    _expect(tri.t_nonzero("e4", "e4", "e4"), "diagonal fork triple")
+    rows = TRIALITY["table"](tri)[0]["table"]
+    _expect(rows == [list(r) for r in TRIALITY_TABLE],
+            "8x8 product table: %r" % (rows,))
 
-    g = tri.geometry
-    s1 = g.delta_space(1).support
-    s3 = g.delta_space(3).support
-    s4 = g.delta_space(4).support
-    _expect(tri.psi(1, s1) == (3, s3), "points go to 3-spaces")
-    _expect(tri.psi(3, s3) == (4, s4), "3-spaces go to 4-spaces")
-    _expect(tri.psi(4, s4) == (1, s1), "4-spaces go to points")
-    s2 = g.delta_space(2).support
-    _expect(tri.psi(2, s2) == (2, s2), "2-spaces stay put")
+    psi = TRIALITY["psi"](tri)[0]
+    _expect(psi["cycle"] == {"1": 3, "2": 2, "3": 4, "4": 1}, "node rotation")
+    _expect([(s["delta"], s["psi_delta"], s["matches_standard"])
+             for s in psi["spaces"]]
+            == [(1, 3, True), (2, 2, True), (3, 4, True), (4, 1, True)],
+            "psi takes 1-, 3- and 4-spaces round and keeps 2-spaces")
     for w in sorted(tri.weights):
         d, s = 1, frozenset((w,))
         for _ in range(3):
             d, s = tri.psi(d, s)
         _expect((d, s) == (1, frozenset((w,))), "third power is the identity")
-    _expect(tri.PHI == {1: 3, 2: 2, 3: 4, 4: 1}, "node rotation")
-    _expect(chamber_automorphism_check(g, tri.psi),
+    _expect(chamber_automorphism_check(tri.geometry, tri.psi),
             "triality is a chamber automorphism")
-    return {"cells": 64, "cycle": {str(k): v for k, v in tri.PHI.items()}}
+
+    triples = TRIALITY["triples"](tri)[0]["triples"]
+    _expect(["e4", "e4", "e4"] in triples, "diagonal fork triple")
+    # (id, phi, phi^2) carries the labelled triples onto the zero-sum
+    # triples of V(omega_1) x V(omega_3) x V(omega_4)
+    lw, rs = tri.label_weight, tri.rs
+    mapped = {(lw[a], tri.phi_weight(lw[b]), tri.phi2_weight(lw[c]))
+              for a, b, c in triples}
+    zero_sum, _ = zero_sum_triple_orbits(rs, *(
+        irrep_character(rs, rs.fundamental_weight(i)).weights
+        for i in (1, 3, 4)))
+    _expect(len(triples) == 32 and mapped == set(zero_sum),
+            "triples are the zero-sum triples")
 
 
 def check_e6_duality():
     from .duality import E6Duality, chamber_automorphism_check
     dual = E6Duality()
-    for delta in range(1, 7):
-        dual.psi_standard(delta)
+    chamber = DUALITY["e6-chamber"](dual)[0]
+    _expect([(s["psi_delta"], s["size"], s["psi_size"]) for s in
+             chamber["spaces"]] == [(6, 1, 10), (2, 6, 6), (5, 2, 5),
+                                    (4, 3, 3), (3, 5, 2), (1, 10, 1)],
+            "psi of the standard spaces: %r" % (chamber["spaces"],))
+    for delta in dual.rs.nodes:
         s = dual.standard_support(delta)
         _expect(dual.psi_support(dual.psi_support(s)) == s,
                 "psi squared fixes type %d" % delta)
 
-    s2 = dual.standard_support(2)
-    s5 = dual.standard_support(5)
-    x = s2 & s5
-    _expect(len(x) == 4, "4-weight intersection")
-    _expect(dual.psi_support(x) == dual.standard_support(3),
-            "psi of the intersection")
-    y = frozenset(x | {(0, 1, 0, 0, -1, 1)})
-    _expect(dual.psi_support(y) == frozenset({(1, 0, 0, 0, 0, 0)}),
-            "psi of the augmented set")
-    _expect(dual.psi_support(dual.psi_support(x)) > x,
+    extra = DUALITY["e6-extra"](dual)[0]
+    _expect(len(extra["x"]) == 4, "4-weight intersection")
+    _expect(extra["psi_x_is_standard_3"], "psi of the intersection")
+    _expect(extra["psi_y"] == [[1, 0, 0, 0, 0, 0]], "psi of the augmented set")
+    _expect(extra["psi_psi_x_strictly_contains_x"],
             "psi squared grows a non-closed set")
 
-    hist = {}
-    for my in sorted(dual.weights):
-        k, _ = dual.dim_brace_vplus(my)
-        hist[k] = hist.get(k, 0) + 1
-    _expect(hist == {0: 10, 6: 16, 17: 1}, "brace dimensions: %r" % (hist,))
-    k, supp = dual.dim_brace_vplus((0, 1, 0, 0, 0, -1))
-    _expect(k == 6 and supp == s2, "brace support at the 16-orbit")
+    brace = DUALITY["e6-brace-dims"](dual)[0]
+    hist = brace["histogram"]
+    _expect(hist == {"0": 10, "6": 16, "17": 1}, "brace dimensions: %r" % hist)
+    mu = (0, 1, 0, 0, 0, -1)
+    _expect({"weight": list(mu), "dimension": 6, "support_size": 6}
+            in brace["rows"] and dual.dim_brace_vplus(mu)[1]
+            == dual.standard_support(2), "brace support at the 16-orbit")
 
-    for delta in range(1, 7):
-        _expect(dual.verify_ln(delta), "vanishing pair for type %d" % delta)
+    ln = DUALITY["e6-ln"](dual)[0]
+    _expect(all(ln.values()), "vanishing pairs: %r" % ln)
     a_ok, b_ok = dual.ln_conditions(dual.standard_support(1), dual.weights)
     _expect(not a_ok and not b_ok, "perturbed vanishing must fail")
 
     _expect(chamber_automorphism_check(dual.geometry, dual.psi),
             "psi is a chamber automorphism")
-    return {"brace_dimensions": {str(k): v for k, v in sorted(hist.items())}}
 
 
 def check_incidence():
@@ -378,21 +350,18 @@ def check_incidence():
     for delta in range(1, 8):
         _expect(e7_inner_ideal_check(g7, delta),
                 "E7 inner ideal for type %d" % delta)
-    return {"a3_counts": [4, 6, 4], "d4_overlaps": [1, 3]}
 
 
 def check_properties():
     dims = [("A2", (3, 1)), ("B2", (2, 1)), ("G2", (1, 1)), ("C3", (1, 1, 0)),
             ("D4", (0, 1, 0, 0)), ("F4", (1, 0, 0, 0)),
             ("E8", (0, 0, 0, 0, 0, 0, 0, 1)), ("E8", (1, 0, 0, 0, 0, 0, 0, 0))]
-    seen = {}
     for name, lam in dims:
         rs = RootSystem.named(name)
         ch = irrep_character(rs, lam)
         want = weyl_dimension(rs, lam)
         _expect(ch.dimension() == want,
                 "character of %s %r sums to %d" % (name, lam, want))
-        seen["%s %r" % (name, lam)] = want
 
     for name, lam in (("A3", (1, 0, 0)), ("E6", (1, 0, 0, 0, 0, 0)),
                       ("D5", (0, 0, 0, 0, 1)), ("E7", (0, 0, 0, 0, 0, 0, 1)),
@@ -417,7 +386,6 @@ def check_properties():
                 _expect(all(m == 1 for _, m in ch.items()),
                         "minuscule %s node %d is multiplicity free"
                         % (name, i))
-    return {"dimension_cases": len(seen)}
 
 
 ACCEPTANCE_CHECKS = (
@@ -476,24 +444,19 @@ def _json(v, newline):
 
 def emit_ascii(payload, indent=0):
     pad = "  " * indent
-    lines = []
     if isinstance(payload, dict):
-        for k in sorted(payload):
-            v = payload[k]
-            if isinstance(v, (dict, list)) and not _is_weight(v):
-                lines.append(pad + str(k) + ":")
-                lines.extend(emit_ascii(v, indent + 1))
-            else:
-                lines.append(pad + str(k) + ": " + _scalar(v))
+        items = [(str(k) + ":", payload[k]) for k in sorted(payload)]
     elif isinstance(payload, list):
-        for v in payload:
-            if isinstance(v, (dict, list)) and not _is_weight(v):
-                lines.append(pad + "-")
-                lines.extend(emit_ascii(v, indent + 1))
-            else:
-                lines.append(pad + "- " + _scalar(v))
+        items = [("-", v) for v in payload]
     else:
-        lines.append(pad + _scalar(payload))
+        return [pad + _scalar(payload)]
+    lines = []
+    for head, v in items:
+        if isinstance(v, (dict, list)) and not _is_weight(v):
+            lines.append(pad + head)
+            lines.extend(emit_ascii(v, indent + 1))
+        else:
+            lines.append(pad + head + " " + _scalar(v))
     return lines
 
 
@@ -561,7 +524,7 @@ def _geometry(args):
 def cmd_dims(args):
     g = _geometry(args)
     spaces = {str(d): g.delta_space(d) for d in g.rs.nodes}
-    payload = {
+    return {
         "system": g.rs.label,
         "beta": g.beta,
         "minuscule": g.minuscule,
@@ -570,8 +533,7 @@ def cmd_dims(args):
         "support_sizes": {d: len(s.support) for d, s in spaces.items()},
         "lowest_weights": {d: list(s.lowest_weight)
                            for d, s in spaces.items()},
-    }
-    return payload, {}
+    }, {}
 
 
 def cmd_hasse(args):
@@ -586,25 +548,36 @@ def cmd_hasse(args):
         "nodes": [list(w) for w in nodes],
         "edges": [[list(u), list(v), i] for u, v, i in edges],
     }
-    dot = ["digraph hasse {"]
-    for u, v, i in edges:
-        dot.append('  "%s" -> "%s" [label=%d];'
-                   % (render_weight(u), render_weight(v), i))
-    dot.append("}")
-    return payload, {"dot": "\n".join(dot) + "\n"}
+    dot = "".join('  "%s" -> "%s" [label=%d];\n'
+                  % (render_weight(u), render_weight(v), i)
+                  for u, v, i in edges)
+    return payload, {"dot": "digraph hasse {\n%s}\n" % dot}
 
 
 def cmd_orbit(args):
     rs = _system(args.system)
     w = parse_weight(args.weight, rs.rank)
     orbit = rs.weyl_orbit(w)
-    payload = {
+    return {
         "system": rs.label,
         "weight": list(w),
         "size": len(orbit),
         "orbit": [list(v) for v in orbit],
+    }, {}
+
+
+def invariants_payload(rs, w, max_degree):
+    sym, ext = ({str(k): c.get(rs.zero(), 0) for k, c in enumerate(s) if k}
+                for s in power_decompositions(rs, w, max_degree))
+    return {
+        "system": rs.label,
+        "weight": list(w),
+        "dimension": weyl_dimension(rs, w),
+        "bilinear": invariant_bilinear_type(rs, w),
+        "max_degree": max_degree,
+        "symmetric_trivial": sym,
+        "exterior_trivial": ext,
     }
-    return payload, {}
 
 
 def cmd_invariants(args):
@@ -614,20 +587,21 @@ def cmd_invariants(args):
         raise UsageError("weight must be dominant")
     if args.max_degree < 1:
         raise UsageError("--max-degree must be at least 1")
+    return invariants_payload(rs, w, args.max_degree), {}
 
-    sym, ext = ({str(k): c.get(rs.zero(), 0) for k, c in enumerate(s) if k}
-                for s in power_decompositions(rs, w, args.max_degree))
 
-    payload = {
-        "system": rs.label,
-        "weight": list(w),
-        "dimension": weyl_dimension(rs, w),
-        "bilinear": invariant_bilinear_type(rs, w),
-        "max_degree": args.max_degree,
-        "symmetric_trivial": sym,
-        "exterior_trivial": ext,
+def branch_payload(name, rule, lam):
+    dec = rule.restrict_irrep(lam)
+    pieces = [{"weight": list(w), "multiplicity": m,
+               "dimension": weyl_dimension(rule.target, w)}
+              for w, m in sorted(dec.items(), reverse=True)]
+    return {
+        "rule": name,
+        "weight": list(lam),
+        "decomposition": pieces,
+        "dimension_check": sum(p["multiplicity"] * p["dimension"]
+                               for p in pieces),
     }
-    return payload, {}
 
 
 def cmd_branch(args):
@@ -638,135 +612,128 @@ def cmd_branch(args):
             raise UsageError("weight must be dominant")
     else:
         lam = rule.source.fundamental_weight(default_beta(rule.source))
-    dec = rule.restrict_irrep(lam)
-    pieces = [{"weight": list(w), "multiplicity": m,
-               "dimension": weyl_dimension(rule.target, w)}
-              for w, m in sorted(dec.items(), reverse=True)]
-    payload = {
-        "rule": args.rule,
-        "weight": list(lam),
-        "decomposition": pieces,
-        "dimension_check": sum(p["multiplicity"] * p["dimension"]
-                               for p in pieces),
-    }
-    return payload, {}
+    return branch_payload(args.rule, rule, lam), {}
 
 
 def cmd_incidence(args):
     g = _geometry(args)
-    rs, beta = g.rs, g.beta
     chamber = {o.delta: o for o in standard_chamber(g)}
-    pairs = []
-    counts = {"incident": 0, "not_incident": 0}
-    for a in rs.nodes:
-        for b in rs.nodes[a:]:
-            ok = incidence(g, chamber[a], chamber[b])
-            pairs.append({"a": a, "b": b, "incident": ok})
-            counts["incident" if ok else "not_incident"] += 1
-    payload = {
-        "system": rs.label,
-        "beta": beta,
+    pairs = [{"a": a, "b": b,
+              "incident": incidence(g, chamber[a], chamber[b])}
+             for a in g.rs.nodes for b in g.rs.nodes[a:]]
+    n = sum(p["incident"] for p in pairs)
+    return {
+        "system": g.rs.label,
+        "beta": g.beta,
         "pairs": pairs,
-        "counts": counts,
-    }
-    return payload, {}
+        "counts": {"incident": n, "not_incident": len(pairs) - n},
+    }, {}
+
+
+# one producer per `what` of triality and duality: each takes the Triality
+# or E6Duality built, returns (payload, renderings), and is what verify reads
+
+
+def _sorted_weights(support):
+    return sorted([list(w) for w in support], reverse=True)
+
+
+def triality_table(tri):
+    rows = tri.table()
+    width = max(len(a) for a in tri.LABELS)
+    lines = [" " * (width + 1) + " ".join(a.rjust(2) for a in tri.LABELS)]
+    for a, row in zip(tri.LABELS, rows):
+        lines.append(a.ljust(width + 1)
+                     + " ".join((c or ".").rjust(2) for c in row))
+    return ({"labels": list(tri.LABELS), "table": [list(r) for r in rows]},
+            {"ascii": "\n".join(lines) + "\n"})
+
+
+def triality_psi(tri):
+    g = tri.geometry
+    spaces = []
+    for d in g.rs.nodes:
+        s = g.delta_space(d).support
+        d2, img = tri.psi(d, s)
+        spaces.append({
+            "delta": d,
+            "psi_delta": d2,
+            "support": _sorted_weights(s),
+            "image": _sorted_weights(img),
+            "matches_standard": img == g.delta_space(d2).support,
+        })
+    return {"cycle": {str(k): v for k, v in tri.PHI.items()},
+            "spaces": spaces}, {}
+
+
+def triality_triples(tri):
+    triples = [[a, b, c] for a in tri.LABELS for b in tri.LABELS
+               for c in tri.LABELS if tri.t_nonzero(a, b, c)]
+    return {"count": len(triples), "triples": triples}, {}
+
+
+def duality_e6_chamber(dual):
+    spaces = [{"delta": d, "psi_delta": dual.PHI[d],
+               "size": len(dual.standard_support(d)),
+               "psi_size": len(dual.psi_standard(d))} for d in dual.rs.nodes]
+    return {"index_map": {str(k): v for k, v in dual.PHI.items()},
+            "spaces": spaces}, {}
+
+
+def duality_e6_extra(dual):
+    x = dual.standard_support(2) & dual.standard_support(5)
+    px = dual.psi_support(x)
+    return {
+        "x": _sorted_weights(x),
+        "psi_x": _sorted_weights(px),
+        "psi_x_is_standard_3": px == dual.standard_support(3),
+        "psi_y": _sorted_weights(dual.psi_support(
+            x | {(0, 1, 0, 0, -1, 1)})),
+        "psi_psi_x_strictly_contains_x": dual.psi_support(px) > x,
+    }, {}
+
+
+def duality_e6_brace_dims(dual):
+    hist, rows = {}, []
+    for my in sorted(dual.weights, reverse=True):
+        k, supp = dual.dim_brace_vplus(my)
+        hist[str(k)] = hist.get(str(k), 0) + 1
+        rows.append({"weight": list(my), "dimension": k,
+                     "support_size": len(supp)})
+    return {"histogram": hist, "rows": rows}, {}
+
+
+def duality_e6_ln(dual):
+    return {str(d): dual.verify_ln(d) for d in dual.rs.nodes}, {}
+
+
+def duality_automorphisms(dual):
+    from .duality import Triality, chamber_automorphism_check, diagram_duality
+    tri = Triality()
+    g5 = Geometry(RootSystem.named("D5"), 1)
+    return {
+        "e6-psi": chamber_automorphism_check(dual.geometry, dual.psi),
+        "d4-triality": chamber_automorphism_check(tri.geometry, tri.psi),
+        "d5-chirality-swap": chamber_automorphism_check(
+            g5, diagram_duality(g5, (1, 2, 3, 5, 4))),
+    }, {}
+
+
+TRIALITY = {"table": triality_table, "psi": triality_psi,
+            "triples": triality_triples}
+DUALITY = {"e6-chamber": duality_e6_chamber, "e6-extra": duality_e6_extra,
+           "e6-brace-dims": duality_e6_brace_dims, "e6-ln": duality_e6_ln,
+           "automorphisms": duality_automorphisms}
 
 
 def cmd_triality(args):
     from .duality import Triality
-    tri = Triality()
-    if args.what == "table":
-        rows = tri.table()
-        payload = {
-            "labels": list(tri.LABELS),
-            "table": [[c for c in row] for row in rows],
-        }
-        width = max(len(a) for a in tri.LABELS)
-        head = " " * (width + 1) + " ".join(a.rjust(2) for a in tri.LABELS)
-        lines = [head]
-        for a, row in zip(tri.LABELS, rows):
-            lines.append(a.ljust(width + 1)
-                         + " ".join((c or ".").rjust(2) for c in row))
-        return payload, {"ascii": "\n".join(lines) + "\n"}
-    if args.what == "psi":
-        g = tri.geometry
-        spaces = []
-        for d in range(1, 5):
-            s = g.delta_space(d).support
-            d2, img = tri.psi(d, s)
-            spaces.append({
-                "delta": d,
-                "psi_delta": d2,
-                "support": sorted([list(w) for w in s], reverse=True),
-                "image": sorted([list(w) for w in img], reverse=True),
-                "matches_standard": img == g.delta_space(d2).support,
-            })
-        payload = {"cycle": {str(k): v for k, v in tri.PHI.items()},
-                   "spaces": spaces}
-        return payload, {}
-    triples = []
-    for a in tri.LABELS:
-        for b in tri.LABELS:
-            for c in tri.LABELS:
-                if tri.t_nonzero(a, b, c):
-                    triples.append([a, b, c])
-    payload = {"count": len(triples), "triples": triples}
-    return payload, {}
+    return TRIALITY[args.what](Triality())
 
 
 def cmd_duality(args):
-    from .duality import (E6Duality, Triality, chamber_automorphism_check,
-                          diagram_duality)
-    dual = E6Duality()
-    if args.what == "e6-chamber":
-        spaces = []
-        for d in range(1, 7):
-            s = dual.standard_support(d)
-            img = dual.psi_standard(d)
-            spaces.append({
-                "delta": d,
-                "psi_delta": dual.PHI[d],
-                "size": len(s),
-                "psi_size": len(img),
-            })
-        payload = {"index_map": {str(k): v for k, v in dual.PHI.items()},
-                   "spaces": spaces}
-    elif args.what == "e6-extra":
-        s2 = dual.standard_support(2)
-        s5 = dual.standard_support(5)
-        x = s2 & s5
-        y = frozenset(x | {(0, 1, 0, 0, -1, 1)})
-        px = dual.psi_support(x)
-        payload = {
-            "x": sorted([list(w) for w in x], reverse=True),
-            "psi_x": sorted([list(w) for w in px], reverse=True),
-            "psi_x_is_standard_3": px == dual.standard_support(3),
-            "psi_y": sorted([list(w) for w in dual.psi_support(y)],
-                            reverse=True),
-            "psi_psi_x_strictly_contains_x":
-                dual.psi_support(px) > x,
-        }
-    elif args.what == "e6-brace-dims":
-        hist = {}
-        rows = []
-        for my in sorted(dual.weights, reverse=True):
-            k, supp = dual.dim_brace_vplus(my)
-            hist[str(k)] = hist.get(str(k), 0) + 1
-            rows.append({"weight": list(my), "dimension": k,
-                         "support_size": len(supp)})
-        payload = {"histogram": hist, "rows": rows}
-    elif args.what == "e6-ln":
-        payload = {str(d): dual.verify_ln(d) for d in range(1, 7)}
-    else:
-        tri = Triality()
-        g5 = Geometry(RootSystem.named("D5"), 1)
-        payload = {
-            "e6-psi": chamber_automorphism_check(dual.geometry, dual.psi),
-            "d4-triality": chamber_automorphism_check(tri.geometry, tri.psi),
-            "d5-chirality-swap": chamber_automorphism_check(
-                g5, diagram_duality(g5, (1, 2, 3, 5, 4))),
-        }
-    return payload, {}
+    from .duality import E6Duality
+    return DUALITY[args.what](E6Duality())
 
 
 def cmd_verify(args):
@@ -800,10 +767,8 @@ SYNTAX = {
     "branch": (("rule",), {"--weight": (str, None)},
                {"rule": tuple(sorted(NAMED_BRANCHINGS))}),
     "incidence": (("system",), {"--beta": (parse_int, None)}, {}),
-    "triality": (("what",), {}, {"what": ("table", "psi", "triples")}),
-    "duality": (("what",), {}, {"what": ("e6-chamber", "e6-extra",
-                                         "e6-brace-dims", "e6-ln",
-                                         "automorphisms")}),
+    "triality": (("what",), {}, {"what": tuple(TRIALITY)}),
+    "duality": (("what",), {}, {"what": tuple(DUALITY)}),
     "verify": (("name",), {"name": (str, "all")},
                {"name": ("all",) + tuple(n for n, _ in ACCEPTANCE_CHECKS)}),
 }

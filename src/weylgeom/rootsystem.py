@@ -85,6 +85,9 @@ def family_cartan(family, rank):
     lo, hi = _RANK_RANGE[family]
     if rank < lo or (hi is not None and rank > hi):
         raise ValueError("no system %s%d" % (family, rank))
+    if rank * rank > MAX_WEIGHTS:
+        raise RefusedError("the Cartan matrix of %s%d has %d entries, more "
+                           "than %d" % (family, rank, rank * rank, MAX_WEIGHTS))
     c = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         c[i][i] = 2

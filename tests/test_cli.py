@@ -171,6 +171,12 @@ def test_help_lists_every_command(capsys, argv):
         assert "\n  %s " % command in captured.out
 
 
+def test_help_transcript(golden, capsys):
+    # the usage text, choice lists in their order included, is a transcript
+    assert cli.main(["--help"]) == 0
+    golden("help.txt", capsys.readouterr().out)
+
+
 def test_refused_exit_code(capsys):
     # V(omega_4) of E8 has 6,899,079,264 weights
     assert cli.main(["dims", "E8", "--beta", "4"]) == 3
@@ -243,6 +249,64 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch):
     assert lines[3] == "FAIL %s: planted" % name
     assert len(lines) == 10
     assert [line.split()[0] for line in lines].count("PASS") == 9
+
+
+def _wrong_psi_y(monkeypatch):
+    extra = cli.DUALITY["e6-extra"]
+
+    def wrong(dual):
+        payload, renderings = extra(dual)
+        payload["psi_y"] = [[0, 0, 0, 0, 0, 1]]
+        return payload, renderings
+    monkeypatch.setitem(cli.DUALITY, "e6-extra", wrong)
+
+
+def _one_triple_dropped(monkeypatch):
+    triples = cli.TRIALITY["triples"]
+
+    def wrong(tri):
+        payload, renderings = triples(tri)
+        del payload["triples"][0]
+        return payload, renderings
+    monkeypatch.setitem(cli.TRIALITY, "triples", wrong)
+
+
+def _doubled_multiplicity(monkeypatch):
+    branch = cli.branch_payload
+
+    def wrong(*args):
+        payload = branch(*args)
+        payload["decomposition"][0]["multiplicity"] *= 2
+        return payload
+    monkeypatch.setattr(cli, "branch_payload", wrong)
+
+
+def _no_cubic(monkeypatch):
+    invariants = cli.invariants_payload
+
+    def wrong(*args):
+        payload = invariants(*args)
+        payload["symmetric_trivial"]["3"] = 0
+        return payload
+    monkeypatch.setattr(cli, "invariants_payload", wrong)
+
+
+@pytest.mark.parametrize("check,argv,plant", [
+    ("e6-duality", ["duality", "e6-extra"], _wrong_psi_y),
+    ("triality", ["triality", "triples"], _one_triple_dropped),
+    ("branchings", ["branch", "e6-levi-d5"], _doubled_multiplicity),
+    ("invariant-forms", ["invariants", "E6", "1,0,0,0,0,0"], _no_cubic),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_verify_reads_the_printed_payload(capsys, monkeypatch, check, argv,
+                                          plant):
+    # a wrong producer changes what the command prints and fails the check
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    plant(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out != printed
+    assert cli.main(["verify", check]) == 1
+    assert capsys.readouterr().out.startswith("FAIL %s: " % check)
 
 
 def test_inconsistency_exits_one(capsys, monkeypatch):
@@ -318,6 +382,19 @@ def test_regular_e8_orbit_is_refused_at_once(capsys):
 
 def _no_klimyk(*args, **kwargs):
     raise AssertionError("Klimyk product called")
+
+
+@pytest.mark.parametrize("argv", [["dims", "A100000"],
+                                  ["orbit", "A100000", "1"]])
+def test_a_rank_past_the_limit_is_refused_at_once(capsys, argv):
+    # its Cartan matrix alone would hold 10^10 entries
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("refused: the Cartan matrix of A100000 has "
+                            "10000000000 entries, more than 1000000\n")
 
 
 def test_oversized_invariants_are_refused_at_once(capsys, monkeypatch):

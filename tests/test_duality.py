@@ -351,6 +351,17 @@ def test_triality_table_matches_frozen(tri):
         assert got == want, label
 
 
+def test_triality_phi_weight_twists_reflections(tri):
+    # the D4 twin of test_phi_weight_twists_reflections: the weight maps
+    # intertwine s_i with s_PHI(i), and phi2_weight is phi_weight twice
+    assert len(tri.weights) == 8
+    for w in tri.weights:
+        for i in tri.rs.nodes:
+            assert (tri.phi_weight(tri.rs.reflect(i, w))
+                    == tri.rs.reflect(tri.PHI[i], tri.phi_weight(w)))
+        assert tri.phi2_weight(w) == tri.phi_weight(tri.phi_weight(w))
+
+
 def test_triality_table_cell_fixtures(tri):
     rows = {lab: dict(zip(tri.LABELS, row))
             for lab, row in zip(tri.LABELS, tri.table())}

@@ -727,6 +727,18 @@ def test_orbit_at_the_limit_is_built(monkeypatch):
         a2.weyl_orbit((1, 1))
 
 
+def test_cartan_matrix_at_the_limit_is_built(monkeypatch):
+    # rank^2 entries at most MAX_WEIGHTS, checked before any row is made
+    monkeypatch.setattr(rootsystem, "MAX_WEIGHTS", 16)
+    assert RootSystem.named("D4").rank == 4
+    for name in ("A5", "E6"):
+        with pytest.raises(RefusedError, match="has %s entries, more than 16"
+                           % (int(name[1]) ** 2)):
+            RootSystem.named(name)
+    with pytest.raises(ValueError, match="no system E100"):
+        RootSystem.named("E100")
+
+
 @pytest.mark.parametrize("name,node,dim,refused", [
     ("E7", 4, 365_750, False), ("E8", 2, 147_250, False),
     ("E8", 3, 6_696_000, True), ("E8", 4, 6_899_079_264, True),

@@ -405,10 +405,13 @@ def power_decompositions(rs, lam, k):
     and Lambda^d V(lam), d = 0..k, by Newton's recursion d*c_d = sum_j
     s^(j-1) psi^j V c_(d-j), psi^j V having the weights j*nu.  Degree k
     costs about k*|wt V| terms per dominant weight below k*lam, refused up
-    front above MAX_WEIGHTS."""
+    front above MAX_WEIGHTS.  Degree 0 is the trivial series."""
+    if k < 0:
+        raise ValueError("negative power")
     lam = tuple(lam)
     wt = irrep_character(rs, lam).weights
-    dominant_weights_below(rs, tuple(k * x for x in lam), k * len(wt))
+    if k:
+        dominant_weights_below(rs, tuple(k * x for x in lam), k * len(wt))
     n = sum(wt.values())
     series = []
     for s, name in ((1, "S^%d V"), (-1, "Lambda^%d V")):

@@ -113,11 +113,10 @@ def check_e6_hasse():
     _expect({i for u, v, i in edges if u == chain[3]} == {2, 5},
             "first branch labels")
     from .duality import E6Duality
-    dual = E6Duality()
     for u, v, i in edges:
-        nu = tuple(-x for x in dual.phi_weight(u))
-        nv = tuple(-x for x in dual.phi_weight(v))
-        _expect((nv, nu, dual.PHI[i]) in brute,
+        nu = tuple(-x for x in E6Duality.phi_weight(u))
+        nv = tuple(-x for x in E6Duality.phi_weight(v))
+        _expect((nv, nu, E6Duality.PHI[i]) in brute,
                 "negated flip reverses edges")
 
 
@@ -204,8 +203,7 @@ TRIALITY_TABLE = (
 
 
 def check_triality():
-    from .duality import (Triality, chamber_automorphism_check,
-                          zero_sum_triple_orbits)
+    from .duality import E6Duality, Triality, zero_sum_triple_orbits
     tri = Triality()
     rows = TRIALITY["table"](tri)[0]["table"]
     _expect(rows == [list(r) for r in TRIALITY_TABLE],
@@ -222,8 +220,8 @@ def check_triality():
         for _ in range(3):
             d, s = tri.psi(d, s)
         _expect((d, s) == (1, frozenset((w,))), "third power is the identity")
-    _expect(chamber_automorphism_check(tri.geometry, tri.psi),
-            "triality is a chamber automorphism")
+    auto = DUALITY["automorphisms"](E6Duality())[0]
+    _expect(all(auto.values()), "chamber automorphisms: %r" % auto)
 
     triples = TRIALITY["triples"](tri)[0]["triples"]
     _expect(["e4", "e4", "e4"] in triples, "diagonal fork triple")
@@ -247,8 +245,8 @@ def check_e6_duality():
              chamber["spaces"]] == [(6, 1, 10), (2, 6, 6), (5, 2, 5),
                                     (4, 3, 3), (3, 5, 2), (1, 10, 1)],
             "psi of the standard spaces: %r" % (chamber["spaces"],))
-    for delta in dual.rs.nodes:
-        s = dual.standard_support(delta)
+    std = {d: dual.geometry.delta_space(d).support for d in dual.rs.nodes}
+    for delta, s in std.items():
         _expect(dual.psi_support(dual.psi_support(s)) == s,
                 "psi squared fixes type %d" % delta)
 
@@ -265,11 +263,11 @@ def check_e6_duality():
     mu = (0, 1, 0, 0, 0, -1)
     _expect({"weight": list(mu), "dimension": 6, "support_size": 6}
             in brace["rows"] and dual.dim_brace_vplus(mu)[1]
-            == dual.standard_support(2), "brace support at the 16-orbit")
+            == std[2], "brace support at the 16-orbit")
 
     ln = DUALITY["e6-ln"](dual)[0]
     _expect(all(ln.values()), "vanishing pairs: %r" % ln)
-    a_ok, b_ok = dual.ln_conditions(dual.standard_support(1), dual.weights)
+    a_ok, b_ok = dual.ln_conditions(std[1], dual.weights)
     _expect(not a_ok and not b_ok, "perturbed vanishing must fail")
 
     _expect(chamber_automorphism_check(dual.geometry, dual.psi),
@@ -583,7 +581,7 @@ def invariants_payload(rs, w, max_degree):
 def cmd_invariants(args):
     rs = _system(args.system)
     w = parse_weight(args.weight, rs.rank)
-    if not rs.is_dominant(w):
+    if min(w) < 0:
         raise UsageError("weight must be dominant")
     if args.max_degree < 1:
         raise UsageError("--max-degree must be at least 1")
@@ -608,7 +606,7 @@ def cmd_branch(args):
     rule = NAMED_BRANCHINGS[args.rule]()
     if args.weight is not None:
         lam = parse_weight(args.weight, rule.source.rank)
-        if not rule.source.is_dominant(lam):
+        if min(lam) < 0:
             raise UsageError("weight must be dominant")
     else:
         lam = rule.source.fundamental_weight(default_beta(rule.source))
@@ -674,19 +672,20 @@ def triality_triples(tri):
 
 def duality_e6_chamber(dual):
     spaces = [{"delta": d, "psi_delta": dual.PHI[d],
-               "size": len(dual.standard_support(d)),
+               "size": len(dual.geometry.delta_space(d).support),
                "psi_size": len(dual.psi_standard(d))} for d in dual.rs.nodes]
     return {"index_map": {str(k): v for k, v in dual.PHI.items()},
             "spaces": spaces}, {}
 
 
 def duality_e6_extra(dual):
-    x = dual.standard_support(2) & dual.standard_support(5)
+    g = dual.geometry
+    x = g.delta_space(2).support & g.delta_space(5).support
     px = dual.psi_support(x)
     return {
         "x": _sorted_weights(x),
         "psi_x": _sorted_weights(px),
-        "psi_x_is_standard_3": px == dual.standard_support(3),
+        "psi_x_is_standard_3": px == g.delta_space(3).support,
         "psi_y": _sorted_weights(dual.psi_support(
             x | {(0, 1, 0, 0, -1, 1)})),
         "psi_psi_x_strictly_contains_x": dual.psi_support(px) > x,
@@ -704,7 +703,9 @@ def duality_e6_brace_dims(dual):
 
 
 def duality_e6_ln(dual):
-    return {str(d): dual.verify_ln(d) for d in dual.rs.nodes}, {}
+    std = {d: dual.geometry.delta_space(d).support for d in dual.rs.nodes}
+    return {str(d): all(dual.ln_conditions(std[d], std[dual.PHI[d]]))
+            for d in std}, {}
 
 
 def duality_automorphisms(dual):
@@ -751,25 +752,30 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-# command: (positionals, specs, choices).  specs maps each option, and
-# each positional that is not a required string, to (parser, default text);
-# choices maps a name to its allowed values.  The entry None holds the
-# global options, which come before the command; --cache-dir is accepted and
-# ignored, as there is no disk cache.
+# command: (function, positionals, specs, choices).  The function takes the
+# parsed Args and returns (payload, renderings), renderings mapping a
+# --format name to the text printed instead of the generic rendering of
+# payload; cmd_verify prints PASS/FAIL lines and returns the exit code.  specs
+# maps each option, and each positional that is not a required string, to
+# (parser, default text); choices maps a name to its allowed values.  The
+# entry None holds the global options, which come before the command;
+# --cache-dir is accepted and ignored, as there is no disk cache.
 SYNTAX = {
-    None: ((), {"--format": (str, "json"), "--cache-dir": (str, None)},
+    None: (None, (), {"--format": (str, "json"), "--cache-dir": (str, None)},
            {"--format": ("json", "ascii", "dot")}),
-    "dims": (("system",), {"--beta": (parse_int, None)}, {}),
-    "hasse": (("system", "index"), {"index": (parse_int, None)}, {}),
-    "orbit": (("system", "weight"), {}, {}),
-    "invariants": (("system", "weight"), {"--max-degree": (parse_int, "3")},
-                   {}),
-    "branch": (("rule",), {"--weight": (str, None)},
+    "dims": (cmd_dims, ("system",), {"--beta": (parse_int, None)}, {}),
+    "hasse": (cmd_hasse, ("system", "index"), {"index": (parse_int, None)},
+              {}),
+    "orbit": (cmd_orbit, ("system", "weight"), {}, {}),
+    "invariants": (cmd_invariants, ("system", "weight"),
+                   {"--max-degree": (parse_int, "3")}, {}),
+    "branch": (cmd_branch, ("rule",), {"--weight": (str, None)},
                {"rule": tuple(sorted(NAMED_BRANCHINGS))}),
-    "incidence": (("system",), {"--beta": (parse_int, None)}, {}),
-    "triality": (("what",), {}, {"what": tuple(TRIALITY)}),
-    "duality": (("what",), {}, {"what": tuple(DUALITY)}),
-    "verify": (("name",), {"name": (str, "all")},
+    "incidence": (cmd_incidence, ("system",), {"--beta": (parse_int, None)},
+                  {}),
+    "triality": (cmd_triality, ("what",), {}, {"what": tuple(TRIALITY)}),
+    "duality": (cmd_duality, ("what",), {}, {"what": tuple(DUALITY)}),
+    "verify": (cmd_verify, ("name",), {"name": (str, "all")},
                {"name": ("all",) + tuple(n for n, _ in ACCEPTANCE_CHECKS)}),
 }
 
@@ -777,7 +783,7 @@ SYNTAX = {
 def usage():
     """The --help text, read off SYNTAX."""
     lines = []
-    for command, (positionals, specs, choices) in SYNTAX.items():
+    for command, (_, positionals, specs, choices) in SYNTAX.items():
         words = [command or "usage: weylgeom"]
         for name in dict.fromkeys((*positionals, *specs)):
             word = ("{%s}" % ",".join(choices[name]) if name in choices
@@ -810,7 +816,7 @@ def parse_args(argv):
             return None
         if arg.startswith("--"):
             name, eq, value = arg.partition("=")
-            if name not in SYNTAX[command][1]:
+            if name not in SYNTAX[command][2]:
                 raise UsageError("%r is not an option of %s"
                                  % (name, command or "weylgeom"))
             values[name] = value if eq else next(args, None)
@@ -824,13 +830,13 @@ def parse_args(argv):
             given.append(arg)
     if command is None:
         raise UsageError("no command given; see --help")
-    positionals = SYNTAX[command][0]
+    positionals = SYNTAX[command][1]
     if len(given) > len(positionals):
         raise UsageError("unexpected argument %r" % given[len(positionals)])
     values.update(zip(positionals, given))
     out = Args()
     out.command = command
-    for positionals, specs, choices in (SYNTAX[None], SYNTAX[command]):
+    for _, positionals, specs, choices in (SYNTAX[None], SYNTAX[command]):
         for name in dict.fromkeys((*positionals, *specs)):
             kind, default = specs.get(name, (str, None))
             value = values.get(name, default)
@@ -848,29 +854,16 @@ def parse_args(argv):
     return out
 
 
-# each returns (payload, renderings); renderings maps a --format name to the
-# text printed instead of the generic rendering of payload
-COMMANDS = {
-    "dims": cmd_dims,
-    "hasse": cmd_hasse,
-    "orbit": cmd_orbit,
-    "invariants": cmd_invariants,
-    "branch": cmd_branch,
-    "incidence": cmd_incidence,
-    "triality": cmd_triality,
-    "duality": cmd_duality,
-}
-
-
 def main(argv=None):
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:
             sys.stdout.write(usage())
             return 0
+        result = SYNTAX[args.command][0](args)
         if args.command == "verify":
-            return cmd_verify(args)
-        payload, renderings = COMMANDS[args.command](args)
+            return result
+        payload, renderings = result
         if args.format in renderings:
             text = renderings[args.format]
         elif args.format == "json":

@@ -153,9 +153,6 @@ class E6Duality:
     def phi_weight(c):
         return (c[5], c[1], c[4], c[3], c[2], c[0])
 
-    def standard_support(self, delta):
-        return self.geometry.delta_space(delta).support
-
     @cached_property
     def _hyperlines(self):
         """{mu: the weights phi(mu + y), y a weight} over the weights mu, in
@@ -169,10 +166,6 @@ class E6Duality:
                 raise ConsistencyError("hyperline of %r has size %d"
                                        % (mu, len(h)))
         return table
-
-    def hyperline(self, mu):
-        _require_weights(self.weights, (mu,))
-        return self._hyperlines[mu]
 
     @cached_property
     def _reaches(self):
@@ -225,11 +218,11 @@ class E6Duality:
                          if self._closed(support, (self.phi_weight(nu),)))
 
     def psi_standard(self, delta):
-        s = self.standard_support(delta)
+        s = self.geometry.delta_space(delta).support
         if delta == 2 and not self.brace_closed(s):
             raise ConsistencyError("standard 6-support is not brace-closed")
         out = self.psi_support(s)
-        want = self.standard_support(self.PHI[delta])
+        want = self.geometry.delta_space(self.PHI[delta]).support
         if out != want:
             raise ConsistencyError("psi of the standard %d-support is wrong"
                                    % delta)
@@ -243,12 +236,6 @@ class E6Duality:
     @cached_property
     def _orbits(self):
         return wprime_orbits(self.rs, 6, self.weights)
-
-    def wprime_orbit_of(self, my):
-        for o in self._orbits:
-            if my in o:
-                return o
-        raise ValueError("%r is not a weight here" % (my,))
 
     def dim_brace_vplus(self, my):
         """Dimension of the brace image at the highest weight vector, as a
@@ -264,7 +251,7 @@ class E6Duality:
         _require_weights(self.weights, (my,))
         hw = self.geometry.hw
         minus_om6 = tuple(-x for x in self.rs.fundamental_weight(6))
-        orbit = self.wprime_orbit_of(my)
+        orbit = next(o for o in self._orbits if my in o)
         if len(orbit) == 1:
             if my != minus_om6:
                 raise ConsistencyError("unexpected singleton orbit")
@@ -308,12 +295,6 @@ class E6Duality:
                        triple_sums(t, t, [self.phi_weight(m2) for m2 in s]))
         return a_ok, b_ok
 
-    def verify_ln(self, delta):
-        s = self.standard_support(delta)
-        t = self.standard_support(self.PHI[delta])
-        a_ok, b_ok = self.ln_conditions(s, t)
-        return a_ok and b_ok
-
 
 class Triality:
     """Triality on the D4 vector weights via an 8x8 partial product."""
@@ -348,10 +329,6 @@ class Triality:
                                         self.phi2_weight(v)))
         return w if w in self.weights else None
 
-    def star_label(self, a, b):
-        w = self.star_weight(self.label_weight[a], self.label_weight[b])
-        return None if w is None else self.weight_label[w]
-
     @cached_property
     def _stars(self):
         """{(u, v): star_weight(u, v)} over the 8x8 pairs of weights: the
@@ -372,10 +349,12 @@ class Triality:
         for the fork labels is transposed (e4 and f4 swap) relative to the
         weight actually multiplied."""
         swap = {"e4": "f4", "f4": "e4"}
+        lw = self.label_weight
         rows = []
         for a in self.LABELS:
-            rows.append(tuple(self.star_label(a, swap.get(b, b))
-                              for b in self.LABELS))
+            # weight_label has no None, so a product off the weights is None
+            rows.append(tuple(self.weight_label.get(self.star_weight(
+                lw[a], lw[swap.get(b, b)])) for b in self.LABELS))
         return rows
 
     def t_nonzero(self, a, b, c):

@@ -270,9 +270,6 @@ class RootSystem:
             return tuple(w)
         return tuple([x - c * r for x, r in zip(w, self.cartan[i - 1])])
 
-    def is_dominant(self, w):
-        return all(x >= 0 for x in w)
-
     def check_weight(self, w, dominant=False):
         """w as a tuple of rank ints (bools refused); ValueError naming w
         when it is none, or when dominant and a coordinate is negative."""

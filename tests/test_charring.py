@@ -102,7 +102,7 @@ def test_saturated_closure_cross_check():
                     if v not in saturated:
                         saturated.add(v)
                         frontier.append(v)
-        expected = {w for w in saturated if system.is_dominant(w)}
+        expected = {w for w in saturated if min(w) >= 0}
         assert dominant_weights_below(system, lam) == expected
 
 
@@ -572,6 +572,16 @@ def test_klimyk_powers_are_the_peeled_powers(name, lam, k):
     peeled = [[decompose(r, c) for c in power_series(char, k, alternating)]
               for alternating in (False, True)]
     assert list(power_decompositions(r, lam, k)) == peeled
+
+
+def test_power_decompositions_at_degree_zero_and_below():
+    # degree 0 is the trivial series, as symmetric_power(ch, 0) is; a
+    # negative degree is refused as a negative power, not as k * lam
+    a2 = rs("A2")
+    assert power_decompositions(a2, (1, 0), 0) == ([{(0, 0): 1}],
+                                                   [{(0, 0): 1}])
+    with pytest.raises(ValueError, match="^negative power$"):
+        power_decompositions(a2, (1, 0), -1)
 
 
 def test_klimyk_triple_is_the_peeled_triple():

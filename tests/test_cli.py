@@ -55,13 +55,17 @@ def test_golden_transcript(golden, capsys, name, argv):
 
 def test_goldens_cover_every_command_and_choice():
     # every command that prints a payload, and every value of its what or
-    # rule, has a transcript; verify prints PASS lines and has its own tests
-    assert set(cli.SYNTAX) - {None, "verify"} == set(cli.COMMANDS)
+    # rule, has a transcript; verify prints PASS lines and has its own tests.
+    # Each command's entry names the function that runs it; the global
+    # options' entry names none
+    assert cli.SYNTAX[None][0] is None
+    commands = [c for c in cli.SYNTAX if c not in (None, "verify")]
+    assert all(callable(cli.SYNTAX[c][0]) for c in commands + ["verify"])
     lines = [argv[2:] if argv[0] == "--format" else argv
              for _, argv in GOLDEN_CASES]
-    assert {line[0] for line in lines} == set(cli.COMMANDS)
-    for command in cli.COMMANDS:
-        for values in cli.SYNTAX[command][2].values():
+    assert {line[0] for line in lines} == set(commands)
+    for command in commands:
+        for values in cli.SYNTAX[command][3].values():
             for value in values:
                 assert [command, value] in lines, (command, value)
 
@@ -167,7 +171,7 @@ def test_help_lists_every_command(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.startswith("usage: weylgeom ")
-    for command in list(cli.COMMANDS) + ["verify"]:
+    for command in filter(None, cli.SYNTAX):
         assert "\n  %s " % command in captured.out
 
 
@@ -291,11 +295,22 @@ def _no_cubic(monkeypatch):
     monkeypatch.setattr(cli, "invariants_payload", wrong)
 
 
+def _no_chirality_swap(monkeypatch):
+    automorphisms = cli.DUALITY["automorphisms"]
+
+    def wrong(dual):
+        payload, renderings = automorphisms(dual)
+        payload["d5-chirality-swap"] = False
+        return payload, renderings
+    monkeypatch.setitem(cli.DUALITY, "automorphisms", wrong)
+
+
 @pytest.mark.parametrize("check,argv,plant", [
     ("e6-duality", ["duality", "e6-extra"], _wrong_psi_y),
     ("triality", ["triality", "triples"], _one_triple_dropped),
     ("branchings", ["branch", "e6-levi-d5"], _doubled_multiplicity),
     ("invariant-forms", ["invariants", "E6", "1,0,0,0,0,0"], _no_cubic),
+    ("triality", ["duality", "automorphisms"], _no_chirality_swap),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_verify_reads_the_printed_payload(capsys, monkeypatch, check, argv,
                                           plant):
@@ -464,7 +479,7 @@ def test_invariants_of_the_adjoint_are_chevalley_and_hks(name, top):
     adjoint = ",".join(map(str, root_fw(rs, rs.highest_root)))
     args = cli.parse_args(["invariants", name, adjoint,
                            "--max-degree", str(top)])
-    payload, _ = cli.COMMANDS["invariants"](args)
+    payload, _ = cli.SYNTAX["invariants"][0](args)
     assert payload["symmetric_trivial"] == {str(k): sym[k]
                                             for k in range(1, top + 1)}
     assert payload["exterior_trivial"] == {str(k): ext[k]
@@ -492,7 +507,7 @@ def test_emit_json_is_json_dumps(payload):
                          ids=[c[0] for c in GOLDEN_CASES])
 def test_emit_json_on_every_golden_payload(name, argv):
     args = cli.parse_args(argv)
-    payload, _ = cli.COMMANDS[args.command](args)
+    payload, _ = cli.SYNTAX[args.command][0](args)
     assert cli.emit_json(payload) == json.dumps(payload, sort_keys=True,
                                                 indent=2) + "\n"
 
@@ -575,6 +590,16 @@ def test_src_imports_only_sys():
                 "%s:%d imports %s" % (path.name, node.lineno, names))
             found.update(names)
     assert found == {"sys"}
+
+
+def test_every_file_parses_as_python_3_10():
+    # pyproject.toml promises Python 3.10: no grammar of a later release
+    root = pathlib.Path(__file__).parents[1]
+    files = sorted((root / "src" / "weylgeom").glob("*.py"))
+    files += sorted((root / "tests").glob("*.py"))
+    assert len(files) > 10
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def test_only_check_node_decides_a_node():

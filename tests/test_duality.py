@@ -67,57 +67,61 @@ def test_phi_weight_twists_reflections(dual):
                     == dual.rs.reflect(dual.PHI[i], dual.phi_weight(w)))
 
 
-def test_hyperlines_have_ten_weights(dual):
-    for w in dual.weights:
-        assert len(dual.hyperline(w)) == 10
-        assert dual.hyperline(w) <= dual.weights
-
-
-def test_hyperlines_are_one_table_built_once():
-    # every hyperline is read off one table, which is all the duality
-    # stores beside its geometry
+def test_psi_of_a_point_is_its_hyperline():
+    # psi({mu}) is {phi(mu + y) : y a weight} cut down to the weights, ten
+    # of them, read off one table, which is all the duality stores beside
+    # its geometry
     dual = E6Duality()
-    sums = {dual.phi_weight(tuple(a + b for a, b in zip(W1, y)))
-            for y in dual.weights}
-    assert dual.hyperline(W1) == sums & dual.weights
+    weights = irrep_character(dual.rs, W1).weights.keys()
+    assert len(weights) == 27
+    flip = {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
+    for mu in weights:
+        line = set()
+        for y in weights:
+            s = [a + b for a, b in zip(mu, y)]
+            phi = tuple(s[flip[i] - 1] for i in range(1, 7))
+            if phi in weights:
+                line.add(phi)
+        assert len(line) == 10
+        assert dual.psi_support({mu}) == line
     table = vars(dual)["_hyperlines"]
     assert set(vars(dual)) == {"rs", "geometry", "weights", "_hyperlines"}
     assert table.keys() == dual.weights
     for mu in dual.weights:
-        assert dual.hyperline(mu) is table[mu]
-    dual.psi_support(dual.standard_support(1))
+        assert dual.psi_support({mu}) == table[mu]
+    dual.psi_support(dual.geometry.delta_space(1).support)
     assert vars(dual)["_hyperlines"] is table
 
 
 def test_standard_s2_support_frozen(dual):
-    assert dual.standard_support(2) == S2_FROZEN
+    assert dual.geometry.delta_space(2).support == S2_FROZEN
 
 
 def test_psi_standard_realizes_the_flip(dual):
     for delta in range(1, 7):
         out = dual.psi_standard(delta)
-        assert out == dual.standard_support(dual.PHI[delta])
+        assert out == dual.geometry.delta_space(dual.PHI[delta]).support
 
 
 def test_psi_is_an_involution_on_standard_supports(dual):
     for delta in range(1, 7):
-        s = dual.standard_support(delta)
+        s = dual.geometry.delta_space(delta).support
         assert dual.psi_support(dual.psi_support(s)) == s
 
 
 def test_brace_closure_controls(dual):
-    assert dual.brace_closed(dual.standard_support(2))
-    s5 = dual.standard_support(5)
+    assert dual.brace_closed(dual.geometry.delta_space(2).support)
+    s5 = dual.geometry.delta_space(5).support
     assert not dual.brace_closed(s5)
     assert not dual.brace_closed(frozenset(s5 | {MINUS_W6}))
 
 
 def test_psi_on_intersections(dual):
-    s2 = dual.standard_support(2)
-    s5 = dual.standard_support(5)
+    s2 = dual.geometry.delta_space(2).support
+    s5 = dual.geometry.delta_space(5).support
     x = s2 & s5
     assert len(x) == 4
-    assert dual.psi_support(x) == dual.standard_support(3)
+    assert dual.psi_support(x) == dual.geometry.delta_space(3).support
     y = frozenset(x | {(0, 1, 0, 0, -1, 1)})
     assert dual.psi_support(y) == frozenset({W1})
     assert dual.psi_support(dual.psi_support(x)) == s5
@@ -133,19 +137,13 @@ def test_psi_rejects_empty(dual):
 def test_psi_and_brace_closure_reject_a_non_weight(dual, size):
     # a non-weight is bad input, not a failed internal check: on every
     # branch, the 6-support one included
-    support = frozenset(sorted(S2_FROZEN | dual.standard_support(5))
-                        [:size - 1] + [(0,) * 6])
+    s5 = dual.geometry.delta_space(5).support
+    support = frozenset(sorted(S2_FROZEN | s5)[:size - 1] + [(0,) * 6])
     assert len(support) == size
     message = r"^\(0, 0, 0, 0, 0, 0\) is not a weight here$"
     for f in (dual.psi_support, dual.brace_closed):
         with pytest.raises(ValueError, match=message):
             f(support)
-
-
-def test_hyperline_rejects_a_non_weight(dual):
-    with pytest.raises(ValueError,
-                       match=r"^\(0, 0, 0, 0, 0, 0\) is not a weight here$"):
-        dual.hyperline((0,) * 6)
 
 
 def _brace_escapes(weights, support, phis):
@@ -308,20 +306,23 @@ def test_brace_dimension_fixtures(dual):
     assert (k, supp) == (0, frozenset())
     k, supp = dual.dim_brace_vplus(LAM2)
     assert k == 6
-    assert supp == dual.standard_support(2)
+    assert supp == dual.geometry.delta_space(2).support
     k, supp = dual.dim_brace_vplus(MINUS_W6)
     assert k == 17
     assert W1 in supp
 
 
 def test_verify_ln_all_types(dual):
+    std = dual.geometry.delta_space
     for delta in range(1, 7):
-        assert dual.verify_ln(delta)
+        assert dual.ln_conditions(std(delta).support,
+                                  std(dual.PHI[delta]).support) == (True, True)
 
 
 def test_verify_ln_perturbation_control(dual):
     # widening the dual support to every weight must break both conditions
-    a_ok, b_ok = dual.ln_conditions(dual.standard_support(1), dual.weights)
+    a_ok, b_ok = dual.ln_conditions(dual.geometry.delta_space(1).support,
+                                    dual.weights)
     assert not a_ok
     assert not b_ok
 
@@ -376,7 +377,7 @@ def test_trilinear_form(tri):
     # pairing with the product: t(a,b,c) != 0 iff c* appears in a relabeled
     # product; spot-check a full row of the honest product
     for b in tri.LABELS:
-        w = tri.star_label("e1", b)
+        w = tri.star_weight(tri.label_weight["e1"], tri.label_weight[b])
         hits = [c for c in tri.LABELS if tri.t_nonzero("e1", b, c)]
         assert len(hits) <= 1
         if w is None:
@@ -455,7 +456,8 @@ def test_triality_factor_tables_are_the_fork_objects():
 def test_psi_refuses_a_support_of_another_type(dual, tri):
     # each support is made of weights, but is no object of the type given
     e1 = tri.label_weight["e1"]
-    for psi, delta, support in ((dual.psi, 3, dual.standard_support(2)),
+    s2 = dual.geometry.delta_space(2).support
+    for psi, delta, support in ((dual.psi, 3, s2),
                                 (tri.psi, 2, {e1}), (tri.psi, 3, {e1})):
         with pytest.raises(ValueError,
                            match="^not an object of type %d$" % delta):
@@ -469,13 +471,14 @@ def test_the_dualities_build_no_diagram_op(monkeypatch):
     monkeypatch.setattr(duality, "diagram_duality", forbidden)
     dual, tri = E6Duality(), Triality()
     e1 = tri.label_weight["e1"]
-    for psi, delta, support in ((dual.psi, 3, dual.standard_support(2)),
+    s2 = dual.geometry.delta_space(2).support
+    for psi, delta, support in ((dual.psi, 3, s2),
                                 (tri.psi, 2, {e1}), (tri.psi, 3, {e1})):
         with pytest.raises(ValueError,
                            match="^not an object of type %d$" % delta):
             psi(delta, support)
-    assert dual.psi(1, dual.standard_support(1)) == (
-        6, dual.standard_support(6))
+    assert dual.psi(1, dual.geometry.delta_space(1).support) == (
+        6, dual.geometry.delta_space(6).support)
     g = tri.geometry
     assert tri.psi(1, g.delta_space(1).support) == (
         3, g.delta_space(3).support)
@@ -643,7 +646,8 @@ def test_diagram_duality_rejects_a_non_weight(dual):
     perm = tuple(dual.PHI[i] for i in range(1, 7))
     op = diagram_duality(dual.geometry, perm)
     support = {(4, 5, 6, 5, 5, 5), (-4, -5, -5, -5, -5, -5)}
-    assert barycenter(support) == barycenter(dual.standard_support(3))
+    s3 = dual.geometry.delta_space(3).support
+    assert barycenter(support) == barycenter(s3)
     for f in (op, dual.psi):
         with pytest.raises(ValueError, match="is not a weight here"):
             f(3, support)

@@ -67,10 +67,9 @@ def test_phi_weight_twists_reflections(dual):
                     == dual.rs.reflect(dual.PHI[i], dual.phi_weight(w)))
 
 
-def test_psi_of_a_point_is_its_hyperline():
-    # psi({mu}) is {phi(mu + y) : y a weight} cut down to the weights, ten
-    # of them, read off one table, which is all the duality stores beside
-    # its geometry
+def test_hyperlines_have_ten_weights():
+    # the hyperline of a point, psi({mu}), is {phi(mu + y) : y a weight}
+    # cut down to the weights, ten of them
     dual = E6Duality()
     weights = irrep_character(dual.rs, W1).weights.keys()
     assert len(weights) == 27
@@ -84,6 +83,15 @@ def test_psi_of_a_point_is_its_hyperline():
                 line.add(phi)
         assert len(line) == 10
         assert dual.psi_support({mu}) == line
+
+
+def test_hyperlines_are_one_table_built_once():
+    # every hyperline is read off one table, which is all the duality
+    # stores beside its geometry
+    dual = E6Duality()
+    sums = {dual.phi_weight(tuple(a + b for a, b in zip(W1, y)))
+            for y in dual.weights}
+    assert dual.psi_support({W1}) == sums & dual.weights
     table = vars(dual)["_hyperlines"]
     assert set(vars(dual)) == {"rs", "geometry", "weights", "_hyperlines"}
     assert table.keys() == dual.weights

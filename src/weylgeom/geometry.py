@@ -54,9 +54,11 @@ class Geometry:
 
     @cached_property
     def reflections(self):
-        """[{w: s_i w} for each node i] on V's weights, built on first read;
-        every apartment walk of this geometry reads these tables."""
-        return [{w: self.rs.reflect(i, w) for w in self.weights}
+        """[{w: s_i w} for each node i] on V's weights, built on first read,
+        each s_i w the member of weights equal to it: the apartment walks'
+        lookups of the supports they build then hit by identity."""
+        own = {w: w for w in self.weights}
+        return [{w: own[self.rs.reflect(i, w)] for w in self.weights}
                 for i in self.rs.nodes]
 
     def delta_space(self, delta):
@@ -156,14 +158,14 @@ def translate_support(rs, i, support):
 
 def apartment_objects(geometry, delta):
     """All Weyl translates of the standard delta-space, by level, the
-    standard object first, then in the order orbit_steps walks W.omega_delta.
+    standard object first, then in the order orbit_steps would walk
+    W.omega_delta: both walk its tree by rs.moves.
 
     An object is fixed by its point u in W.omega_delta (see object_point),
     so objects and points correspond one to one, commuting with each s_i.
-    Walking the points as a tree, each support is built at once as the
-    frozenset of its parent's under s_i, read off geometry.reflections, and
-    kept at its walk position.  An apartment of more than MAX_WEIGHTS
-    weights is refused before the walk.
+    The walk carries each point, packed into an int, with its support: the
+    frozenset of its parent's under s_i, read off geometry.reflections.  An
+    apartment of more than MAX_WEIGHTS weights is refused before the walk.
     """
     rs = geometry.rs
     std = geometry.delta_space(delta).support
@@ -173,9 +175,25 @@ def apartment_objects(geometry, delta):
         raise RefusedError("apartment of %d weights, above the limit of %d"
                            % (size, MAX_WEIGHTS))
     tables = [t.__getitem__ for t in geometry.reflections]
-    supports = [std]
-    for _, _, p, i in rs.orbit_steps(top):
-        supports.append(frozenset(map(tables[i - 1], supports[p])))
+    # u_j + 8 in bits 4j..4j+3: u_j pairs omega_delta with a coroot, so |u_j|
+    # is a dual root coefficient, at most 6 (E8); orbit_size refused more
+    shifts = range(0, 4 * rs.rank, 4)
+    rows = [sum(r << k for r, k in zip(row, shifts)) for row in rs.cartan]
+    signs = [sum(8 << k for k in shifts[:i]) for i in range(len(shifts) + 1)]
+    moves, supports = rs.moves, [std]
+    frontier = [(signs[-1] + (1 << shifts[delta - 1]), rs.rank, std)]
+    while frontier:
+        new = []
+        for x, f, s in frontier:
+            for i in moves[f]:
+                c = (x >> shifts[i] & 15) - 8
+                if c > 0:
+                    y = x - c * rows[i]
+                    if i < f or y & signs[i] == signs[i]:
+                        t = frozenset(map(tables[i], s))
+                        new.append((y, i, t))
+                        supports.append(t)
+        frontier = new
     return [ApartmentObject(delta, s) for s in supports]
 
 

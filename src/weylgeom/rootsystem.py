@@ -315,16 +315,11 @@ class RootSystem:
         its first negative coordinate, and its level is
         #{alpha > 0 : (y, alpha) < 0}, the length of the shortest element
         carrying top to y (Humphreys, Reflection Groups and Coxeter Groups,
-        1.6-1.10).  From x, whose first negative coordinate f is where its
-        parent stepped, s_i x (x_i > 0) is kept when i is its first negative
-        coordinate: at once when i < f, and never when s_i fixes x_f < 0,
-        so moves[f] lists the i < f and the neighbours i > f of f.  s_i x
-        differs from x only at i and at i's diagram neighbours."""
-        n = self.rank
+        1.6-1.10).  From x it tries self.moves[f], f where x's parent
+        stepped; s_i x differs from x only at i and i's diagram neighbours."""
+        n, moves = self.rank, self.moves
         links = [[(j, r) for j, r in enumerate(row) if r and j != i]
                  for i, row in enumerate(self.cartan)]
-        moves = [list(range(f)) + [i for i in range(f + 1, n)
-                                   if self.cartan[i][f]] for f in range(n + 1)]
         top = self.check_weight(top, dominant=True)
         frontier, level, pos = [(top, n, 0)], 0, 0
         while frontier:
@@ -344,6 +339,17 @@ class RootSystem:
                             new.append((y, i, pos))
                             yield y, level, p, i + 1
             frontier = new
+
+    @cached_property
+    def moves(self):
+        """The orbit walks' tree rule, 0-based: from x, whose parent stepped
+        at its first negative coordinate f (f = rank at the top), s_i x
+        (x_i > 0) is kept when i is its first negative coordinate: at once
+        when i < f, never when s_i fixes x_f < 0; so moves[f] lists the
+        i < f and the neighbours i > f of f."""
+        n = self.rank
+        return [list(range(f)) + [i for i in range(f + 1, n)
+                                  if self.cartan[i][f]] for f in range(n + 1)]
 
     def orbit_size(self, w):
         """|W.w| = |W|/|W_J|, J the zeros of the dominant form of w."""

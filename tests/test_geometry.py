@@ -216,12 +216,20 @@ def _refuse_walk(self, top):
     raise AssertionError("orbit walked")
 
 
+def _refuse_tables(self):
+    raise AssertionError("reflection tables read")
+
+
 def test_e8_node4_apartment_is_refused_before_the_walk(monkeypatch):
-    # E8 beta = 8, delta = 4: 483,840 objects of 5 weights each
+    # E8 beta = 8, delta = 4: 483,840 objects of 5 weights each; the walk
+    # begins by reading the geometry's reflection tables
     g = geom("E8", 8)
     assert len(g.delta_space(4).support) == 5
+    small = geom("A2", 1)
 
-    monkeypatch.setattr(RootSystem, "orbit_steps", _refuse_walk)
+    monkeypatch.setattr(Geometry, "reflections", property(_refuse_tables))
+    with pytest.raises(AssertionError, match="tables read"):
+        apartment_objects(small, 1)
     with pytest.raises(RefusedError, match="2419200 weights"):
         apartment_objects(g, 4)
 
@@ -269,6 +277,16 @@ def test_reflection_tables_are_the_reflections(rs, beta):
     for i in rs.nodes:
         assert g.reflections[i - 1] == {w: rs.reflect(i, w)
                                         for w in g.weights}, i
+
+
+@pytest.mark.parametrize("name,beta", [("E6", 1), ("E7", 7), ("B4", 1)])
+def test_reflection_tables_return_the_weights_themselves(name, beta):
+    # each s_i w is the member of g.weights equal to it, not a new tuple,
+    # so the apartment walk's table lookups find their keys by identity
+    g = geom(name, beta)
+    own = {w: w for w in g.weights}
+    for i, table in enumerate(g.reflections, 1):
+        assert all(v is own[v] for v in table.values()), i
 
 
 def test_reflection_tables_are_built_once_per_geometry(monkeypatch):
@@ -872,18 +890,38 @@ def _point_keyed_walk(g, delta):
     return list(supports.values())
 
 
+# F4 renumbered so that its node 4 is node 3: beta = 3 there is the 26
+RELABELLED_F4 = (3, 1, 4, 2)
+# A2 x B2 x A1, the middle block reversed
+BLOCK_SUM = ((2, -1, 0, 0, 0), (-1, 2, 0, 0, 0), (0, 0, 2, -1, 0),
+             (0, 0, -2, 2, 0), (0, 0, 0, 0, 2))
+# after the relabelled E6 come five geometries whose apartments the
+# benchmark walks, a relabelled F4 and every beta of a block sum, whose
+# types are the nodes of beta's component
 POINT_WALK_CASES = [("E7", 7), ("B4", 1), ("G2", 2), ("D5", 5), ("F4", 4),
-                    ("E6 relabelled", 4)]
+                    ("E6 relabelled", 4), ("A5", 2), ("A6", 1), ("A8", 4),
+                    ("D6", 1), ("D7", 7), ("F4 relabelled", 3)] + [
+                        ("A2+B2+A1", beta) for beta in range(1, 6)]
 
 
 @pytest.mark.parametrize("name,beta", POINT_WALK_CASES,
                          ids=["%s-%d" % c for c in POINT_WALK_CASES])
 def test_position_walk_is_the_point_keyed_walk(name, beta):
+    # apartment_objects walks packed points, and the reference walks
+    # orbit_steps' tuples: equal supports in equal order
+    deltas = None
     if name == "E6 relabelled":
         g = Geometry(_relabelled("E6", RELABELLED_E6), beta)
+    elif name == "F4 relabelled":
+        assert RELABELLED_F4[beta - 1] == 4
+        g = Geometry(_relabelled("F4", RELABELLED_F4), beta)
+        assert len(g.weights) == 25
+    elif name == "A2+B2+A1":
+        g = Geometry(RootSystem(BLOCK_SUM), beta)
+        deltas = sorted(g.rs.component_of(beta, ()))
     else:
         g = geom(name, beta)
-    for delta in g.rs.nodes:
+    for delta in deltas or g.rs.nodes:
         assert [o.support for o in apartment_objects(g, delta)] \
             == _point_keyed_walk(g, delta), delta
 

@@ -351,6 +351,18 @@ def test_walk_levels_count_the_minimal_coset_representatives(name, delta):
     assert _poly_mul(counts, levi) == _poincare(rs)
 
 
+@pytest.mark.parametrize("name,delta", LEVEL_CASES,
+                         ids=["%s-%d" % c for c in LEVEL_CASES])
+def test_orbit_coordinates_fit_four_bit_fields(name, delta):
+    # apartment_objects packs each point of W.omega_delta into 4-bit fields
+    # biased by 8; a coordinate pairs omega_delta with a coroot, so it is at
+    # most a root coefficient of the dual system in size, at most 6
+    rs = RootSystem.named(name)
+    top = rs.fundamental_weight(delta)
+    assert {x for y, _, _, _ in rs.orbit_steps(top) for x in y} \
+        <= set(range(-6, 7))
+
+
 def test_level_cases_cover_the_small_orbits():
     # D3 = A3 counted under both names
     assert len(LEVEL_CASES) == 162

@@ -269,9 +269,7 @@ def irrep_character(rs, lam):
                            % (dim, MAX_WEIGHTS))
     out = {}
     for mu, m in dominant_character(rs, lam).items():
-        out[mu] = m
-        for w, _, _, _ in rs.orbit_steps(mu):
-            out[w] = m
+        out.update(dict.fromkeys(rs.orbit(mu), m))
     return FormalCharacter(out)
 
 

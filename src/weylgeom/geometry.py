@@ -68,14 +68,19 @@ class Geometry:
 
 
 class DeltaSpace:
-    """The standard delta-space of a geometry; its dimension is the sum of
-    V's multiplicities over its support."""
+    """The standard delta-space of a geometry, delta in beta's component;
+    its dimension is the sum of V's multiplicities over its support."""
 
     def __init__(self, geometry, delta):
         rs = geometry.rs
         self.geometry = geometry
         self.delta = delta
         self.component = rs.delta_component(geometry.beta, delta)
+        # delta lies in beta's component iff it is beta or borders component
+        if delta != geometry.beta and not any(
+                rs.cartan[delta - 1][j - 1] for j in self.component):
+            raise ValueError("type %d is outside the component of beta = %d"
+                             % (delta, geometry.beta))
         levels = descent(rs, geometry.weights, geometry.hw, self.component)
         self.support = frozenset(levels)
         self.dimension = sum(geometry.char.weights[w] for w in self.support)
@@ -158,8 +163,8 @@ def translate_support(rs, i, support):
 
 def apartment_objects(geometry, delta):
     """All Weyl translates of the standard delta-space, by level, the
-    standard object first, then in the order orbit_steps would walk
-    W.omega_delta: both walk its tree by rs.moves.
+    standard object first, in the order of rs.orbit(omega_delta): both walk
+    its tree by rs.moves.
 
     An object is fixed by its point u in W.omega_delta (see object_point),
     so objects and points correspond one to one, commuting with each s_i.

@@ -61,37 +61,27 @@ class cached_property:
         return value
 
 
-def _path_edges(n):
-    return [(i, i + 1) for i in range(1, n)]
-
-
-def _family_edges(family, n):
-    """Edges as 1-based pairs; E uses the chain 1-3-4-...-n with 2 on 4."""
-    if family in "ABC":
-        return _path_edges(n)
-    if family == "D":
-        return _path_edges(n - 1) + [(n - 2, n)]
-    if family == "E":
-        return [(1, 3), (2, 4)] + [(i, i + 1) for i in range(3, n)]
-    if family == "F":
-        return _path_edges(4)
-    if family == "G":
-        return [(1, 2)]
-    raise ValueError(family)
-
-
 def family_cartan(family, rank):
-    """Cartan matrix (row convention) of a named family."""
+    """Cartan matrix (row convention) of a named family.  Its edges are the
+    path 1-2-...-n, but for D the last is (n-2, n) and for E the first two
+    are (1, 3) and (2, 4): the chain 1-3-4-...-n with 2 on 4."""
+    if family not in _RANK_RANGE:
+        raise ValueError("no family %r" % (family,))
     lo, hi = _RANK_RANGE[family]
     if rank < lo or (hi is not None and rank > hi):
         raise ValueError("no system %s%d" % (family, rank))
     if rank * rank > MAX_WEIGHTS:
         raise RefusedError("the Cartan matrix of %s%d has %d entries, more "
                            "than %d" % (family, rank, rank * rank, MAX_WEIGHTS))
+    edges = [(i, i + 1) for i in range(1, rank)]
+    if family == "D":
+        edges[-1] = (rank - 2, rank)
+    elif family == "E":
+        edges[:2] = [(1, 3), (2, 4)]
     c = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         c[i][i] = 2
-    for i, j in _family_edges(family, rank):
+    for i, j in edges:
         c[i - 1][j - 1] = -1
         c[j - 1][i - 1] = -1
     if family == "B":
@@ -298,34 +288,29 @@ class RootSystem:
 
     def weyl_orbit(self, w):
         """Weyl orbit of w as a lex-descending sorted list of weights;
-        refused above MAX_WEIGHTS before orbit_steps walks it."""
+        refused above MAX_WEIGHTS before the orbit is walked."""
         size = self.orbit_size(w)
         if size > MAX_WEIGHTS:
             raise RefusedError("orbit of %d weights, above the limit of %d"
                                % (size, MAX_WEIGHTS))
-        top = self.dominant_rep(w)
-        return sorted([top] + [y for y, _, _, _ in self.orbit_steps(top)],
-                      reverse=True)
+        return sorted(self.orbit(self.dominant_rep(w)), reverse=True)
 
-    def orbit_steps(self, top):
-        """Walk W.top, top a dominant weight (checked once, ValueError
-        otherwise), as a tree, level by level: yield (y, level, p, i) with
-        y = s_i x once for each y != top, x the parent at walk position p
-        (top is 0, the k-th y yielded is k).  The parent of y is s_j y, j
-        its first negative coordinate, and its level is
-        #{alpha > 0 : (y, alpha) < 0}, the length of the shortest element
+    def orbit(self, top):
+        """W.top as a list, top a dominant weight (checked once, ValueError
+        otherwise): top first, then level by level, walked as a tree.  The
+        parent of y is s_j y, j its first negative coordinate, and its level
+        is #{alpha > 0 : (y, alpha) < 0}, the length of the shortest element
         carrying top to y (Humphreys, Reflection Groups and Coxeter Groups,
         1.6-1.10).  From x it tries self.moves[f], f where x's parent
         stepped; s_i x differs from x only at i and i's diagram neighbours."""
-        n, moves = self.rank, self.moves
+        moves = self.moves
         links = [[(j, r) for j, r in enumerate(row) if r and j != i]
                  for i, row in enumerate(self.cartan)]
         top = self.check_weight(top, dominant=True)
-        frontier, level, pos = [(top, n, 0)], 0, 0
+        out, frontier = [top], [(top, self.rank)]
         while frontier:
-            level += 1
             new = []
-            for x, f, p in frontier:
+            for x, f in frontier:
                 for i in moves[f]:
                     c = x[i]
                     if c > 0:
@@ -335,10 +320,10 @@ class RootSystem:
                             y[j] -= c * r
                         if i < f or min(y[:i]) >= 0:
                             y = tuple(y)
-                            pos += 1
-                            new.append((y, i, pos))
-                            yield y, level, p, i + 1
+                            out.append(y)
+                            new.append((y, i))
             frontier = new
+        return out
 
     @cached_property
     def moves(self):
@@ -474,11 +459,8 @@ class RootSystem:
     def is_connected(self, nodes=None):
         nodes = set(self.nodes if nodes is None
                     else map(self.check_node, nodes))
-        if not nodes:
-            return True
-        start = next(iter(nodes))
-        return closure([start], lambda i: (
-            j for j in self.neighbors(i) if j in nodes)).keys() == nodes
+        return not nodes or self.component_of(
+            min(nodes), set(self.nodes) - nodes) == nodes
 
     def component_of(self, node, removed):
         """Connected component of `node` in the diagram minus `removed`."""

@@ -584,6 +584,13 @@ def test_power_decompositions_at_degree_zero_and_below():
         power_decompositions(a2, (1, 0), -1)
 
 
+def test_symmetric_power_refuses_an_empty_character_and_a_negative_degree():
+    with pytest.raises(ValueError, match="^empty character$"):
+        symmetric_power(FormalCharacter(), 2)
+    with pytest.raises(ValueError, match="^negative power$"):
+        symmetric_power(irrep_character(rs("A2"), (1, 0)), -1)
+
+
 def test_klimyk_triple_is_the_peeled_triple():
     # V(w1) x V(w3) x V(w4) of D4 as two Klimyk products, never expanded
     d4 = rs("D4")

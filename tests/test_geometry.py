@@ -19,7 +19,7 @@ from weylgeom.geometry import (
     translate_support,
 )
 
-from root_reference import pair_root
+from root_reference import pair_root, parent_node
 
 W1 = (1, 0, 0, 0, 0, 0)
 L3 = (-1, 0, 1, 0, 0, 0)
@@ -241,7 +241,7 @@ def test_e8_node4_geometry_is_refused_before_any_work(monkeypatch):
     def refuse(seeds, step):
         raise AssertionError("closure called")
     monkeypatch.setattr(charring, "closure", refuse)
-    monkeypatch.setattr(RootSystem, "orbit_steps", _refuse_walk)
+    monkeypatch.setattr(RootSystem, "orbit", _refuse_walk)
     with pytest.raises(RefusedError):
         Geometry(e8, 4)
 
@@ -839,14 +839,13 @@ def _dict_table_walk(g, delta):
     tables = {i: {w: rs.reflect(i, w) for w in g.weights}
               for i in range(1, rs.rank + 1)}
     top = barycenter(std)
-    supports, levels, walked = {top: std}, {top: 0}, [top]
-    for y, level, p, i in rs.orbit_steps(top):
-        x = walked[p]
-        assert levels[x] == level - 1 and y == rs.reflect(i, x)
+    supports, levels = {top: std}, {top: 0}
+    for y in rs.orbit(top)[1:]:
+        i = parent_node(y)
+        x = rs.reflect(i, y)
         t = tables[i]
         supports[y] = frozenset([t[w] for w in supports[x]])
-        levels[y] = level
-        walked.append(y)
+        levels[y] = levels[x] + 1
     order = sorted(levels, key=lambda x: (levels[x],
                                           sorted(supports[x], reverse=True)))
     return [(ApartmentObject(delta, supports[x]), levels[x]) for x in order]
@@ -879,12 +878,14 @@ def test_position_walk_is_the_dict_table_walk(name, beta, deltas):
 
 def _point_keyed_walk(g, delta):
     """The supports of apartment_objects as they were while kept in a dict
-    keyed by point: the parent of y = s_i x is read as x = s_i y, and its
-    support reflected weight by weight; dict order is walk order."""
+    keyed by point: the parent of y = s_i x is read as x = s_i y, i the
+    first negative coordinate of y, and its support reflected weight by
+    weight; dict order is walk order."""
     rs = g.rs
     top = rs.fundamental_weight(delta)
     supports = {top: g.delta_space(delta).support}
-    for y, _, _, i in rs.orbit_steps(top):
+    for y in rs.orbit(top)[1:]:
+        i = parent_node(y)
         supports[y] = frozenset(rs.reflect(i, w)
                                 for w in supports[rs.reflect(i, y)])
     return list(supports.values())
@@ -904,12 +905,9 @@ POINT_WALK_CASES = [("E7", 7), ("B4", 1), ("G2", 2), ("D5", 5), ("F4", 4),
                         ("A2+B2+A1", beta) for beta in range(1, 6)]
 
 
-@pytest.mark.parametrize("name,beta", POINT_WALK_CASES,
-                         ids=["%s-%d" % c for c in POINT_WALK_CASES])
-def test_position_walk_is_the_point_keyed_walk(name, beta):
-    # apartment_objects walks packed points, and the reference walks
-    # orbit_steps' tuples: equal supports in equal order
-    deltas = None
+def _point_walk_geometry(name, beta):
+    """The geometry of a POINT_WALK_CASES entry and its types, the nodes of
+    beta's component."""
     if name == "E6 relabelled":
         g = Geometry(_relabelled("E6", RELABELLED_E6), beta)
     elif name == "F4 relabelled":
@@ -918,12 +916,67 @@ def test_position_walk_is_the_point_keyed_walk(name, beta):
         assert len(g.weights) == 25
     elif name == "A2+B2+A1":
         g = Geometry(RootSystem(BLOCK_SUM), beta)
-        deltas = sorted(g.rs.component_of(beta, ()))
     else:
         g = geom(name, beta)
-    for delta in deltas or g.rs.nodes:
+    return g, sorted(g.rs.component_of(beta, ()))
+
+
+@pytest.mark.parametrize("name,beta", POINT_WALK_CASES,
+                         ids=["%s-%d" % c for c in POINT_WALK_CASES])
+def test_position_walk_is_the_point_keyed_walk(name, beta):
+    # apartment_objects walks packed points, and the reference walks
+    # rs.orbit's tuples: equal supports in equal order
+    g, deltas = _point_walk_geometry(name, beta)
+    for delta in deltas:
         assert [o.support for o in apartment_objects(g, delta)] \
             == _point_keyed_walk(g, delta), delta
+
+
+@pytest.mark.parametrize("name,beta", POINT_WALK_CASES,
+                         ids=["%s-%d" % c for c in POINT_WALK_CASES])
+def test_apartment_walk_visits_the_orbit_in_its_order(name, beta):
+    # apartment_objects keeps its own walk of W.omega_delta, on packed
+    # points; it must visit the points of rs.orbit in the same order
+    g, deltas = _point_walk_geometry(name, beta)
+    rs = g.rs
+    for delta in deltas:
+        assert [object_point(g, delta, o.support)
+                for o in apartment_objects(g, delta)] \
+            == rs.orbit(rs.fundamental_weight(delta)), delta
+
+
+# the standard supports of the block sum, by (beta, delta), for every delta
+# of beta's component
+BLOCK_SUM_SUPPORTS = {
+    (1, 1): {(1, 0, 0, 0, 0)}, (1, 2): {(1, 0, 0, 0, 0), (-1, 1, 0, 0, 0)},
+    (2, 1): {(1, -1, 0, 0, 0), (0, 1, 0, 0, 0)}, (2, 2): {(0, 1, 0, 0, 0)},
+    (3, 3): {(0, 0, 1, 0, 0)}, (3, 4): {(0, 0, 1, 0, 0), (0, 0, -1, 1, 0)},
+    (4, 3): {(0, 0, 2, -1, 0), (0, 0, 0, 1, 0)}, (4, 4): {(0, 0, 0, 1, 0)},
+    (5, 5): {(0, 0, 0, 0, 1)}}
+
+
+@pytest.mark.parametrize("beta", range(1, 6))
+def test_a_type_outside_the_component_of_beta_is_refused(beta):
+    # A2+B2+A1: each delta of beta's component keeps its support, and every
+    # other delta is refused by a ValueError naming delta and beta
+    g = Geometry(RootSystem(BLOCK_SUM), beta)
+    comp = g.rs.component_of(beta, ())
+    assert comp == {d for b, d in BLOCK_SUM_SUPPORTS if b == beta}
+    for delta in g.rs.nodes:
+        if delta in comp:
+            assert g.delta_space(delta).support \
+                == BLOCK_SUM_SUPPORTS[beta, delta], delta
+            continue
+        message = ("^type %d is outside the component of beta = %d$"
+                   % (delta, beta))
+        for call in (g.delta_space, lambda d: apartment_objects(g, d),
+                     lambda d: object_point(g, d, {g.hw})):
+            with pytest.raises(ValueError, match=message):
+                call(delta)
+    # the whole diagram stops at the first node outside
+    first = min(set(g.rs.nodes) - comp)
+    with pytest.raises(ValueError, match="^type %d is outside" % first):
+        dimension_diagram(g)
 
 
 # the descent walk against the depth filter it replaced

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import re
 import time
@@ -23,7 +24,7 @@ from weylgeom.rootsystem import (
     symmetrizer,
 )
 
-from root_reference import pair_root, root_fw, root_norm2
+from root_reference import pair_root, parent_node, root_fw, root_norm2
 
 # every named system of rank at most 8
 SYSTEMS = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
@@ -40,6 +41,30 @@ def test_family_cartan_fixtures():
     assert f4[1][2] == -2 and f4[2][1] == -1
     e6 = family_cartan("E", 6)
     assert e6[0][2] == -1 and e6[1][3] == -1 and e6[0][1] == 0
+
+
+def test_an_unknown_family_is_refused():
+    with pytest.raises(ValueError, match="^no family 'H'$"):
+        family_cartan("H", 3)
+
+
+@pytest.mark.parametrize("cartan,message", [
+    ([[2, 1], [1, 2]], "off-diagonal entries must be <= 0"),
+    ([[2, -1], [0, 2]], "zero pattern must be symmetric"),
+    ([[3, -1], [-1, 2]], "diagonal of a Cartan matrix is 2"),
+    ([[2, -1]], "Cartan matrix must be square and nonempty"),
+    ([], "Cartan matrix must be square and nonempty")])
+def test_a_matrix_that_is_no_cartan_matrix_is_refused(cartan, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        RootSystem(cartan)
+
+
+def test_an_empty_or_removed_node_set_is_refused():
+    a3 = RootSystem.named("A3")
+    with pytest.raises(ValueError, match="^empty node set$"):
+        a3.restricted([])
+    with pytest.raises(ValueError, match="^node 2 was removed$"):
+        a3.component_of(2, {2})
 
 
 def test_symmetrizer_tables():
@@ -298,14 +323,17 @@ def test_closure_words_are_reduced(name):
 
 
 def _walk_levels(rs, top):
-    # each parent is read back from its position among the weights walked
-    levels, walked = {top: 0}, [top]
-    for y, level, p, i in rs.orbit_steps(top):
-        x = walked[p]
-        assert y not in levels and levels[x] == level - 1
-        assert y == rs.reflect(i, x)
-        levels[y] = level
-        walked.append(y)
+    # the parent of each y, s_j y for j its first negative coordinate, is
+    # walked before y and one level up; levels never decrease along the walk
+    walked = rs.orbit(top)
+    assert walked[0] == top
+    levels, deepest = {top: 0}, 0
+    for y in walked[1:]:
+        x = rs.reflect(parent_node(y), y)
+        assert y not in levels and x in levels
+        levels[y] = levels[x] + 1
+        assert levels[y] >= deepest
+        deepest = levels[y]
     return levels
 
 
@@ -339,12 +367,16 @@ def test_walk_levels_count_the_minimal_coset_representatives(name, delta):
     # the levels of W.omega_delta are the lengths of the minimal coset
     # representatives of W/W_J, J the nodes other than delta, so
     # sum q^level = W(q)/W_J(q) (Humphreys, Reflection Groups and Coxeter
-    # Groups, 1.11 and 3.15); compared as sum q^level * W_J(q) = W(q)
+    # Groups, 1.11 and 3.15); compared as sum q^level * W_J(q) = W(q).  The
+    # level of y is #{alpha > 0 : (y, alpha) < 0}, with (y, alpha) =
+    # sum_j d_j alpha_j y_j, and it never decreases along the walk
     rs = RootSystem.named(name)
-    counts = [1]
-    for _, level, _, _ in rs.orbit_steps(rs.fundamental_weight(delta)):
-        if level == len(counts):
-            counts.append(0)
+    pairings = [[d * a for d, a in zip(rs.d, q)] for q in rs.positive_roots]
+    counts = [0]
+    for y in rs.orbit(rs.fundamental_weight(delta)):
+        level = sum(1 for p in pairings if sum(map(operator.mul, p, y)) < 0)
+        assert level >= len(counts) - 1
+        counts += [0] * (level + 1 - len(counts))
         counts[level] += 1
     rest = [i for i in range(1, rs.rank + 1) if i != delta]
     levi = _poincare(rs.restricted(rest)[0]) if rest else [1]
@@ -359,8 +391,7 @@ def test_orbit_coordinates_fit_four_bit_fields(name, delta):
     # most a root coefficient of the dual system in size, at most 6
     rs = RootSystem.named(name)
     top = rs.fundamental_weight(delta)
-    assert {x for y, _, _, _ in rs.orbit_steps(top) for x in y} \
-        <= set(range(-6, 7))
+    assert {x for y in rs.orbit(top) for x in y} <= set(range(-6, 7))
 
 
 def test_level_cases_cover_the_small_orbits():
@@ -400,9 +431,9 @@ def test_walking_an_orbit_reflects_nothing_and_repeats_nothing(monkeypatch):
     def refuse(self, i, w):
         raise AssertionError("reflect called")
     monkeypatch.setattr(RootSystem, "reflect", refuse)
-    walked = [y for y, _, _, _ in e7.orbit_steps(top)]
-    assert len(walked) == e7.orbit_size(top) - 1 == 10_079
-    assert len(set(walked)) == len(walked) and top not in walked
+    walked = e7.orbit(top)
+    assert len(walked) == e7.orbit_size(top) == 10_080
+    assert len(set(walked)) == len(walked) and walked[0] == top
 
 
 @pytest.mark.parametrize("top,message", [
@@ -413,7 +444,7 @@ def test_orbit_walk_refuses_a_top_that_is_no_dominant_weight(top, message):
     # each of these once walked: one step of a 3-point orbit, rank-3
     # tuples and floats
     with pytest.raises(ValueError, match=message):
-        list(RootSystem.named("A2").orbit_steps(top))
+        RootSystem.named("A2").orbit(top)
 
 
 def test_orbit_walk_checks_its_top_once(monkeypatch):
@@ -425,7 +456,7 @@ def test_orbit_walk_checks_its_top_once(monkeypatch):
         calls.append(dominant)
         return check(self, w, dominant)
     monkeypatch.setattr(RootSystem, "check_weight", counted)
-    assert sum(1 for _ in e7.orbit_steps(e7.fundamental_weight(4))) == 10_079
+    assert len(e7.orbit(e7.fundamental_weight(4))) == 10_080
     assert calls == [True]
 
 
@@ -725,7 +756,7 @@ def _refuse_walk(self, top):
 def test_regular_e8_orbit_is_refused_before_any_work(monkeypatch):
     e8 = RootSystem.named("E8")
     assert e8.orbit_size(e8.rho) == 696_729_600
-    monkeypatch.setattr(RootSystem, "orbit_steps", _refuse_walk)
+    monkeypatch.setattr(RootSystem, "orbit", _refuse_walk)
     with pytest.raises(RefusedError):
         e8.weyl_orbit(e8.rho)
 
@@ -764,7 +795,7 @@ def test_weight_limit_sits_between_the_largest_built_and_refused(
     assert (dim > MAX_WEIGHTS) == refused
     if refused:
         monkeypatch.setattr(charring, "closure", _refuse_closure)
-        monkeypatch.setattr(RootSystem, "orbit_steps", _refuse_walk)
+        monkeypatch.setattr(RootSystem, "orbit", _refuse_walk)
         with pytest.raises(RefusedError):
             irrep_character(system, lam)
 
@@ -940,14 +971,11 @@ def test_named_accepts_what_the_old_pattern_accepted():
 # the sparse orbit walk against the dense-row walk it replaced
 
 
-def _dense_orbit_steps(rs, top):
-    """orbit_steps as it was before it went sparse: every candidate s_i x
-    is built from the whole of row i; the parent's walk position is looked
-    up by its point."""
-    position = {tuple(top): 0}
-    frontier, level = [(tuple(top), rs.rank)], 0
+def _dense_orbit_points(rs, top):
+    """The points of the orbit walk as it was before it went sparse, top
+    excluded: every candidate s_i x is built from the whole of row i."""
+    frontier = [(tuple(top), rs.rank)]
     while frontier:
-        level += 1
         new = []
         for x, f in frontier:
             for i, (c, row) in enumerate(zip(x, rs.cartan)):
@@ -955,8 +983,7 @@ def _dense_orbit_steps(rs, top):
                     y = tuple([a - c * r for a, r in zip(x, row)])
                     if i < f or min(y[:i]) >= 0:
                         new.append((y, i))
-                        position[y] = len(position)
-                        yield y, level, position[x], i + 1
+                        yield y
         frontier = new
 
 
@@ -993,7 +1020,7 @@ SPARSE_WALK_CASES = list(_sparse_walk_cases())
                          ids=[c[0] for c in SPARSE_WALK_CASES])
 def test_sparse_walk_is_the_dense_walk(cartan, top):
     rs = RootSystem(cartan)
-    assert list(rs.orbit_steps(top)) == list(_dense_orbit_steps(rs, top))
+    assert rs.orbit(top) == [top] + list(_dense_orbit_points(rs, top))
 
 
 def test_sparse_walk_cases_cover_the_named_shapes():

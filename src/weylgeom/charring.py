@@ -169,7 +169,10 @@ def _covers(rs, w):
 def dominant_weights_below(rs, lam, cost=1):
     """All dominant weights mu <= lam (coset of the root lattice), found by
     walking covers: subtract positive roots, keep dominant results.  The
-    walk stops, refused, once their number times cost passes MAX_WEIGHTS."""
+    walk stops, refused, once their number times cost (an int > 0) passes
+    MAX_WEIGHTS."""
+    if type(cost) is not int or cost < 1:
+        raise ValueError("cost %r is not a positive int" % (cost,))
     lam = rs.check_weight(lam, dominant=True)
     budget = iter(range(MAX_WEIGHTS // cost))
 

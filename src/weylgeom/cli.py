@@ -6,7 +6,8 @@ E6 duality, plus `verify`, which replays the acceptance checks in-process.
 
 Output is deterministic: JSON is rendered with sorted keys and every list
 has an explicit order.  Exit codes: 0 success, 1 internal consistency
-failure, 2 usage error, 3 refused computation.
+failure (ConsistencyError), 2 usage error (any ValueError), 3 refused
+computation (RefusedError).
 """
 
 import sys
@@ -35,10 +36,6 @@ from .geometry import (
 )
 from .rootsystem import ConsistencyError, RefusedError, RootSystem
 # .duality is imported inside its users, so other commands start without it
-
-
-class UsageError(Exception):
-    pass
 
 
 class CheckFailure(AssertionError):
@@ -491,31 +488,20 @@ def parse_int(text):
     return int(text)
 
 
-def parse_weight(text, rank):
+def parse_weight(text):
+    """A tuple of ints; the library checks its length and dominance."""
     try:
-        w = tuple(parse_int(x) for x in text.split(","))
+        return tuple(parse_int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError("weight must be comma-separated integers")
-    if len(w) != rank:
-        raise UsageError("weight needs %d coordinates" % rank)
-    return w
-
-
-def _system(name):
-    try:
-        return RootSystem.named(name)
-    except ValueError as e:
-        raise UsageError(str(e))
+        raise ValueError("weight must be comma-separated integers")
 
 
 def _geometry(args):
     """The geometry named by args.system and args.beta, or its default."""
-    rs = _system(args.system)
+    rs = RootSystem.named(args.system)
     beta = args.beta if args.beta is not None else default_beta(rs)
     if beta is None:
-        raise UsageError("no default node for %s; pass --beta" % rs.label)
-    if beta not in rs.nodes:
-        raise UsageError("--beta must lie between 1 and %d" % rs.rank)
+        raise ValueError("no default node for %s; pass --beta" % rs.label)
     return Geometry(rs, beta)
 
 
@@ -535,9 +521,7 @@ def cmd_dims(args):
 
 
 def cmd_hasse(args):
-    rs = _system(args.system)
-    if args.index not in rs.nodes:
-        raise UsageError("index out of range")
+    rs = RootSystem.named(args.system)
     lam = rs.fundamental_weight(args.index)
     nodes, edges = hasse_diagram(rs, lam)
     payload = {
@@ -553,8 +537,8 @@ def cmd_hasse(args):
 
 
 def cmd_orbit(args):
-    rs = _system(args.system)
-    w = parse_weight(args.weight, rs.rank)
+    rs = RootSystem.named(args.system)
+    w = parse_weight(args.weight)
     orbit = rs.weyl_orbit(w)
     return {
         "system": rs.label,
@@ -579,12 +563,10 @@ def invariants_payload(rs, w, max_degree):
 
 
 def cmd_invariants(args):
-    rs = _system(args.system)
-    w = parse_weight(args.weight, rs.rank)
-    if min(w) < 0:
-        raise UsageError("weight must be dominant")
+    rs = RootSystem.named(args.system)
+    w = parse_weight(args.weight)
     if args.max_degree < 1:
-        raise UsageError("--max-degree must be at least 1")
+        raise ValueError("--max-degree must be at least 1")
     return invariants_payload(rs, w, args.max_degree), {}
 
 
@@ -604,12 +586,8 @@ def branch_payload(name, rule, lam):
 
 def cmd_branch(args):
     rule = NAMED_BRANCHINGS[args.rule]()
-    if args.weight is not None:
-        lam = parse_weight(args.weight, rule.source.rank)
-        if min(lam) < 0:
-            raise UsageError("weight must be dominant")
-    else:
-        lam = rule.source.fundamental_weight(default_beta(rule.source))
+    lam = (rule.source.fundamental_weight(default_beta(rule.source))
+           if args.weight is None else parse_weight(args.weight))
     return branch_payload(args.rule, rule, lam), {}
 
 
@@ -744,7 +722,7 @@ def cmd_verify(args):
             continue
         try:
             fn()
-        except (CheckFailure, ConsistencyError) as e:
+        except (CheckFailure, ConsistencyError, ValueError) as e:
             print("FAIL %s: %s" % (name, e))
             failed += 1
         else:
@@ -806,7 +784,7 @@ class Args:
 
 def parse_args(argv):
     """The command line as Args, or None when it asks for help; a line
-    that does not fit SYNTAX raises UsageError.  The argument after an
+    that does not fit SYNTAX raises ValueError.  The argument after an
     option is its value, whatever it looks like, so -1,0 can be a weight."""
     command, given = None, []
     values = {}
@@ -817,22 +795,22 @@ def parse_args(argv):
         if arg.startswith("--"):
             name, eq, value = arg.partition("=")
             if name not in SYNTAX[command][2]:
-                raise UsageError("%r is not an option of %s"
+                raise ValueError("%r is not an option of %s"
                                  % (name, command or "weylgeom"))
             values[name] = value if eq else next(args, None)
             if values[name] is None:
-                raise UsageError("%s needs a value" % name)
+                raise ValueError("%s needs a value" % name)
         elif command is None:
             if arg not in SYNTAX:
-                raise UsageError("unknown command %r; see --help" % arg)
+                raise ValueError("unknown command %r; see --help" % arg)
             command = arg
         else:
             given.append(arg)
     if command is None:
-        raise UsageError("no command given; see --help")
+        raise ValueError("no command given; see --help")
     positionals = SYNTAX[command][1]
     if len(given) > len(positionals):
-        raise UsageError("unexpected argument %r" % given[len(positionals)])
+        raise ValueError("unexpected argument %r" % given[len(positionals)])
     values.update(zip(positionals, given))
     out = Args()
     out.command = command
@@ -841,14 +819,14 @@ def parse_args(argv):
             kind, default = specs.get(name, (str, None))
             value = values.get(name, default)
             if value is None and name in positionals:
-                raise UsageError("%s needs a %s" % (command, name))
+                raise ValueError("%s needs a %s" % (command, name))
             try:
                 value = value if value is None else kind(value)
             except ValueError:
-                raise UsageError("%s must be an integer, got %r"
+                raise ValueError("%s must be an integer, got %r"
                                  % (name, value))
             if name in choices and value not in choices[name]:
-                raise UsageError("%s must be one of %s; got %r"
+                raise ValueError("%s must be one of %s; got %r"
                                  % (name, ", ".join(choices[name]), value))
             setattr(out, name.lstrip("-").replace("-", "_"), value)
     return out
@@ -871,10 +849,10 @@ def main(argv=None):
         elif args.format == "ascii":
             text = "\n".join(emit_ascii(payload)) + "\n"
         else:
-            raise UsageError("no %s rendering for this command" % args.format)
+            raise ValueError("no %s rendering for this command" % args.format)
         sys.stdout.write(text)
         return 0
-    except UsageError as e:
+    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RefusedError as e:

@@ -1032,6 +1032,28 @@ def test_dominant_character_checks_before_its_table_lookup(monkeypatch):
         dominant_character(a2, (1.0, 0))
 
 
+@pytest.mark.parametrize("cost", [0, -1, True, 1.5], ids=repr)
+def test_dominant_weights_below_refuses_a_cost_that_is_no_positive_int(
+        monkeypatch, cost):
+    # before the walk, as check_node refuses a node: 0 would divide by zero,
+    # -1 would be refused as a walk too large, and True would count as 1
+    def walked(system, w):
+        raise AssertionError("the walk took a step")
+
+    monkeypatch.setattr(charring, "_covers", walked)
+    with pytest.raises(ValueError, match=r"^cost %s is not a positive int$"
+                       % re.escape(repr(cost))):
+        dominant_weights_below(rs("A2"), (1, 1), cost)
+
+
+def test_dominant_weights_below_takes_a_positive_int_cost():
+    a2 = rs("A2")
+    assert dominant_weights_below(a2, (1, 1), 1) == {(1, 1), (0, 0)}
+    assert dominant_weights_below(a2, (1, 1), 500_000) == {(1, 1), (0, 0)}
+    with pytest.raises(RefusedError):
+        dominant_weights_below(a2, (1, 1), 500_001)
+
+
 def test_a_malformed_weight_is_refused_before_the_walk(monkeypatch):
     def walked(system, w):
         raise AssertionError("the walk took a step")

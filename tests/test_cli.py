@@ -236,8 +236,23 @@ def test_verify_unknown_name(capsys):
 
 
 def test_hasse_index_off_the_diagram(capsys):
+    # refused by RootSystem.check_node, through fundamental_weight
     assert cli.main(["hasse", "E6", "0"]) == 2
-    assert _one_line_error(capsys) == "error: index out of range\n"
+    assert _one_line_error(capsys) == "error: node 0 out of range\n"
+
+
+def test_verify_reports_a_check_that_raises_a_value_error(capsys,
+                                                         monkeypatch):
+    # exit 2 is a bad command line, never a check that crashed
+    def crash():
+        raise ValueError("planted")
+
+    monkeypatch.setattr(cli, "ACCEPTANCE_CHECKS",
+                        (("planted", crash),) + cli.ACCEPTANCE_CHECKS[1:])
+    assert cli.main(["verify", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL planted: planted"
+    assert [line.split()[0] for line in lines[1:]] == ["PASS"] * 9
 
 
 def test_verify_reports_a_failed_check(capsys, monkeypatch):
@@ -367,8 +382,62 @@ def test_usage_error_max_degree_below_one(capsys, degree):
     ["branch", "e6-levi-d5", "--weight", "-1,0,0,0,0,0"],
 ])
 def test_negative_weight_is_a_value(capsys, argv):
+    # refused by RootSystem.check_weight, which names the weight
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "error: weight must be dominant\n"
+    assert capsys.readouterr().err == ("error: %r is not dominant\n"
+                                       % (cli.parse_weight(argv[-1]),))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["hasse", "E6", "0"], "node 0 out of range"),
+    (["dims", "E6", "--beta", "9"], "node 9 out of range"),
+    (["orbit", "A2", "1,0,0"], "(1, 0, 0) is not a weight of rank 2"),
+    (["invariants", "A2", "-1,0"], "(-1, 0) is not dominant"),
+    (["branch", "e6-levi-d5", "--weight", "-1,0,0,0,0,0"],
+     "(-1, 0, 0, 0, 0, 0) is not dominant"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_a_library_refusal_is_a_usage_error(capsys, argv, message):
+    # main answers the library's ValueError with its message and exit 2
+    assert cli.main(argv) == 2
+    assert _one_line_error(capsys) == "error: %s\n" % message
+
+
+SWEEP_LINES = [
+    ["dims", "E6"], ["dims", "F4", "--beta", "4"], ["hasse", "A2", "1"],
+    ["orbit", "B3", "1,0,0"],
+    ["invariants", "A2", "1,0", "--max-degree", "2"],
+    ["branch", "e6-fold-f4", "--weight", "1,0,0,0,0,0"], ["incidence", "F4"],
+    ["incidence", "A4", "--beta", "1"],
+]
+SWEEP_VALUES = ["", "0", "-1", "9", "1,,0", "1,0,0,0,0,0,0,0,0",
+                "-1,0,0,0,0,0", "Q6", "A0", "E9", "x", "E8"]
+
+
+def test_every_bad_value_ends_in_one_line(capsys):
+    # each positional or option value of a golden-style line, replaced in
+    # turn by each sweep value: an answer, or one line and exit 2 or 3
+    codes = {}
+    for line in SWEEP_LINES:
+        for i, word in enumerate(line):
+            if i == 0 or word.startswith("--"):
+                continue
+            for value in SWEEP_VALUES:
+                argv = line[:i] + [value] + line[i + 1:]
+                code = cli.main(argv)
+                captured = capsys.readouterr()
+                codes[code] = codes.get(code, 0) + 1
+                if code == 0:
+                    assert captured.err == "", argv
+                    continue
+                prefix = {2: "error: ", 3: "refused: "}.get(code)
+                assert prefix is not None, (argv, code)
+                assert captured.out == "", argv
+                assert captured.err.startswith(prefix), argv
+                assert captured.err.count("\n") == 1, argv
+                assert captured.err.endswith("\n"), argv
+    # dims E8 --beta 4 is refused; hasse E8 1, incidence E8 --beta 1 and
+    # invariants A2 1,0 --max-degree 9 answer
+    assert codes == {2: 176, 3: 1, 0: 3}
 
 
 def test_orbit_of_a_negative_weight(capsys):
@@ -626,6 +695,29 @@ def test_only_check_node_decides_a_node():
     assert ranges == [("rootsystem.py", "__init__")]
     assert refusals == [("rootsystem.py", "check_node")]
     assert not hasattr(RootSystem, "alpha_fw")
+
+
+def test_cli_leaves_nodes_weights_and_dominance_to_the_library():
+    # static: main answers the library's ValueError with exit 2, so cli.py
+    # tests no node set, no weight's length or sign, and raises no error
+    # class of its own for a usage error
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            text = ast.unparse(node)
+            if (any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+                    and any(ast.unparse(c).endswith("nodes")
+                            for c in node.comparators)):
+                found.append(text)
+            elif "rank" in text or text.startswith("min("):
+                found.append(text)
+        elif "UsageError" in (getattr(node, "id", None),
+                              getattr(node, "attr", None),
+                              getattr(node, "name", None)):
+            found.append(ast.unparse(node))
+    assert found == []
+    assert not hasattr(cli, "UsageError") and not hasattr(cli, "_system")
 
 
 @pytest.mark.parametrize("argv,system", [

@@ -16,7 +16,8 @@ from weylgeom.duality import (
     zero_sum_triple_orbits,
 )
 from weylgeom import duality, geometry
-from weylgeom.geometry import Geometry, apartment_objects, barycenter
+from weylgeom.geometry import (Geometry, apartment_objects, barycenter,
+                               translate_support)
 
 W1 = (1, 0, 0, 0, 0, 0)
 L3 = (-1, 0, 1, 0, 0, 0)
@@ -723,6 +724,18 @@ def test_an_op_that_merges_types_is_no_automorphism(tri):
         g, lambda d, s: (merged[d], tri.psi(d, s)[1]))
     assert not chamber_automorphism_check(
         g, lambda d, s: (5 if d == 3 else tri.PHI[d], tri.psi(d, s)[1]))
+
+
+def test_a_standard_space_must_go_to_a_standard_space():
+    # on A1 an op can commute with s_1 and still move the standard space:
+    # (d, S) -> (d, s_1 S_std) is constant, so only the standard-space test
+    # refuses it
+    g = Geometry(RootSystem.named("A1"), 1)
+    std = g.delta_space(1).support
+    moved = translate_support(g.rs, 1, std)
+    assert moved != std
+    assert not chamber_automorphism_check(g, lambda d, s: (d, moved))
+    assert chamber_automorphism_check(g, lambda d, s: (d, frozenset(s)))
 
 
 def test_a_node_swap_off_the_diagram_is_no_automorphism(dual):

@@ -30,6 +30,34 @@ def geom(name, beta):
     return Geometry(RootSystem.named(name), beta)
 
 
+# apartment objects as values
+
+
+@pytest.mark.parametrize("name,beta", [("A3", 1), ("D4", 1), ("G2", 1)])
+def test_apartment_objects_are_equal_when_type_and_support_agree(name, beta):
+    g = geom(name, beta)
+    objs = []
+    for d in g.rs.nodes:
+        found = apartment_objects(g, d)
+        assert len(set(found)) == len(found) == g.rs.orbit_size(
+            g.rs.fundamental_weight(d))
+        objs += found
+    for a in objs:
+        twin = ApartmentObject(a.delta, set(a.support))
+        assert twin is not a and twin == a and not twin != a
+        assert hash(twin) == hash(a)
+        pair = (a.delta, a.support)
+        assert a != pair and pair != a and not a == pair
+        for b in objs:
+            same = a.delta == b.delta and a.support == b.support
+            assert (a == b) == same and (a != b) == (not same)
+    # one support under two types, and one type over two supports
+    s = objs[0].support
+    assert ApartmentObject(1, s) != ApartmentObject(2, s)
+    assert ApartmentObject(1, s) != ApartmentObject(1, s | {g.rs.zero()})
+    assert len({ApartmentObject(d, s) for d in (1, 1, 2)}) == 2
+
+
 # dimension diagrams
 
 
